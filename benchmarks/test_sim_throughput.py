@@ -25,7 +25,7 @@ process), ``runahead`` (wall-clock ratio against a ``REPRO_NO_RUNAHEAD=1``
 single-step-scheduler run, with the run-ahead loop's ops-per-quantum
 batching factor), plus the wall-clock cost of the opt-in instrumentation
 layers:
-``sanitize.slowdown`` (``REPRO_SANITIZE=1`` invariant sweeps) and
+``sanitize.slowdown`` (``REPRO_SANITIZE=1`` invariant checkpoints) and
 ``obs.slowdown`` (``REPRO_OBS=1`` structured observability) — both
 asserted to leave simulated stats bit-identical. The obs point is a
 four-way interleave when numpy is present: plain and observed runs of
@@ -253,8 +253,8 @@ def test_sim_throughput(tmp_path, monkeypatch):
             "ops_per_batch": round(result.stats.runahead_ops_per_batch, 3),
         }
 
-    # One REPRO_SANITIZE=1 point: records what the full-sweep invariant
-    # checker costs (the slowdown is the price of --sanitize, not a
+    # One REPRO_SANITIZE=1 point: records what the dirty-line invariant
+    # checkpoints cost (the slowdown is the price of --sanitize, not a
     # regression — the sanitizer is off everywhere else). Simulated stats
     # must be untouched by the instrumentation.
     build, params, reps = SINGLE_RUNS["counter_commtm"]

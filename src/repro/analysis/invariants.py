@@ -1,4 +1,4 @@
-"""The MESI+U invariant suite — one definition, two consumers.
+"""The MESI+U invariant suite — one per-line definition, two consumers.
 
 CommTM extends MESI with the U state, and every protocol transition must
 preserve the invariants of Sec. III-B (Fig. 6):
@@ -13,30 +13,39 @@ preserve the invariants of Sec. III-B (Fig. 6):
   exactly match the lines the private caches actually hold, in both
   directions.
 
-:func:`check_invariants` sweeps one machine and returns *all* violations
-as :class:`~repro.analysis.findings.Finding` records.  It is consumed by
-two tiers with different reporting disciplines:
+Every one of the eleven checks reads a single line: its valid private
+copies and its directory entry. :func:`check_line` is that per-line
+check, and it is the only definition. Two callers run it:
 
-* the runtime sanitizer (``REPRO_SANITIZE=1``) raises
-  :class:`~repro.errors.SanitizerError` on the first finding after every
-  memory operation of a real run; and
-* the exhaustive model checker (``python -m repro.analysis modelcheck``)
-  evaluates the suite on *every reachable state* of a bounded config and
-  attaches a replayable counterexample trace to each finding.
+* :func:`check_invariants` sweeps the whole machine — one pass over the
+  caches collects every line's holders, then :func:`check_line` runs on
+  every line any cache or the directory knows. It returns *all*
+  violations as :class:`~repro.analysis.findings.Finding` records. The
+  exhaustive model checker (``python -m repro.analysis modelcheck``)
+  evaluates it on every reachable state of a bounded config, and the
+  runtime sanitizer uses it for its full sweeps (``check()`` and the
+  run-start and run-end sweeps of a sanitized ``Machine.run``).
+* The runtime sanitizer's per-op checkpoints
+  (:mod:`repro.analysis.sanitizer`) call :func:`check_line` on the few
+  lines an operation may have changed, collecting each line's holders
+  with :func:`line_holders` — a probe of every cache for that one line.
 
-Keeping the sweep here means a new invariant (or a fixed message) lands
-in both tiers at once — the checker can never drift from what the
-sanitizer enforces.
+Because both callers run the same function, a new invariant (or a fixed
+message) lands in every tier at once — the checker can never drift from
+what the sanitizer enforces. A new check must stay per-line, or the
+sanitizer's dirty-line checkpoints stop being sound.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..coherence.states import State
 from .findings import ERROR, Finding
 
-#: Check names the suite can emit, in sweep order — documentation and
+_M, _E, _S, _U, _I = State.M, State.E, State.S, State.U, State.I
+
+#: Check names the suite can emit, in per-line order — documentation and
 #: test surface for the enforcement-tier table in PROTOCOL.md.
 INVARIANT_CHECKS = (
     "multiple-owners",
@@ -52,41 +61,42 @@ INVARIANT_CHECKS = (
     "stale-u-sharer",
 )
 
+#: ``fail(check, line_no, message)`` — called once per violation.
+FailFn = Callable[[str, int, str], None]
 
-def check_invariants(msys, pass_name: str = "invariants") -> List[Finding]:
-    """Sweep every cache and the directory of ``msys`` for MESI+U
-    invariant violations and return them all (empty list = clean).
 
-    Reads cache and directory internals directly (``_lines``,
-    ``_entries``) so the sweep itself cannot perturb LRU order or
-    stats.  ``pass_name`` tags the findings with the consuming tier
-    ("sanitizer", "modelcheck", ...).
-    """
-    findings: List[Finding] = []
+def line_holders(line_no: int, maps: Sequence[dict]) -> Dict[int, object]:
+    """The valid private copies of ``line_no`` as ``{core: CacheLine}``.
 
-    def fail(check: str, line_no: Optional[int], message: str) -> None:
-        findings.append(Finding(
-            pass_name=pass_name, check=check, severity=ERROR,
-            message=message,
-            label=None if line_no is None else hex(line_no)))
+    ``maps`` holds every cache's line map (``PrivateCache._lines``),
+    indexed by core. Every cache is probed: a copy the directory does
+    not know about is exactly what inclusion checks must see."""
+    return {core: cl for core in range(len(maps))
+            if line_no in maps[core]
+            and (cl := maps[core][line_no]).state is not _I}
 
-    caches = msys.caches
 
-    # Cache-side view: line -> {core: CacheLine} for every valid copy.
-    holders = {}
-    for cache in caches:
-        for line_no, cl in cache._lines.items():
-            if cl.state is State.I:
-                continue
-            holders.setdefault(line_no, {})[cache.core] = cl
+def check_line(line_no: int, by_core: Dict[int, object], ent,
+               fail: FailFn) -> None:
+    """Run every MESI+U check on one line.
 
-    for line_no, by_core in holders.items():
-        owners = [c for c, cl in by_core.items()
-                  if cl.state in (State.M, State.E)]
-        s_sharers = [c for c, cl in by_core.items()
-                     if cl.state is State.S]
-        u_sharers = [c for c, cl in by_core.items()
-                     if cl.state is State.U]
+    ``by_core`` maps each core holding a valid (non-I) copy to its
+    ``CacheLine``, in core order; ``ent`` is the line's ``DirEntry`` or
+    None. Reads nothing else, so the result depends only on this line's
+    copies and directory entry. Reports each violation through ``fail``
+    and returns nothing."""
+    if by_core:
+        owners: List[int] = []
+        s_sharers: List[int] = []
+        u_sharers: List[int] = []
+        for core, cl in by_core.items():
+            st = cl.state
+            if st is _M or st is _E:
+                owners.append(core)
+            elif st is _S:
+                s_sharers.append(core)
+            elif st is _U:
+                u_sharers.append(core)
         if len(owners) > 1:
             fail("multiple-owners", line_no,
                  f"line {line_no:#x} held M/E by cores {owners}")
@@ -103,26 +113,23 @@ def check_invariants(msys, pass_name: str = "invariants") -> List[Finding]:
         if u_sharers:
             labels = {id(by_core[c].label): by_core[c].label
                       for c in u_sharers}
-            if len(labels) > 1 or None in {
-                    by_core[c].label for c in u_sharers}:
+            if len(labels) > 1 or None in labels.values():
                 names = {c: getattr(by_core[c].label, "name", None)
                          for c in u_sharers}
                 fail("u-label-disagreement", line_no,
                      f"line {line_no:#x} U sharers disagree on "
                      f"label: {names}")
-
-        ent = msys.directory._entries.get(line_no)
         if ent is None:
             fail("missing-directory-entry", line_no,
                  f"line {line_no:#x} held by cores "
                  f"{sorted(by_core)} but the directory has no "
                  f"entry (inclusion violated)")
-            continue  # the entry-dependent checks below need ``ent``
+            return  # every remaining check needs the entry
         # Directory membership must match each copy's actual state.
         for core, cl in by_core.items():
             dir_state = ent.private_state_of(core)
-            cache_kind = State.M if cl.state is State.E else cl.state
-            dir_kind = State.M if dir_state is State.E else dir_state
+            cache_kind = _M if cl.state is _E else cl.state
+            dir_kind = _M if dir_state is _E else dir_state
             if cache_kind is not dir_kind:
                 fail("directory-mismatch", line_no,
                      f"line {line_no:#x}: core {core} caches it "
@@ -138,46 +145,76 @@ def check_invariants(msys, pass_name: str = "invariants") -> List[Finding]:
                      f"label {getattr(cached, 'name', cached)!r} "
                      f"but directory records "
                      f"{getattr(ent.u_label, 'name', None)!r}")
+    elif ent is None:
+        return
 
     # Directory-side view: every recorded copy must exist in a cache.
-    for line_no, ent in msys.directory._entries.items():
-        kinds = sum(1 for flag in (ent.owner is not None,
-                                   bool(ent.sharers),
-                                   bool(ent.u_sharers)) if flag)
-        if kinds > 1:
-            fail("directory-mixed-sets", line_no,
-                 f"line {line_no:#x}: directory entry has "
-                 f"multiple sharer kinds (owner={ent.owner}, "
-                 f"S={sorted(ent.sharers)}, "
-                 f"U={sorted(ent.u_sharers)})")
-        if ent.u_sharers and ent.u_label is None:
-            fail("u-without-label", line_no,
-                 f"line {line_no:#x}: directory records U "
-                 f"sharers {sorted(ent.u_sharers)} with no "
-                 f"label")
-        cached = holders.get(line_no, {})
-        if ent.owner is not None:
-            cl = cached.get(ent.owner)
-            if cl is None or cl.state not in (State.M, State.E):
-                fail("stale-owner", line_no,
-                     f"line {line_no:#x}: directory owner is "
-                     f"core {ent.owner} but that cache holds "
-                     f"{cl.state.value if cl else 'nothing'}")
-        for core in ent.sharers:
-            cl = cached.get(core)
-            if cl is None or cl.state is not State.S:
-                fail("stale-sharer", line_no,
-                     f"line {line_no:#x}: directory records "
-                     f"core {core} as an S sharer but that "
-                     f"cache holds "
-                     f"{cl.state.value if cl else 'nothing'}")
-        for core in ent.u_sharers:
-            cl = cached.get(core)
-            if cl is None or cl.state is not State.U:
-                fail("stale-u-sharer", line_no,
-                     f"line {line_no:#x}: directory records "
-                     f"core {core} as a U sharer but that "
-                     f"cache holds "
-                     f"{cl.state.value if cl else 'nothing'}")
+    owner = ent.owner
+    if (owner is not None) + bool(ent.sharers) + bool(ent.u_sharers) > 1:
+        fail("directory-mixed-sets", line_no,
+             f"line {line_no:#x}: directory entry has "
+             f"multiple sharer kinds (owner={owner}, "
+             f"S={sorted(ent.sharers)}, "
+             f"U={sorted(ent.u_sharers)})")
+    if ent.u_sharers and ent.u_label is None:
+        fail("u-without-label", line_no,
+             f"line {line_no:#x}: directory records U "
+             f"sharers {sorted(ent.u_sharers)} with no "
+             f"label")
+    if owner is not None:
+        cl = by_core.get(owner)
+        if cl is None or (cl.state is not _M and cl.state is not _E):
+            fail("stale-owner", line_no,
+                 f"line {line_no:#x}: directory owner is "
+                 f"core {owner} but that cache holds "
+                 f"{cl.state.value if cl else 'nothing'}")
+    for core in ent.sharers:
+        cl = by_core.get(core)
+        if cl is None or cl.state is not _S:
+            fail("stale-sharer", line_no,
+                 f"line {line_no:#x}: directory records "
+                 f"core {core} as an S sharer but that "
+                 f"cache holds "
+                 f"{cl.state.value if cl else 'nothing'}")
+    for core in ent.u_sharers:
+        cl = by_core.get(core)
+        if cl is None or cl.state is not _U:
+            fail("stale-u-sharer", line_no,
+                 f"line {line_no:#x}: directory records "
+                 f"core {core} as a U sharer but that "
+                 f"cache holds "
+                 f"{cl.state.value if cl else 'nothing'}")
 
+
+def check_invariants(msys, pass_name: str = "invariants") -> List[Finding]:
+    """Sweep every cache and the directory of ``msys`` for MESI+U
+    invariant violations and return them all (empty list = clean).
+
+    :func:`check_line` over every line any cache or the directory holds,
+    in line order. Reads cache and directory internals directly
+    (``_lines``, ``_entries``) so the sweep itself cannot perturb LRU
+    order or stats. ``pass_name`` tags the findings with the consuming
+    tier ("sanitizer", "modelcheck", ...).
+    """
+    findings: List[Finding] = []
+
+    def fail(check: str, line_no: Optional[int], message: str) -> None:
+        findings.append(Finding(
+            pass_name=pass_name, check=check, severity=ERROR,
+            message=message,
+            label=None if line_no is None else hex(line_no)))
+
+    # One pass over the caches: line -> {core: CacheLine} for every
+    # valid copy, in core order.
+    holders: Dict[int, Dict[int, object]] = {}
+    for cache in msys.caches:
+        core = cache.core
+        for line_no, cl in cache._lines.items():
+            if cl.state is not _I:
+                holders.setdefault(line_no, {})[core] = cl
+    entries = msys.directory._entries
+    empty: Dict[int, object] = {}
+    for line_no in sorted(holders.keys() | entries.keys()):
+        check_line(line_no, holders.get(line_no, empty),
+                   entries.get(line_no), fail)
     return findings

@@ -459,11 +459,13 @@ class MemorySystem:
     # Public operations
     # ------------------------------------------------------------------
 
-    def _finish(self, requester: Requester, res: AccessResult) -> AccessResult:
-        """Occupancy postlude + sanitizer checkpoint for one public op."""
+    def _finish(self, requester: Requester, res: AccessResult,
+                op: str) -> AccessResult:
+        """Occupancy postlude + sanitizer checkpoint for public op ``op``."""
         res = self._apply_occupancy(requester, res)
         if self.sanitizer is not None:
-            self.sanitizer.check()
+            self.sanitizer.protocol_checkpoint(requester.core, requester.now,
+                                               op)
         return res
 
     def _touch_metrics(self, addr: int, requester: Requester,
@@ -478,7 +480,8 @@ class MemorySystem:
         check_word_aligned(addr)
         if self.obs is not None:
             self._touch_metrics(addr, requester)
-        return self._finish(requester, self._load(core, addr, requester))
+        return self._finish(requester, self._load(core, addr, requester),
+                            "load")
 
     def store(self, core: int, addr: int, value: object,
               requester: Requester) -> AccessResult:
@@ -486,7 +489,7 @@ class MemorySystem:
         if self.obs is not None:
             self._touch_metrics(addr, requester)
         return self._finish(
-            requester, self._store(core, addr, value, requester))
+            requester, self._store(core, addr, value, requester), "store")
 
     def labeled_load(self, core: int, addr: int, label: Label,
                      requester: Requester) -> AccessResult:
@@ -496,7 +499,8 @@ class MemorySystem:
         return self._finish(
             requester,
             self._labeled_access(core, addr, label, requester,
-                                 value=None, is_store=False))
+                                 value=None, is_store=False),
+            "labeled_load")
 
     def labeled_store(self, core: int, addr: int, label: Label,
                       value: object, requester: Requester) -> AccessResult:
@@ -506,7 +510,8 @@ class MemorySystem:
         return self._finish(
             requester,
             self._labeled_access(core, addr, label, requester,
-                                 value=value, is_store=True))
+                                 value=value, is_store=True),
+            "labeled_store")
 
     def load_gather(self, core: int, addr: int, label: Label,
                     requester: Requester) -> AccessResult:
@@ -514,7 +519,8 @@ class MemorySystem:
         if self.obs is not None:
             self._touch_metrics(addr, requester, label)
         return self._finish(
-            requester, self._gather(core, addr, label, requester))
+            requester, self._gather(core, addr, label, requester),
+            "load_gather")
 
     # ------------------------------------------------------------------
     # Lazy conflict detection (Sec. III-D generalization)
@@ -541,22 +547,20 @@ class MemorySystem:
         if entry is not None and entry.state is State.U:
             # Same rules as eager mode for reducible data.
             return self._finish(
-                requester, self._store(core, addr, value, requester))
+                requester, self._store(core, addr, value, requester),
+                "lazy_store")
         if entry is None or not entry.state.can_read:
-            res = self._apply_occupancy(
-                requester, self._load(core, addr, requester))
+            res = self._load(core, addr, requester)
             if res.abort_requester:
-                return res
+                return self._finish(requester, res, "lazy_store")
             entry = cache.lookup(line_no)
         else:
             res = AccessResult()
             res.cycles += self._private_lookup_cycles(cache.touch(line_no))
+        # The buffered write touches neither the result nor the line's
+        # occupancy, so the postlude may follow it.
         self._write_word(entry, addr, value, requester, labeled=False)
-        if entry.state is State.M and entry.clean_words is not None:
-            pass  # already exclusive: the publish will be free
-        if self.sanitizer is not None:
-            self.sanitizer.check()
-        return res
+        return self._finish(requester, res, "lazy_store")
 
     def publish_line(self, core: int, line_no: int,
                      requester: Requester) -> AccessResult:
@@ -602,7 +606,7 @@ class MemorySystem:
         ent.check()
         entry.state = State.M
         entry.dirty = True
-        return self._finish(requester, res)
+        return self._finish(requester, res, "publish_line")
 
     # ------------------------------------------------------------------
     # Conventional load

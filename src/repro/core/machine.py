@@ -89,11 +89,10 @@ class Machine:
         # ``sanitize`` is kept out of SystemConfig on purpose: it cannot
         # change simulated results, so it must not perturb the result
         # cache's config fingerprints. None defers to REPRO_SANITIZE.
-        from ..analysis.sanitizer import CoherenceSanitizer, sanitize_enabled
-        self.sanitizer: Optional[CoherenceSanitizer] = None
-        if sanitize if sanitize is not None else sanitize_enabled():
-            self.sanitizer = CoherenceSanitizer(self.msys)
-            self.msys.sanitizer = self.sanitizer
+        from ..analysis import sanitizer
+        self.sanitizer: Optional[sanitizer.CoherenceSanitizer] = None
+        if sanitize if sanitize is not None else sanitizer.sanitize_enabled():
+            sanitizer.install(self)
         self.conflicts = ConflictManager(self.msys.caches, self.stats,
                                          policy=self.config.conflict_policy)
         self.msys.attach_conflict_manager(self.conflicts)
@@ -211,7 +210,13 @@ class Machine:
             engine = VectorEngine(self, bodies)
         else:
             engine = Engine(self, bodies)
+        # A sanitized run checks only dirty lines per op; these full
+        # sweeps cover state seeded before the run and close it out.
+        if self.sanitizer is not None:
+            self.sanitizer.check("run start")
         engine.run()
+        if self.sanitizer is not None:
+            self.sanitizer.check("run end")
         if self.obs is not None:
             self.obs.recorder.close_open_spans()
             self.stats.host_hot_lines = self.obs.hot_lines()

@@ -40,7 +40,7 @@ from typing import Callable, List, Optional
 
 from ..coherence.messages import Requester
 from ..errors import SimulationError, TransactionError
-from ..mem.address import line_of
+from ..mem.address import LINE_BYTES, line_of
 from ..htm.backoff import backoff_cycles
 from ..runtime.ops import (
     MEMORY_OPS,
@@ -102,6 +102,24 @@ FASTPATH_GATE_MIN_HIT_RATE = 0.5
 def _obs_noop(*args) -> None:
     """Bound in place of the Observer's lifecycle hooks when obs is off."""
     return None
+
+
+def _sanitized_handler(handler, sanitizer, cycles):
+    """``handler`` followed by a sanitizer checkpoint on the op's line,
+    located by the op class, its core and the cycle it started at."""
+    checkpoint = sanitizer.checkpoint
+
+    def sanitized(runner, op):
+        core = runner.core
+        cycle = cycles[core]
+        sanitizer.in_op = True
+        try:
+            handler(runner, op)
+        finally:
+            sanitizer.in_op = False
+        checkpoint(op.addr // LINE_BYTES, core, cycle, op.__class__)
+
+    return sanitized
 
 
 @dataclass(slots=True)
@@ -204,51 +222,48 @@ class Engine:
         # warmup window).
         self._fastpath_attempting = fastpath_enabled() and obs is None
         self._gate_pending = self._fastpath_attempting
+        self._handlers = {
+            Atomic: self._op_atomic,
+            Work: self._op_work,
+            Barrier: self._op_barrier,
+        }
         if self._fastpath_attempting:
-            self._handlers = {
-                Atomic: self._op_atomic,
-                Work: self._op_work,
-                Barrier: self._op_barrier,
+            self._handlers.update({
                 Load: self._op_load_fast,
                 Store: self._op_store_fast,
                 LabeledLoad: self._op_labeled_load_fast,
                 LabeledStore: self._op_labeled_store_fast,
                 LoadGather: self._op_load_gather_fast,
-            }
-            # When sanitizing, checkpoint after every memory op. Fast-path
-            # private hits never reach MemorySystem's public ops (where the
-            # slow-path checkpoint lives), so the handler table itself is
-            # wrapped — the table is rebuilt per Engine, so the unsanitized
-            # hot path keeps its direct bindings.
-            sanitizer = getattr(machine, "sanitizer", None)
-            if sanitizer is not None:
-                for op_cls in (Load, Store, LabeledLoad, LabeledStore,
-                               LoadGather):
-                    self._handlers[op_cls] = self._sanitized_handler(
-                        self._handlers[op_cls], sanitizer.check)
+            })
         else:
-            # Full handlers route through MemorySystem's public ops, which
-            # already checkpoint when machine.sanitizer is installed.
-            self._handlers = {
-                Atomic: self._op_atomic,
-                Work: self._op_work,
-                Barrier: self._op_barrier,
-                Load: self._op_load,
-                Store: self._op_store,
-                LabeledLoad: self._op_labeled_load,
-                LabeledStore: self._op_labeled_store,
-                LoadGather: self._op_load_gather,
-            }
+            self._handlers.update(self._full_memory_handlers())
+        # When sanitizing, every memory-op handler is wrapped with one
+        # dirty-line checkpoint. The table is rebuilt per Engine, so the
+        # unsanitized hot path keeps its direct bindings.
+        self._sanitizer = getattr(machine, "sanitizer", None)
+        if self._sanitizer is not None:
+            self._sanitize_handlers(self._handlers)
 
-    @staticmethod
-    def _sanitized_handler(handler, check):
-        """Wrap a memory-op handler with a sanitizer checkpoint."""
+    def _full_memory_handlers(self) -> dict:
+        return {
+            Load: self._op_load,
+            Store: self._op_store,
+            LabeledLoad: self._op_labeled_load,
+            LabeledStore: self._op_labeled_store,
+            LoadGather: self._op_load_gather,
+        }
 
-        def sanitized(runner, op):
-            handler(runner, op)
-            check()
-
-        return sanitized
+    def _sanitize_handlers(self, handlers: dict) -> None:
+        """Wrap each memory-op handler in ``handlers`` with a sanitizer
+        checkpoint on the op's line, taken once the op (fast path or
+        full protocol path) is done. While the handler runs,
+        ``sanitizer.in_op`` stops MemorySystem's public ops from taking a
+        second checkpoint for the same op."""
+        sanitizer = self._sanitizer
+        cycles = self._cycles
+        for op_cls in MEMORY_OPS:
+            handlers[op_cls] = _sanitized_handler(handlers[op_cls],
+                                                  sanitizer, cycles)
 
     # ------------------------------------------------------------------
 
@@ -763,20 +778,15 @@ class Engine:
         through the warmup window, so the failed fast-path probe is a net
         host-side cost per op). The table is mutated in place — the run
         loops hold a local alias — and memoized subclass entries are
-        dropped so they re-resolve through the MRO. Sanitized runs lose the
-        engine-level checkpoint wrappers here, but the full handlers go
-        through MemorySystem's public ops, which checkpoint on their own.
+        dropped so they re-resolve through the MRO. In a sanitized run the
+        full handlers get their checkpoint wrappers too.
         Host-only: simulated results are bit-identical either way."""
         self._fastpath_attempting = False
         self.stats.host_fastpath_gated = True
         handlers = self._handlers
-        full = {
-            Load: self._op_load,
-            Store: self._op_store,
-            LabeledLoad: self._op_labeled_load,
-            LabeledStore: self._op_labeled_store,
-            LoadGather: self._op_load_gather,
-        }
+        full = self._full_memory_handlers()
+        if self._sanitizer is not None:
+            self._sanitize_handlers(full)
         for cls in [c for c in handlers
                     if c not in full and issubclass(c, MEMORY_OPS)]:
             del handlers[cls]

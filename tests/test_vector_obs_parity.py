@@ -144,12 +144,14 @@ def test_obs_off_vector_engine_installs_nothing(monkeypatch):
     (its truthiness is the only per-iteration check the hot loops pay),
     and no profiler exists. The wall-clock side of this guarantee is the
     paired obs-off/obs-on A/B in benchmarks/test_sim_throughput.py."""
+    from repro.analysis.sanitizer import SANITIZE_ENV
     from repro.core.machine import Machine
     from repro.params import small_config
     from repro.obs import OBS_ENV
     from repro.sim.vector.engine import VectorEngine
 
     monkeypatch.delenv(OBS_ENV, raising=False)
+    monkeypatch.delenv(SANITIZE_ENV, raising=False)
     machine = Machine(small_config(num_cores=8, seed=1, commtm_enabled=True))
     built = MICROS["counter"](machine, 4, total_ops=120)
     engine = VectorEngine(machine, built.bodies)
@@ -164,11 +166,13 @@ def test_obs_off_vector_engine_installs_nothing(monkeypatch):
 def test_live_chrome_trace_includes_vector_lanes(monkeypatch):
     """chrome_trace on a live observed machine (not a pickled payload)
     exports the engine and host lanes directly."""
+    from repro.analysis.sanitizer import SANITIZE_ENV
     from repro.core.machine import Machine
     from repro.params import small_config
     from repro.obs import OBS_ENV
 
     monkeypatch.delenv(OBS_ENV, raising=False)
+    monkeypatch.delenv(SANITIZE_ENV, raising=False)
     machine = Machine(small_config(num_cores=8, seed=1, commtm_enabled=True),
                       observe=True, backend="vector")
     built = MICROS["counter"](machine, 4, total_ops=120)

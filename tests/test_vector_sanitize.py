@@ -18,7 +18,7 @@ backend actually drove. Three compositions matter:
 import pytest
 
 from repro.analysis.invariants import check_invariants
-from repro.analysis.sanitizer import CoherenceSanitizer
+from repro.analysis.sanitizer import SANITIZE_ENV, CoherenceSanitizer
 from repro.core.machine import Machine
 from repro.datatypes import SharedCounter
 from repro.params import SystemConfig
@@ -119,13 +119,15 @@ class TestPostRunSweep:
 
 
 class TestAdaptiveGate:
-    def test_fence_storm_trips_the_gate(self):
+    def test_fence_storm_trips_the_gate(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         machine, result, _ = _fence_storm_run("vector")
         assert result.stats.host_vector_gated, \
             "fence storm did not trip the adaptive gate"
         _sweep(machine)
 
-    def test_gated_run_is_bit_identical(self):
+    def test_gated_run_is_bit_identical(self, monkeypatch):
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         interp_m, interp, interp_lines = _fence_storm_run("interp")
         vector_m, vector, vector_lines = _fence_storm_run("vector")
         assert vector.stats.host_vector_gated
