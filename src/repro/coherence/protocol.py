@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set
 from ..errors import ProtocolError, ReductionError
 from ..mem.address import line_of, word_index, check_word_aligned
 from ..mem.memory import MainMemory
-from ..params import LINE_BYTES, SystemConfig, WORD_BYTES
+from ..params import LINE_BYTES, SystemConfig, WORD_BYTES, WORDS_PER_LINE
 from ..sim.stats import Stats, WastedCause
 from ..core.labels import HandlerContext, Label, LabelRegistry
 from .cache import PrivateCache
@@ -111,7 +111,7 @@ class MemorySystem:
         self.labels = labels
         self.stats = stats
         self.rng = rng
-        self.mesh = Mesh(config.noc)
+        self.mesh = mesh = Mesh(config.noc)
         self.caches: List[PrivateCache] = []
         for core in range(config.num_cores):
             cache = PrivateCache(core, config.l1, config.l2)
@@ -146,22 +146,24 @@ class MemorySystem:
         #: serialize (the effect that makes conventional HTMs flat-line on
         #: contended counters, and that U-state local hits bypass).
         self._line_busy: Dict[int, int] = {}
-        # Precomputed latency tables: directory round-trip latency and hop
-        # count depend only on (core tile, home bank), so the per-access
-        # mesh geometry walk collapses to two list lookups.
+        # NoC geometry: every charge depends only on a pair of tiles (the
+        # mesh's tables), so cores and banks map onto tiles once, here. The
+        # core map holds the valid ids only: an out-of-range core (SYSTEM's
+        # -1 included) raises KeyError instead of wrapping to a tile.
+        per_tile = config.cores_per_tile
+        self._tile_of_core = {core: core // per_tile
+                              for core in range(config.num_cores)}
         self._l3_banks = config.l3_banks
-        self._dir_rt = [
-            [self.mesh.round_trip(self._core_tile(core),
-                                  bank % config.noc.num_tiles)
-             for bank in range(config.l3_banks)]
-            for core in range(config.num_cores)
-        ]
-        self._dir_hops2 = [
-            [self.mesh.hops(self._core_tile(core),
-                            bank % config.noc.num_tiles) * 2
-             for bank in range(config.l3_banks)]
-            for core in range(config.num_cores)
-        ]
+        self._tile_of_bank = tuple(bank % config.noc.num_tiles
+                                   for bank in range(config.l3_banks))
+        # Directory round trip and its hop count, per (core, home bank):
+        # one row per tile, shared by reference by every core on it.
+        rt_rows = [tuple(2 * row[b] for b in self._tile_of_bank)
+                   for row in mesh.latency_table]
+        hops2_rows = [tuple(2 * row[b] for b in self._tile_of_bank)
+                      for row in mesh.hop_table]
+        self._dir_rt = [rt_rows[t] for t in self._tile_of_core.values()]
+        self._dir_hops2 = [hops2_rows[t] for t in self._tile_of_core.values()]
         self._l1_latency = config.l1.latency
         self._l12_latency = config.l1.latency + config.l2.latency
 
@@ -171,12 +173,10 @@ class MemorySystem:
 
     def attach_conflict_manager(self, manager: ConflictManagerBase) -> None:
         self.conflicts = manager
+        hook = (lambda core, reason:
+                self.conflicts.abort_requester(core, WastedCause.OTHER))
         for cache in self.caches:
-            cache.spec_eviction_hook = (
-                lambda core, reason: self.conflicts.abort_requester(
-                    core, WastedCause.OTHER
-                )
-            )
+            cache.spec_eviction_hook = hook
 
     def _make_eviction_hook(self, core: int):
         return lambda victim: self._on_private_eviction(core, victim)
@@ -184,16 +184,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Latency helpers
     # ------------------------------------------------------------------
-
-    def _bank_tile(self, line_no: int) -> int:
-        bank = line_no % self.config.l3_banks
-        return bank % self.config.noc.num_tiles
-
-    def _core_tile(self, core: int) -> int:
-        return self.config.tile_of_core(core)
-
-    def _dir_round_trip(self, core: int, line_no: int) -> int:
-        return self._dir_rt[core][line_no % self._l3_banks]
 
     def _private_lookup_cycles(self, l1_hit: bool) -> int:
         if l1_hit:
@@ -235,24 +225,30 @@ class MemorySystem:
         self._line_busy[res.dir_line] = max(busy_until, start + occupying)
         return res
 
-    def _charge_inval_fanout(self, line_no: int, victims, res: AccessResult) -> None:
-        """Invalidations fan out in parallel from the line's bank."""
-        bank = self._bank_tile(line_no)
-        tiles = [self._core_tile(v) for v in victims]
-        if tiles:
-            res.cycles += self.mesh.max_latency_from(bank, tiles) * 2
+    # The two NoC charges below are pure table reads, shared with the
+    # vector backend's certifier (sim/vector/certify.py), so a prediction
+    # and the handler it predicts use one definition of NoC cost.
 
-    def _charge_forward(self, src_core: int, dst_core: int,
-                        res: AccessResult) -> None:
-        res.cycles += self._forward_latency(src_core, dst_core)
+    def _fanout_cycles(self, line_no: int, victims) -> int:
+        """Invalidations fan out in parallel from the line's bank: the
+        round trip to the farthest victim (0 for none)."""
+        row = self.mesh.latency_table[
+            self._tile_of_bank[line_no % self._l3_banks]]
+        tile = self._tile_of_core
+        return 2 * max((row[tile[v]] for v in victims), default=0)
+
+    def _forward_cycles(self, src_core: int, dst_core: int) -> int:
+        """Latency of one cache-to-cache data forward."""
+        tile = self._tile_of_core
+        return self.mesh.latency_table[tile[src_core]][tile[dst_core]]
 
     def _forward_latency(self, src_core: int, dst_core: int) -> int:
         """Latency of one cache-to-cache data forward; records traffic."""
+        tile = self._tile_of_core
         self.stats.forwards += 1
-        self.stats.noc_hops += self.mesh.hops(self._core_tile(src_core),
-                                              self._core_tile(dst_core))
-        return self.mesh.latency(self._core_tile(src_core),
-                                 self._core_tile(dst_core))
+        self.stats.noc_hops += self.mesh.hop_table[tile[src_core]][
+            tile[dst_core]]
+        return self._forward_cycles(src_core, dst_core)
 
     # ------------------------------------------------------------------
     # Handler context (reduction / splitter memory access)
@@ -297,7 +293,6 @@ class MemorySystem:
 
     def _handler_cost(self, label: Label) -> int:
         """Fixed shadow-thread cost of merging/splitting one line."""
-        from ..params import WORDS_PER_LINE
         return self.config.reduction_cycles_per_word * WORDS_PER_LINE
 
     # ------------------------------------------------------------------
@@ -594,7 +589,7 @@ class MemorySystem:
         ]
         self._resolve_victims(line_no, spec_victims, committer,
                               Trigger.WRITE, res)
-        self._charge_inval_fanout(line_no, victims, res)
+        res.cycles += self._fanout_cycles(line_no, victims)
         for victim in victims:
             self.caches[victim].drop(line_no)
             self.directory.drop_sharer(ent, victim)
@@ -691,8 +686,8 @@ class MemorySystem:
                 res.abort_requester = True
                 res.abort_cause = self._requester_cause(AccessKind.LOAD)
                 return False
-        self._charge_inval_fanout(line_no, [owner], res)
-        self._charge_forward(owner, core, res)
+        res.cycles += self._fanout_cycles(line_no, [owner])
+        res.cycles += self._forward_latency(owner, core)
         self.stats.downgrades += 1
         data = list(owner_entry.words)
         owner_entry.state = State.S
@@ -766,7 +761,7 @@ class MemorySystem:
             res.abort_requester = True
             res.abort_cause = self._requester_cause(AccessKind.STORE)
             return res
-        self._charge_inval_fanout(line_no, victims, res)
+        res.cycles += self._fanout_cycles(line_no, victims)
         for victim in victims:
             ventry = self.caches[victim].lookup(line_no)
             if ventry is None:
@@ -774,7 +769,7 @@ class MemorySystem:
                     f"directory sharer {victim} lost line {line_no}"
                 )
             if ventry.state in (State.M, State.E):
-                self._charge_forward(victim, core, res)
+                res.cycles += self._forward_latency(victim, core)
                 data = list(ventry.words)
                 if ventry.dirty:
                     ent.words = list(data)
@@ -895,7 +890,7 @@ class MemorySystem:
                         AccessKind.LABELED_STORE if is_store
                         else AccessKind.LABELED_LOAD)
                     return res
-            self._charge_inval_fanout(line_no, [owner], res)
+            res.cycles += self._fanout_cycles(line_no, [owner])
             self.stats.downgrades += 1
             owner_entry.state = State.U
             owner_entry.label = label
@@ -923,7 +918,7 @@ class MemorySystem:
                     AccessKind.LABELED_STORE if is_store
                     else AccessKind.LABELED_LOAD)
                 return res
-            self._charge_inval_fanout(line_no, victims, res)
+            res.cycles += self._fanout_cycles(line_no, victims)
             for victim in victims:
                 self.caches[victim].drop(line_no)
                 self.directory.drop_sharer(ent, victim)
@@ -1068,7 +1063,7 @@ class MemorySystem:
         ]
         nackers = self._resolve_victims(line_no, spec_victims, requester,
                                         trigger, res)
-        self._charge_inval_fanout(line_no, sharers, res)
+        res.cycles += self._fanout_cycles(line_no, sharers)
 
         merged: Optional[List[object]] = None
         if own is not None:
@@ -1244,7 +1239,7 @@ class MemorySystem:
              if (e := self.caches[v].lookup(line_no)) is not None
              and e.speculative],
             requester, Trigger.GATHER, res)
-        self._charge_inval_fanout(line_no, others, res)
+        res.cycles += self._fanout_cycles(line_no, others)
         # The directory's involvement ends here: it forwarded the gather to
         # the sharers (the line stays in U at everyone). Splits, donations
         # and merges flow core-to-core and do not occupy the home line.

@@ -13,9 +13,12 @@ left on disk until the directory is cleared.
 
 The cache directory resolves, in order: explicit ``directory`` argument,
 ``REPRO_CACHE_DIR``, ``$XDG_CACHE_HOME/repro-commtm``, and finally
-``~/.cache/repro-commtm``. Corrupt or unreadable entries count as misses.
-Writes are atomic (temp file + ``os.replace``), so a sweep interrupted
-mid-write never poisons later runs.
+``~/.cache/repro-commtm``. Each entry is the SHA-256 digest of its pickled
+payload followed by the payload, and ``get`` checks the digest before it
+unpickles: a corrupt, truncated or unreadable entry is a miss, so the point
+is recomputed and stored again rather than crashing the harness or
+returning a wrong number. Writes are atomic (temp file + ``os.replace``),
+so a sweep interrupted mid-write never poisons later runs.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .parallel import PointSpec
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Length of the SHA-256 digest that heads every entry.
+_DIGEST_BYTES = 32
 
 
 def default_cache_dir() -> Path:
@@ -69,14 +75,18 @@ class ResultCache:
 
     def get(self, spec: PointSpec):
         """Cached result for ``spec``, or None. Never raises on a bad
-        entry — a corrupt file is a miss."""
+        entry — a digest mismatch or an unpickling error is a miss."""
         t0 = HARNESS_PROF.start()
-        path = self._path(spec)
         try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+            with open(self._path(spec), "rb") as fh:
+                digest = fh.read(_DIGEST_BYTES)
+                payload = fh.read()
+            if hashlib.sha256(payload).digest() != digest:
+                raise ValueError("cache entry digest mismatch")
+            result = pickle.loads(payload)
+        except Exception:
+            # Unreadable, corrupt, or intact but pickled by code that no
+            # longer loads it: recompute the point.
             self.misses += 1
             return None
         finally:
@@ -90,12 +100,14 @@ class ResultCache:
         t0 = HARNESS_PROF.start()
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(spec)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             fd, tmp = tempfile.mkstemp(dir=self.directory,
                                        prefix=path.stem, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    fh.write(hashlib.sha256(payload).digest())
+                    fh.write(payload)
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)

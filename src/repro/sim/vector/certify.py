@@ -61,8 +61,8 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
     can abort transactions).
 
     The predicted latency mirrors ``_charge_dir_access`` /
-    ``_charge_inval_fanout`` / ``_forward_latency`` /
-    ``_apply_occupancy`` using only pure mesh geometry.
+    ``_apply_occupancy`` and calls the handlers' own pure NoC charges,
+    ``_fanout_cycles`` / ``_forward_cycles``.
 
     ``spec`` marks a transactional (speculative) requester. The same
     transitions certify, with two extra obligations: no victim
@@ -116,7 +116,6 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
     dir_rt = msys._dir_rt[core][bank]
     l3lat = config.l3.latency
     stall = max(0, msys._line_busy.get(line_no, 0) - now)
-    mesh = msys.mesh
     caches = msys.caches
     base = l12_lat + dir_rt + l3lat  # every miss route below
 
@@ -150,12 +149,8 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
                 return None
             if not l2_install_safe(cache, line_no):
                 return None
-            fanout = mesh.max_latency_from(
-                msys._bank_tile(line_no),
-                [msys._core_tile(owner)]) * 2
-            fwd = mesh.latency(msys._core_tile(owner),
-                               msys._core_tile(core))
-            return base + fanout + fwd + stall
+            return (base + msys._fanout_cycles(line_no, (owner,))
+                    + msys._forward_cycles(owner, core) + stall)
         if ent.u_sharers:
             return _certify_reduce(msys, core, line_no, ent, cache)
         if not l2_install_safe(cache, line_no):
@@ -188,16 +183,10 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
                 return None  # lost line raises; spec line conflicts
             vst = ventry.state
             if vst is _M or vst is _E:
-                fwd = mesh.latency(msys._core_tile(victim),
-                                   msys._core_tile(core))
+                fwd = msys._forward_cycles(victim, core)
         if entry is None and not l2_install_safe(cache, line_no):
             return None  # an S copy upgrades in place, no install
-        fanout = 0
-        if victims:
-            fanout = mesh.max_latency_from(
-                msys._bank_tile(line_no),
-                [msys._core_tile(v) for v in victims]) * 2
-        return base + fanout + fwd + stall
+        return base + msys._fanout_cycles(line_no, victims) + fwd + stall
 
     # LABELED_LOAD / LABELED_STORE miss (I or S): GETU, Sec. III-B3
     # cases 1-5.
@@ -230,9 +219,8 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
             return None  # case 5 NACK-checks *any* speculative bit
         if not l2_install_safe(cache, line_no):
             return None
-        fanout = mesh.max_latency_from(msys._bank_tile(line_no),
-                                       [msys._core_tile(owner)]) * 2
-        return base + fanout + stall  # owner keeps data: no forward
+        # The owner keeps its data: no forward.
+        return base + msys._fanout_cycles(line_no, (owner,)) + stall
     # Cases 1-2: invalidate S sharers, install the L3 data.
     victims = [s for s in ent.sharers if s != core]
     for victim in victims:
@@ -241,12 +229,7 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
             return None
     if entry is None and not l2_install_safe(cache, line_no):
         return None  # an own S copy is dropped first: no net growth
-    fanout = 0
-    if victims:
-        fanout = mesh.max_latency_from(
-            msys._bank_tile(line_no),
-            [msys._core_tile(v) for v in victims]) * 2
-    return base + fanout + stall
+    return base + msys._fanout_cycles(line_no, victims) + stall
 
 
 def _certify_own_u(msys, core: int, line_no: int, entry, ent,

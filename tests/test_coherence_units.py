@@ -3,6 +3,8 @@ directory."""
 
 import pytest
 
+from repro import Machine
+from repro.analysis.modelcheck.checker import bounded_config
 from repro.coherence.cache import PrivateCache
 from repro.coherence.directory import Directory, DirEntry
 from repro.coherence.line import CacheLine
@@ -11,9 +13,21 @@ from repro.coherence.states import State
 from repro.core.labels import add_label
 from repro.errors import ProtocolError
 from repro.mem.memory import MainMemory
-from repro.params import CacheGeometry, NocConfig
+from repro.params import CacheGeometry, NocConfig, SystemConfig, small_config
 
 ADD = add_label()
+
+#: Every NoC the repo builds: Table I's 4x4, small_config's 2x2, the model
+#: checker's 1x1, the router latencies of the NoC-latency sensitivity sweep
+#: (benchmarks/test_sensitivity_machine.py; its 2 is Table I's), and one
+#: non-square mesh.
+NOCS = [
+    NocConfig(),
+    small_config().noc,
+    bounded_config().noc,
+    *(NocConfig(router_cycles=r) for r in (1, 6, 12)),
+    NocConfig(mesh_width=4, mesh_height=2),
+]
 
 
 class TestStates:
@@ -70,6 +84,63 @@ class TestMesh:
         assert self.mesh.max_latency_from(0, []) == 0
         worst = self.mesh.max_latency_from(0, [1, 15])
         assert worst == self.mesh.latency(0, 15)
+
+    @pytest.mark.parametrize("noc", NOCS, ids=repr)
+    def test_tables_match_closed_form(self, noc):
+        mesh = Mesh(noc)
+        width = noc.mesh_width
+        for a in range(noc.num_tiles):
+            for b in range(noc.num_tiles):
+                h = abs(a % width - b % width) + abs(a // width - b // width)
+                assert mesh.hops(a, b) == h
+                assert mesh.latency(a, b) == \
+                    h * noc.link_cycles + (h + 1) * noc.router_cycles
+                assert mesh.round_trip(a, b) == 2 * mesh.latency(a, b)
+
+
+class TestNocCharges:
+    """The memory system's per-tile tables charge exactly what the mesh
+    geometry says, for every core and bank."""
+
+    @pytest.mark.parametrize("config", [SystemConfig(), small_config()],
+                             ids=["tableI", "small"])
+    def test_every_core_and_bank(self, config):
+        msys = Machine(config).msys
+        mesh, stats = msys.mesh, msys.stats
+        tiles, cores = config.noc.num_tiles, config.num_cores
+        tile = config.tile_of_core
+        for c in range(cores):
+            for b in range(config.l3_banks):
+                assert msys._dir_rt[c][b] == \
+                    2 * mesh.latency(tile(c), b % tiles)
+                assert msys._dir_hops2[c][b] == \
+                    2 * mesh.hops(tile(c), b % tiles)
+        for src in range(cores):
+            for dst in range(cores):
+                hops, forwards = stats.noc_hops, stats.forwards
+                assert msys._forward_latency(src, dst) == \
+                    mesh.latency(tile(src), tile(dst))
+                assert stats.noc_hops - hops == mesh.hops(tile(src), tile(dst))
+                assert stats.forwards == forwards + 1
+        hops = stats.noc_hops
+        for line_no in range(2 * config.l3_banks):
+            home = line_no % config.l3_banks % tiles
+            assert msys._fanout_cycles(line_no, []) == 0
+            for c in range(cores):
+                assert msys._fanout_cycles(line_no, [c]) == \
+                    2 * mesh.latency(home, tile(c))
+            assert msys._fanout_cycles(line_no, range(cores)) == 2 * max(
+                mesh.latency(home, tile(c)) for c in range(cores))
+        assert stats.noc_hops == hops  # fan-outs record no traffic
+
+    def test_out_of_range_cores_raise(self, msys):
+        # SYSTEM's -1 must not wrap to the last tile.
+        with pytest.raises(KeyError):
+            msys._forward_latency(-1, 0)
+        with pytest.raises(KeyError):
+            msys._forward_latency(0, msys.config.num_cores)
+        with pytest.raises(KeyError):
+            msys._fanout_cycles(0, [0, -1])
 
 
 class TestCacheLine:

@@ -2,6 +2,7 @@
 the on-disk result cache."""
 
 import pickle
+import random
 
 import pytest
 
@@ -239,15 +240,32 @@ def test_cache_invalidates_on_config_change(tmp_path):
 def test_cache_tolerates_corrupt_entry(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _counter_spec()
-    run_points([spec], cache=cache)
+    (stored,) = run_points([spec], cache=cache)
     entry = tmp_path / f"{fingerprint(spec)}.pkl"
-    entry.write_bytes(b"not a pickle")
+    good = entry.read_bytes()
 
+    # A flipped bit anywhere in the entry, digest or payload, is a miss:
+    # never an exception, never a hit with different numbers.
     probe = ResultCache(tmp_path)
-    assert probe.get(spec) is None  # corrupt file counts as a miss
+    rng = random.Random(2016)
+    flips = 1000
+    for _ in range(flips):
+        bit = rng.randrange(8 * len(good))
+        corrupt = bytearray(good)
+        corrupt[bit // 8] ^= 1 << (bit % 8)
+        entry.write_bytes(bytes(corrupt))
+        assert probe.get(spec) is None
+    for bad in (b"not a pickle", good[:len(good) // 2], b""):
+        entry.write_bytes(bad)
+        assert probe.get(spec) is None
+    assert (probe.hits, probe.misses) == (0, flips + 3)
+
     (result,) = run_points([spec], cache=probe)
-    assert result.cycles > 0
-    assert probe.get(spec) is not None  # re-stored after the re-run
+    assert probe.stores == 1  # recomputed and stored again
+    assert result.cycles == stored.cycles
+    again = probe.get(spec)
+    assert again.cycles == stored.cycles
+    assert again.stats.comparable() == stored.stats.comparable()
 
 
 def test_cache_clear_and_len(tmp_path):
