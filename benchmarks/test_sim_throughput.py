@@ -28,19 +28,19 @@ layers:
 ``sanitize.slowdown`` (``REPRO_SANITIZE=1`` invariant checkpoints) and
 ``obs.slowdown`` (``REPRO_OBS=1`` structured observability) — both
 asserted to leave simulated stats bit-identical. The obs point is a
-four-way interleave when numpy is present: plain and observed runs of
-both backends, recording ``obs.vector_slowdown`` (what observation costs
-the vector engine, whose epochs stay engaged under obs) and
+four-way interleave: plain and observed runs of both backends,
+recording ``obs.vector_slowdown`` (what observation costs the vector
+engine, whose epochs stay engaged under obs) and
 ``obs.vector_vs_interp_observed`` (the observed-vector over
 observed-interp speedup — the reason obs no longer forces the
 interpreted path). The plain vector leg of that interleave doubles as
 the zero-overhead-when-off guard: it must produce no obs payload, and
 its wall-clock is the baseline the obs-on leg is paired against.
 
-When numpy is installed, each single-run point is also timed under the
-vector engine backend (``backend="vector"``) as a fourth leg of the same
-interleaved A/B, recorded as ``backend_ab`` (interp vs vector ops/sec and
-the speedup ratio) and ``single_run_ops_per_sec_vector``, with a
+Each single-run point is also timed under the vector engine backend
+(``backend="vector"``) as a fourth leg of the same interleaved A/B,
+recorded as ``backend_ab`` (interp vs vector ops/sec and the speedup
+ratio) and ``single_run_ops_per_sec_vector``, with a
 ``vector_engagement`` entry per workload (epochs, epoch ops, fused
 transactions, certified protocol ops, the fence-cause histogram, and
 whether the adaptive gate rebound the run). The vector run is asserted
@@ -67,7 +67,7 @@ from repro.harness.parallel import warm_pool
 from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV, vector_engagement
 from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
-from repro.sim.vector import BACKEND_ENV, available as vector_available
+from repro.sim.vector import BACKEND_ENV
 from repro.workloads.apps import kmeans
 from repro.workloads.micro import counter
 
@@ -173,7 +173,6 @@ def test_sim_throughput(tmp_path, monkeypatch):
     monkeypatch.delenv(SANITIZE_ENV, raising=False)
     monkeypatch.delenv(OBS_ENV, raising=False)
     monkeypatch.delenv(BACKEND_ENV, raising=False)
-    has_vector = vector_available()
     for name, (build, params, reps) in SINGLE_RUNS.items():
         # Three configs of the same point, reps interleaved so host-speed
         # drift lands on all three equally: the default path, the full
@@ -189,11 +188,10 @@ def test_sim_throughput(tmp_path, monkeypatch):
             default,
             _with_env(NO_FASTPATH_ENV, default),
             _with_env(NO_RUNAHEAD_ENV, default),
-        ]
-        if has_vector:
             # Fourth leg of the same interleaved A/B: the vector engine
             # backend on the identical point.
-            fns.append(vector)
+            vector,
+        ]
         walls, results = _interleaved_best_of(reps, fns)
         wall, slow_wall, stepped_wall = walls[:3]
         result, slow_result, stepped_result = results[:3]
@@ -201,37 +199,36 @@ def test_sim_throughput(tmp_path, monkeypatch):
         assert ops_per_sec > 0
         report["single_run_ops_per_sec"][name] = round(ops_per_sec)
 
-        if has_vector:
-            vec_wall, vec_result = walls[3], results[3]
-            # The backend is a host-side optimization only: simulated
-            # results must be bit-identical before the ratio means
-            # anything.
-            assert vec_result.cycles == result.cycles
-            assert vec_result.stats.comparable() == result.stats.comparable()
-            assert vec_result.stats.host_vector_epochs > 0
-            vec_ops_per_sec = vec_result.stats.instructions / vec_wall
-            report["single_run_ops_per_sec_vector"][name] = \
-                round(vec_ops_per_sec)
-            report["backend_ab"][name] = {
-                "interp_ops_per_sec": round(ops_per_sec),
-                "vector_ops_per_sec": round(vec_ops_per_sec),
-                "speedup": round(wall / vec_wall, 3),
-            }
-            # Per-workload epoch engagement: how much of the run the
-            # vector backend actually executed in epochs, what fenced
-            # them, and whether the adaptive gate rebound the run to the
-            # strict loop. These explain the speedup ratio above — a
-            # gated run's ratio is the cost of the gate's warmup, an
-            # engaged run's ratio is the epoch path's win.
-            vstats = vec_result.stats
-            report["vector_engagement"][name] = {
-                # Core block shared with the obs run report (same shape
-                # the --report-json host section carries).
-                **vector_engagement(vstats),
-                "proto_ops": vstats.host_vector_proto_ops,
-                "miss_predicted": vstats.host_vector_miss_predicted,
-                "miss_mispredicts": vstats.host_vector_miss_mispredicts,
-            }
+        vec_wall, vec_result = walls[3], results[3]
+        # The backend is a host-side optimization only: simulated
+        # results must be bit-identical before the ratio means
+        # anything.
+        assert vec_result.cycles == result.cycles
+        assert vec_result.stats.comparable() == result.stats.comparable()
+        assert vec_result.stats.host_vector_epochs > 0
+        vec_ops_per_sec = vec_result.stats.instructions / vec_wall
+        report["single_run_ops_per_sec_vector"][name] = \
+            round(vec_ops_per_sec)
+        report["backend_ab"][name] = {
+            "interp_ops_per_sec": round(ops_per_sec),
+            "vector_ops_per_sec": round(vec_ops_per_sec),
+            "speedup": round(wall / vec_wall, 3),
+        }
+        # Per-workload epoch engagement: how much of the run the
+        # vector backend actually executed in epochs, what fenced
+        # them, and whether the adaptive gate rebound the run to the
+        # strict loop. These explain the speedup ratio above — a
+        # gated run's ratio is the cost of the gate's warmup, an
+        # engaged run's ratio is the epoch path's win.
+        vstats = vec_result.stats
+        report["vector_engagement"][name] = {
+            # Core block shared with the obs run report (same shape
+            # the --report-json host section carries).
+            **vector_engagement(vstats),
+            "proto_ops": vstats.host_vector_proto_ops,
+            "miss_predicted": vstats.host_vector_miss_predicted,
+            "miss_mispredicts": vstats.host_vector_miss_mispredicts,
+        }
 
         # ``hit_rate`` is None ("disabled") only when no attempt was
         # made; a run the adaptive gate turned off mid-way still reports
@@ -284,9 +281,8 @@ def test_sim_throughput(tmp_path, monkeypatch):
     plain_cc = lambda: run_workload(build, 8, **params)  # noqa: E731
     vec_cc = lambda: run_workload(build, 8, backend="vector",  # noqa: E731
                                   **params)
-    obs_fns = [plain_cc, _with_env(OBS_ENV, plain_cc)]
-    if has_vector:
-        obs_fns += [vec_cc, _with_env(OBS_ENV, vec_cc)]
+    obs_fns = [plain_cc, _with_env(OBS_ENV, plain_cc),
+               vec_cc, _with_env(OBS_ENV, vec_cc)]
     obs_walls, obs_results = _interleaved_best_of(obs_reps, obs_fns)
     obs_wall, obs_result = obs_walls[1], obs_results[1]
     assert obs_result.stats.comparable() == result.stats.comparable()
@@ -295,25 +291,24 @@ def test_sim_throughput(tmp_path, monkeypatch):
         "run": "counter_commtm",
         "slowdown": round(obs_wall / obs_walls[0], 2),
     }
-    if has_vector:
-        vec_wall, obs_vec_wall = obs_walls[2], obs_walls[3]
-        vec_plain, obs_vec = obs_results[2], obs_results[3]
-        # Zero overhead when off: the obs-off vector leg collects
-        # nothing. Bit-identical and genuinely vectorized when on.
-        assert vec_plain.info.get("obs") is None
-        assert obs_vec.stats.comparable() == result.stats.comparable()
-        assert obs_vec.stats.host_vector_epochs > 0
-        assert obs_vec.info.get("obs") is not None
-        assert "hostprof" in obs_vec.info["obs"]
-        report["obs"]["vector_slowdown"] = round(obs_vec_wall / vec_wall, 2)
-        report["obs"]["vector_vs_interp_observed"] = \
-            round(obs_wall / obs_vec_wall, 3)
-        report["obs"]["vector_engagement"] = vector_engagement(obs_vec.stats)
-        if not SMOKE:
-            # The point of making obs vector-native: an observed vector
-            # run must beat an observed interpreted run on the epoch-
-            # friendly workload.
-            assert obs_vec_wall < obs_wall
+    vec_wall, obs_vec_wall = obs_walls[2], obs_walls[3]
+    vec_plain, obs_vec = obs_results[2], obs_results[3]
+    # Zero overhead when off: the obs-off vector leg collects
+    # nothing. Bit-identical and genuinely vectorized when on.
+    assert vec_plain.info.get("obs") is None
+    assert obs_vec.stats.comparable() == result.stats.comparable()
+    assert obs_vec.stats.host_vector_epochs > 0
+    assert obs_vec.info.get("obs") is not None
+    assert "hostprof" in obs_vec.info["obs"]
+    report["obs"]["vector_slowdown"] = round(obs_vec_wall / vec_wall, 2)
+    report["obs"]["vector_vs_interp_observed"] = \
+        round(obs_wall / obs_vec_wall, 3)
+    report["obs"]["vector_engagement"] = vector_engagement(obs_vec.stats)
+    if not SMOKE:
+        # The point of making obs vector-native: an observed vector
+        # run must beat an observed interpreted run on the epoch-
+        # friendly workload.
+        assert obs_vec_wall < obs_wall
 
     specs = _sweep_specs(SWEEP_THREADS, SWEEP_OPS)
     serial_wall, serial_results = _best_of(

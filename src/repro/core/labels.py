@@ -216,8 +216,8 @@ def add_label(name: str = "ADD") -> Label:
                            reduce_word=lambda a, b: a + b,
                            split_word=split)
     # Batched-reduction tag for the vector backend: folding plain-int ADD
-    # lines in any association order is exact, so a numpy column sum may
-    # stand in for the sequential merge (repro.sim.vector.kernels).
+    # lines in any association order is exact, so a column sum may stand
+    # in for the sequential merge (repro.sim.vector.kernels).
     label.vector_reduce = "add"
     return label
 

@@ -22,8 +22,8 @@ def or_label(name: str = "OR") -> Label:
     """Bitwise OR: identity 0, merge a | b."""
     label = wordwise_label(name, identity=0,
                            reduce_word=lambda a, b: a | b)
-    # OR is associative/commutative and int64 OR of in-bound ints is
-    # bit-identical to Python's, so the batched column kernel applies.
+    # OR is associative and commutative on ints, so the batched column
+    # kernel applies.
     label.vector_reduce = "or"
     return label
 

@@ -14,18 +14,6 @@ class ConfigError(ReproError):
     """Invalid or inconsistent system configuration."""
 
 
-class BackendUnavailableError(ConfigError):
-    """An explicitly requested engine backend cannot run here.
-
-    Raised when ``Machine(..., backend="vector")`` (or the harness's
-    ``--backend vector``) asks for the numpy-backed vector engine on an
-    install without numpy. An *environment*-requested vector backend
-    (``REPRO_BACKEND=vector``) does not raise: it logs a warning and falls
-    back to the interpreted engine, so a machine-wide export cannot break
-    minimal installs (see :func:`repro.sim.vector.resolve_backend`).
-    """
-
-
 class MemoryError_(ReproError):
     """Invalid memory access (unmapped address, misalignment, ...)."""
 

@@ -92,11 +92,10 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", choices=["interp", "vector"],
                         default=None,
                         help="engine backend: the per-op interpreted "
-                             "engine (interp, default) or the numpy-backed "
-                             "epoch engine (vector; requires the [vector] "
-                             "extra). Equivalent to REPRO_BACKEND. Cached "
-                             "results are per-backend, so the cache stays "
-                             "usable")
+                             "engine (interp, default) or the epoch "
+                             "engine (vector). Equivalent to "
+                             "REPRO_BACKEND. Cached results are "
+                             "per-backend, so the cache stays usable")
     parser.add_argument("--sanitize", action="store_true",
                         help="check MESI+U coherence invariants after "
                              "every memory operation (slow; equivalent "

@@ -9,7 +9,7 @@ contract:
 
 * vector engine: ``epoch`` (one classify+execute attempt), ``strict``
   (one budgeted run-ahead burst), ``drain`` (the unbudgeted fenced
-  replay after a gate rebind), ``kernel`` (one batched numpy reduction),
+  replay after a gate rebind), ``kernel`` (one batched reduction fold),
   ``stats_reduce`` (the column flush);
 * harness: ``build_machine``, ``build_workload``, ``simulate``,
   ``verify`` around one run, plus ``cache_get`` / ``cache_put`` /

@@ -278,10 +278,11 @@ class Observer:
             "predicted": predicted, "actual": actual,
         })
 
-    def vector_gate_rebind(self, cycle: int, attempts: int,
-                           share: float) -> None:
+    def vector_gate_rebind(self, cycle: int, attempts: int, test: str,
+                           fused_txs: int, epoch_ops: int) -> None:
         self.vector_recorder.instant(0, cycle, "gate_rebind", args={
-            "attempts": attempts, "epoch_cycle_share": round(share, 4),
+            "attempts": attempts, "test": test,
+            "fused_txs": fused_txs, "epoch_ops": epoch_ops,
         })
 
     def vector_drain(self, t0: int, t1: int) -> None:

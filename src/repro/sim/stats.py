@@ -132,7 +132,7 @@ class Stats:
     #: certified deterministic and executed inside an epoch instead of
     #: fencing it.
     host_vector_proto_ops: int = 0
-    #: Reduction merges folded by the batched numpy kernel instead of the
+    #: Reduction merges folded by the batched column kernel instead of the
     #: sequential per-line handler loop (identical merged words & cycles).
     host_vector_kernel_reductions: int = 0
     #: In-epoch protocol accesses whose latency the closed-form NoC/
@@ -143,8 +143,8 @@ class Stats:
     #: mispredict is a model-coverage datum, not an error).
     host_vector_miss_mispredicts: int = 0
     #: True when the adaptive backend gate rebound the run to the
-    #: interpreted run-ahead loop because epoch engagement stayed below
-    #: threshold through the warmup window (host-only decision).
+    #: interpreted run-ahead loop because its epochs fused too few
+    #: transactions during the warmup window (host-only decision).
     host_vector_gated: bool = False
     #: Why epochs fenced: cause -> count (e.g. "barrier", "tx_restart",
     #: "miss_unsafe"). Host-side diagnosis of epoch engagement.

@@ -1,29 +1,26 @@
-"""Vector backend: numpy-backed epoch engine, selectable per Machine.
+"""Vector backend: the epoch engine, selectable per Machine.
 
 The interpreted engine (``repro.sim.engine``) advances one core by one
 operation per scheduler step. This package provides an alternative
 backend — ``Machine(..., backend="vector")``, env ``REPRO_BACKEND=vector``,
-harness ``--backend vector`` — that advances the simulation in *vectorized
-epochs*: whenever every live core's next operation is provably local
-(private-hit loads/stores, labeled updates on uncontended U lines, think
-time, or a whole transaction fusible through the lowering registry in
+harness ``--backend vector`` — that advances the simulation in *epochs*:
+whenever every live core's next operation is provably local (private-hit
+loads/stores, labeled updates on uncontended U lines, think time, or a
+whole transaction fusible through the lowering registry in
 :mod:`.kernels`), the engine executes a conservative time window of those
 operations in bulk, accumulating statistics into per-core columns
-(:mod:`.columns`) that are reduced into the ordinary :class:`Stats` fields
-with numpy at epoch boundaries. Anything else — misses, conflicts, NACKs,
-gathers, reductions, barriers, commits of non-fused transactions — falls
-back per-op to the existing handlers in ``coherence/protocol.py``, so
-protocol semantics stay centralized and ``Stats.comparable()`` is the
-parity oracle (see tests/test_vector_equivalence.py).
+(:mod:`.columns`) that are summed into the ordinary :class:`Stats` fields
+when the run ends. Anything else — misses, conflicts, NACKs, gathers,
+reductions, barriers, commits of non-fused transactions — falls back
+per-op to the existing handlers in ``coherence/protocol.py``, so protocol
+semantics stay centralized and ``Stats.comparable()`` is the parity
+oracle (see tests/test_vector_equivalence.py). Epochs pay off only while
+they fuse transactions; an adaptive gate hands every other run to the
+run-ahead loop (see :mod:`.engine`).
 
-This module owns backend *selection*: it never imports numpy at module
-load, so the interpreted engine keeps working on installs without the
-``[vector]`` extra. ``resolve_backend`` implements the precedence rules:
-an explicit ``backend=`` argument beats ``REPRO_BACKEND``, which beats the
-default. An explicitly requested vector backend without numpy raises
-:class:`~repro.errors.BackendUnavailableError`; an env-requested one logs
-a warning and falls back to the interpreted engine (so exporting
-``REPRO_BACKEND=vector`` machine-wide cannot break minimal installs).
+This module owns backend *selection*. ``resolve_backend`` implements the
+precedence rules: an explicit ``backend=`` argument beats
+``REPRO_BACKEND``, which beats the default.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import logging
 import os
 from typing import Optional
 
-from ...errors import BackendUnavailableError, ConfigError
+from ...errors import ConfigError
 
 log = logging.getLogger("repro.sim.vector")
 
@@ -42,19 +39,10 @@ BACKEND_ENV = "REPRO_BACKEND"
 
 #: The default, pure-Python per-op engine (``repro.sim.engine.Engine``).
 INTERP = "interp"
-#: The numpy-backed epoch engine (``repro.sim.vector.engine.VectorEngine``).
+#: The epoch engine (``repro.sim.vector.engine.VectorEngine``).
 VECTOR = "vector"
 
 BACKENDS = (INTERP, VECTOR)
-
-
-def available() -> bool:
-    """Whether the vector backend's only dependency (numpy) imports."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def resolve_backend(explicit: Optional[str] = None) -> str:
@@ -62,31 +50,14 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
 
     ``explicit`` (the ``Machine(backend=...)`` / CLI argument) takes
     precedence over :data:`BACKEND_ENV`; both beat the interpreted
-    default. Unknown names raise :class:`ConfigError`. A vector request
-    without numpy raises :class:`BackendUnavailableError` when explicit,
-    and falls back to the interpreted engine (with a logged warning) when
-    it came from the environment.
+    default. Unknown names raise :class:`ConfigError`.
     """
     if explicit is not None:
         name = str(explicit).strip().lower()
-        from_env = False
     else:
         name = os.environ.get(BACKEND_ENV, "").strip().lower() or INTERP
-        from_env = True
     if name not in BACKENDS:
         raise ConfigError(
             f"unknown engine backend {name!r}; choose one of {BACKENDS}"
         )
-    if name == VECTOR and not available():
-        if not from_env:
-            raise BackendUnavailableError(
-                "the vector backend requires numpy; install it with "
-                "`pip install repro[vector]` or use backend='interp'"
-            )
-        log.warning(
-            "%s=vector but numpy is not installed; falling back to the "
-            "interpreted engine (install with `pip install repro[vector]`)",
-            BACKEND_ENV,
-        )
-        return INTERP
     return name

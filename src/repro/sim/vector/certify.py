@@ -2,8 +2,8 @@
 
 This is the vector backend's K_PROTO oracle (see DESIGN.md §6.4),
 extracted from the engine so it is a *pure* function of a
-:class:`~repro.coherence.protocol.MemorySystem` — no numpy, no engine,
-no mutation.  Two consumers share the one definition:
+:class:`~repro.coherence.protocol.MemorySystem` — no engine, no
+mutation.  Two consumers share the one definition:
 
 * :class:`~repro.sim.vector.engine.VectorEngine` calls it to decide
   whether a fast-path miss may execute inside an epoch and at what

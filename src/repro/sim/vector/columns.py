@@ -2,27 +2,18 @@
 
 During an epoch the wave loop may execute thousands of operations without
 ever touching the shared :class:`~repro.sim.stats.Stats` object: each
-operation bumps a per-core slot in one of these columns instead. At the
-epoch boundary the columns are lowered to int64 ndarrays and reduced with
-numpy — scalar totals via array sums, per-core cycle-breakdown merges via
-a nonzero mask — into the ordinary Stats fields, so the oracle
-(``Stats.comparable()``) sees exactly the numbers the interpreted engine
-would have produced.
-
-The hot-path accumulators are plain Python lists on purpose: a scalar
-indexed add on an ndarray costs more in CPython than the same add on a
-list, so ndarray accumulators would make the wave loop slower than the
-interpreter it replaces. The arrays (and the win) live at the flush
-boundary, where whole columns reduce at once.
+operation bumps a per-core slot in one of these columns instead. When the
+run ends the columns are summed into the ordinary Stats fields — scalar
+totals, plus a per-core cycle-breakdown merge for every core that ran an
+epoch — so the oracle (``Stats.comparable()``) sees exactly the numbers
+the interpreted engine would have produced.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class EpochColumns:
-    """Column-per-statistic, slot-per-core accumulators with a numpy flush."""
+    """Column-per-statistic, slot-per-core accumulators."""
 
     __slots__ = ("num_cores", "instructions", "labeled", "non_tx_cycles",
                  "tx_cycles", "commits", "by_label", "proto_ops",
@@ -48,23 +39,19 @@ class EpochColumns:
         self.fence_causes: dict = {}
 
     def flush(self, stats) -> None:
-        """Reduce every column into ``stats`` and reset."""
+        """Add every column into ``stats`` and reset."""
         n = self.num_cores
-        instr = np.asarray(self.instructions, dtype=np.int64)
-        labeled = np.asarray(self.labeled, dtype=np.int64)
-        non_tx = np.asarray(self.non_tx_cycles, dtype=np.int64)
-        tx = np.asarray(self.tx_cycles, dtype=np.int64)
-        commits = np.asarray(self.commits, dtype=np.int64)
-
-        stats.instructions += int(instr.sum())
-        stats.labeled_instructions += int(labeled.sum())
-        stats.commits += int(commits.sum())
+        stats.instructions += sum(self.instructions)
+        stats.labeled_instructions += sum(self.labeled)
+        stats.commits += sum(self.commits)
 
         breakdown = stats.breakdown
-        for core in np.nonzero((non_tx != 0) | (tx != 0))[0]:
-            entry = breakdown[core]
-            entry.non_tx += int(non_tx[core])
-            entry.tx_committed += int(tx[core])
+        for core, (non_tx, tx) in enumerate(zip(self.non_tx_cycles,
+                                                self.tx_cycles)):
+            if non_tx or tx:
+                entry = breakdown[core]
+                entry.non_tx += non_tx
+                entry.tx_committed += tx
 
         if self.by_label:
             stats.labeled_by_label.update(self.by_label)

@@ -16,7 +16,7 @@ strictly before the earliest fence; after each execution the core pulls
 and classifies its next operation, re-entering the heap (so one core
 chains through a whole local region) or lowering the fence. Statistics
 land in per-core columns
-(:class:`~repro.sim.vector.columns.EpochColumns`) that numpy reduces into
+(:class:`~repro.sim.vector.columns.EpochColumns`) that are summed into
 the ordinary ``Stats`` fields when the run completes.
 
 *Why the interleaving is bit-identical to strict min-clock order*: local
@@ -40,25 +40,25 @@ to the strict phase instead.
 Three event classes that used to fence every epoch now execute inside
 it: deterministic misses and S-upgrades (closed-form latency predicted
 from the precomputed NoC/directory tables and validated against the
-real handler's charge), word-wise reductions (batched through the numpy
-kernel in :mod:`.kernels` when exact), and gathers. A certified access
-runs the *real* ``MemorySystem`` handler at its heap-pop time — the
-strict scheduler's execution point — so it is bit-identical by
+real handler's charge), word-wise reductions (batched through the
+column kernel in :mod:`.kernels` when exact), and gathers. A certified
+access runs the *real* ``MemorySystem`` handler at its heap-pop time —
+the strict scheduler's execution point — so it is bit-identical by
 construction; certification merely proves the transition cannot abort,
 NACK, or nondeterministically evict. Because these accesses mutate
 shared state, every later fused/fast/proto pop re-validates its
 precomputed snapshot and fences on disagreement.
 
 **Adaptive backend gate + fenced replay** (:meth:`VectorEngine._run_vector`).
-Workloads that never engage epochs (e.g. conventional-HTM baselines
-whose every access conflicts) pay the classification attempts as pure
-host overhead: after a warmup, if the share of simulated cycles executed
-inside epochs stays below a threshold, the run rebinds to one
-uninterrupted strict (run-ahead) pass. Symmetrically, when several cores
-fence in one attempt (a barrier wave, a burst of uncertifiable misses),
-the strict phase gets at least one op per fenced event so the whole wave
-replays as one sorted batch. Every fence increments a cause histogram
-(``Stats.host_vector_fence_causes``).
+An epoch op costs more host time than the same op in the run-ahead
+loop; epochs win only where they fuse whole transactions. So the gate
+counts fused transactions against epoch ops and attempts during a
+warmup whose attempts are capped at a fixed op count, and a run whose
+epochs do not fuse rebinds to one uninterrupted strict (run-ahead)
+pass. When several cores fence in one attempt (a barrier wave, a burst
+of uncertifiable misses), the strict phase gets at least one op per
+fenced event so the whole wave replays as one sorted batch. Every fence
+increments a cause histogram (``Stats.host_vector_fence_causes``).
 
 **Strict phases** (:meth:`VectorEngine._strict_stepper`). An exact clone of
 ``Engine._run_runahead`` — same heap, same ``(stamp, core)`` tie-break,
@@ -98,6 +98,7 @@ resulting obs payload identical to the interpreted run's.
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import List, Optional
 
 from ...coherence.messages import AccessKind, Requester
@@ -197,25 +198,20 @@ K_FMISS_BODY = 13
 _MIN_BURST = 8
 _MAX_BURST = 4096
 
-# Adaptive backend gate (mirrors the interpreted engine's fast-path
-# warmup): after this many epoch attempts, if the share of simulated
-# cycles executed inside epochs is below the threshold, the run rebinds
-# to a single uninterrupted strict (run-ahead) pass — epoch attempts are
-# pure host-side overhead on workloads that never engage them.
-_GATE_WARMUP_EPOCHS = 32
-_GATE_MIN_SHARE = 0.5
-# Early exit from the warmup itself: each attempt costs a full scan of
-# every runner, so a workload that is recognizably fence-bound should not
-# pay for the whole warmup. The cumulative epoch-cycle share only *falls*
-# on such workloads (every contended phase repeats), so a share already
-# well below full engagement after a handful of attempts is decisive —
-# measured trajectories separate cleanly (a fence-bound counter run sits
-# near 0.6 by attempt four and keeps falling, an epoch-friendly kmeans
-# run stays above 0.95). The early bar is deliberately *higher* than
-# _GATE_MIN_SHARE: past the warmup the accumulated evidence justifies a
-# lower bar.
+# Adaptive backend gate. An epoch beats the run-ahead loop only where it
+# fuses whole commutative transactions into closed-form steps; an epoch
+# that fuses nothing costs more per op than the run-ahead loop (DESIGN.md
+# §6.4 has the measurements). So the gate asks whether the epochs fuse,
+# and rebinds the run to one uninterrupted strict (run-ahead) pass when
+# no transaction has fused by the _GATE_EARLY_ATTEMPTS-th epoch attempt,
+# or when fewer than one transaction per _GATE_OPS_PER_FUSED epoch ops
+# has fused by the _GATE_WARMUP_EPOCHS-th. Until it decides, each attempt
+# runs at most _WARMUP_OP_CAP ops, so that a run one epoch would cover (a
+# single thread) is decided too.
 _GATE_EARLY_ATTEMPTS = 4
-_GATE_EARLY_SHARE = 0.65
+_GATE_WARMUP_EPOCHS = 32
+_GATE_OPS_PER_FUSED = 16
+_WARMUP_OP_CAP = 512
 
 
 class VectorEngine(Engine):
@@ -245,7 +241,7 @@ class VectorEngine(Engine):
         self._restart_local = (self.config.backoff_base > 0
                                or self._tx_begin_cycles >= 1)
         # Batched reduction seam: word-wise reductions and gather merges
-        # collect the sharer lines and fold them in one numpy pass
+        # collect the sharer lines and fold them in one column pass
         # (bit-identical words and charge; see kernels.reduce_lines).
         msys.reduction_kernel = self._reduction_kernel
         #: Synthesized commit emissions awaiting their strict positions:
@@ -323,16 +319,35 @@ class VectorEngine(Engine):
             raise SimulationError("no runnable core but simulation not finished")
         self.stats.parallel_cycles = self.clocks.max_cycle
 
-    def _gated_drain(self, attempts: int, epoch_cycles: int) -> None:
-        """The gate's rebind: mark it on the vector lane (when observing)
-        and run the uninterrupted strict pass, accounted as the ``drain``
-        host phase."""
+    def _gate_test(self, attempts: int) -> Optional[str]:
+        """The adaptive gate's verdict after ``attempts`` epoch attempts
+        (one of its two checkpoints): the test that fired, or None to
+        keep the epochs."""
+        stats = self.stats
+        fused = stats.host_vector_fused_txs
+        if attempts == _GATE_EARLY_ATTEMPTS:
+            return None if fused else "no fused transaction"
+        if fused * _GATE_OPS_PER_FUSED < stats.host_vector_epoch_ops:
+            return (f"fewer than 1 fused transaction per "
+                    f"{_GATE_OPS_PER_FUSED} epoch ops")
+        return None
+
+    def _gated_drain(self, attempts: int, test: str) -> None:
+        """The gate's rebind: log it, mark it on the vector lane (when
+        observing) and run the uninterrupted strict pass, accounted as
+        the ``drain`` host phase."""
+        stats = self.stats
+        stats.host_vector_gated = True
+        fused = stats.host_vector_fused_txs
+        ops = stats.host_vector_epoch_ops
+        log.info("vector backend: gate fired after %d epoch attempts (%s: "
+                 "%d fused in %d epoch ops); rebinding to the run-ahead "
+                 "loop", attempts, test, fused, ops)
         obs = self._obs
         prof = self._prof
         if obs is not None:
-            total = sum(self._cycles)
-            obs.vector_gate_rebind(self.clocks.max_cycle, attempts,
-                                   epoch_cycles / total if total else 0.0)
+            obs.vector_gate_rebind(self.clocks.max_cycle, attempts, test,
+                                   fused, ops)
             heap = self.clocks._heap
             t0 = heap[0][0] if heap else self.clocks.max_cycle
         if prof is None:
@@ -347,50 +362,35 @@ class VectorEngine(Engine):
     def _run_vector(self) -> None:
         burst = _MIN_BURST
         attempts = 0
-        epoch_cycles = 0
-        gate_pending = True
+        cap = _WARMUP_OP_CAP
         prof = self._prof
         strict = self._strict_stepper()
         next(strict)  # prime: bind the hot locals, park at the first yield
         try:
             while True:
                 if prof is None:
-                    n, ecyc, fences = self._run_epoch()
+                    n, fences = self._run_epoch(cap)
                 else:
                     p0 = prof.start()
-                    n, ecyc, fences = self._run_epoch()
+                    n, fences = self._run_epoch(cap)
                     prof.stop("epoch", p0)
-                epoch_cycles += ecyc
                 attempts += 1
-                if (gate_pending and attempts == _GATE_EARLY_ATTEMPTS
-                        and epoch_cycles
-                        < sum(self._cycles) * _GATE_EARLY_SHARE):
-                    gate_pending = False
-                    self.stats.host_vector_gated = True
-                    log.info("vector backend: weak epoch engagement "
-                             "after %d attempts; rebinding to the "
-                             "run-ahead loop", attempts)
-                    strict.close()  # lands its host counters
-                    self._gated_drain(attempts, epoch_cycles)
-                    break
-                if gate_pending and attempts >= _GATE_WARMUP_EPOCHS:
-                    # Adaptive backend gate: epoch engagement is the share
-                    # of simulated cycles executed inside epochs. Below
-                    # threshold, every further attempt is host overhead —
-                    # rebind to one uninterrupted strict (run-ahead) pass.
-                    # Host-only decision: the strict stepper is a clone of
+                if (attempts == _GATE_EARLY_ATTEMPTS
+                        or attempts == _GATE_WARMUP_EPOCHS):
+                    # Host-only decision: the strict drain is a clone of
                     # the interpreted run-ahead loop, so simulated results
                     # are bit-identical either way.
-                    gate_pending = False
-                    if epoch_cycles < sum(self._cycles) * _GATE_MIN_SHARE:
-                        self.stats.host_vector_gated = True
-                        log.info("vector backend: epoch engagement below "
-                                 "%.0f%% after %d attempts; rebinding to "
-                                 "the run-ahead loop",
-                                 _GATE_MIN_SHARE * 100, attempts)
-                        strict.close()
-                        self._gated_drain(attempts, epoch_cycles)
+                    test = self._gate_test(attempts)
+                    if test is not None:
+                        strict.close()  # lands its host counters
+                        self._gated_drain(attempts, test)
                         break
+                    if attempts == _GATE_WARMUP_EPOCHS:
+                        cap = sys.maxsize  # the epochs stay: uncapped
+                if n == cap:
+                    # Stopped by the cap, not by a fence: there is no
+                    # fenced event for the strict phase to run first.
+                    continue
                 if n == 0:
                     burst = min(burst * 2, _MAX_BURST)
                 elif n >= burst:
@@ -419,8 +419,8 @@ class VectorEngine(Engine):
                 # precede them anymore, so flush in heap order.
                 self._fire_deferred_obs(self.clocks.max_cycle + 1, -1)
             # One deferred flush: nothing reads the columns' Stats fields
-            # mid-run, so per-epoch flushes would only add numpy overhead
-            # to short epochs.
+            # mid-run, so per-epoch flushes would only add overhead to
+            # short epochs.
             if prof is None:
                 self._cols.flush(self.stats)
             else:
@@ -432,10 +432,10 @@ class VectorEngine(Engine):
     # Epoch phase
     # ------------------------------------------------------------------
 
-    def _run_epoch(self):
-        """Attempt one epoch; returns ``(ops, cycles, fences)`` — the
-        number of operations executed (0 when nothing classified local),
-        the simulated cycles they covered, and the number of fence events
+    def _run_epoch(self, cap: int):
+        """Attempt one epoch of at most ``cap`` operations; returns
+        ``(ops, fences)`` — the number of operations executed (0 when
+        nothing classified local) and the number of fence events
         observed. Operations pulled but not executed stay in
         ``runner.pulled`` for the strict phase.
 
@@ -489,7 +489,7 @@ class VectorEngine(Engine):
                 if fence is None or ft < fence:
                     fence = ft
         if not heap:
-            return 0, 0, fences
+            return 0, fences
 
         cols = self._cols
         instr_col = cols.instructions
@@ -508,7 +508,6 @@ class VectorEngine(Engine):
         fast_lstore = self._fast_labeled_store
 
         epoch_ops = 0
-        epoch_cycles = 0
         fused_txs = 0
         #: Set once a K_PROTO op executed: full-protocol accesses mutate
         #: shared state (directory, foreign caches, own L2/L1 via install),
@@ -531,12 +530,16 @@ class VectorEngine(Engine):
             else:
                 break
             t = item[0]
-            if fence is not None and t >= fence:
+            if (fence is not None and t >= fence) or epoch_ops >= cap:
                 # The minimum held start reached the fence: everything
                 # still on the heap starts at or past it too. Hold the
                 # lot (ops stay in runner.pulled) and let the strict
-                # phase run the fenced event first. Back into the heap
-                # so the post-loop sweep sees this record too.
+                # phase run the fenced event first. The op cap stops
+                # the same way: pops are monotone in (start, core), the
+                # strict scheduler's order, so stopping before any pop
+                # leaves a state the strict phase continues exactly.
+                # Back into the heap so the post-loop sweep sees this
+                # record too.
                 heappush(heap, item)
                 break
             if obs is not None:
@@ -742,7 +745,6 @@ class VectorEngine(Engine):
                 # _maybe_release_barrier. Re-admit the whole wave into
                 # this same epoch.
                 nt = cycles[core]
-                epoch_cycles += nt - t
                 if obs is not None and nt > ep_end:
                     ep_end = nt
                 if heap:  # defensive: fall back to fencing the release
@@ -777,7 +779,6 @@ class VectorEngine(Engine):
                 nt = t + dur
                 cycles[core] = nt
                 epoch_ops += 1
-                epoch_cycles += dur
                 if obs is not None and nt > ep_end:
                     ep_end = nt
                 item[0] = nt
@@ -928,7 +929,6 @@ class VectorEngine(Engine):
             cycles[core] = nt
             runner.pulled = None
             epoch_ops += 1
-            epoch_cycles += dur
             if obs is not None and nt > ep_end:
                 ep_end = nt
 
@@ -1021,7 +1021,7 @@ class VectorEngine(Engine):
             stats.host_vector_epochs += 1
             stats.host_vector_epoch_ops += epoch_ops
             stats.host_vector_fused_txs += fused_txs
-        return epoch_ops, epoch_cycles, fences
+        return epoch_ops, fences
 
     def _admit(self, runner, heap, fc) -> Optional[int]:
         """Pull and classify one unblocked, unfinished core's next event.

@@ -38,6 +38,8 @@ through the interpreted path, which is always correct.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from ...params import LINE_BYTES, WORD_BYTES
@@ -116,66 +118,40 @@ _register_builtins()
 #
 # A reduction folds the U sharers' partial lines one merge at a time on the
 # shadow thread. For word-wise pure labels the fold never consults the
-# HandlerContext, so the whole sharer vector can be lowered to one numpy
-# column reduction — provided the result is *bit-identical* to the
-# sequential fold. That holds exactly when (a) the label's word reducer is
-# associative and commutative on the data actually present, and (b) numpy's
-# int64 arithmetic cannot overflow where Python ints would not. The
-# registry below therefore keys on a per-label ``vector_reduce`` tag set by
-# the label factories that satisfy (a) — ADD, MIN, MAX, OR — and
-# :func:`reduce_lines` declines (returns None, sequential fallback) any
-# line set that violates (b): non-int words (OPUT tuples, MIN/MAX ``None``
-# identities, floats) or magnitudes near the int64 range.
-#
-# numpy is imported lazily on the first kernel invocation: the tag
-# vocabulary (``SUPPORTED_REDUCE_TAGS``) is consulted by the analysis
-# passes (``missing-lowering`` lint, model checker), which must run on the
-# no-numpy CI legs.
+# HandlerContext, so the whole sharer vector can be folded column by column
+# in one pass — provided the result is *identical* to the sequential fold.
+# That holds when the label's word reducer is associative and commutative
+# on the data actually present. The registry below therefore keys on a
+# per-label ``vector_reduce`` tag set by the label factories that satisfy
+# this on plain ints — ADD, MIN, MAX, OR (Python ints are exact at any
+# magnitude) — and :func:`reduce_lines` declines (returns None, sequential
+# fallback) any line set holding other words: OPUT tuples, MIN/MAX
+# ``None`` identities, floats.
 # ---------------------------------------------------------------------------
 
-#: Magnitude bound per word: |v| <= 2**48 keeps any sum of up to 2**14
-#: lines inside int64 exactly (and any OR, whose magnitude never exceeds
-#: its largest operand's bit-width).
-_KERNEL_BOUND = 1 << 48
+#: tag -> fold of one word column.
+_REDUCERS = {
+    "add": sum,
+    "min": min,
+    "max": max,
+    "or": lambda column: reduce(or_, column),
+}
 
 #: ``vector_reduce`` tags with a registered column kernel. The
 #: ``missing-lowering`` lint checks every word-wise datatype label
 #: against this vocabulary.
-SUPPORTED_REDUCE_TAGS = frozenset({"add", "min", "max", "or"})
-
-np = None  # bound by _load_numpy on first kernel use
-
-#: tag -> column reducer over an (nrows, words) int64 array.
-_REDUCERS: dict = {}
-
-
-def _load_numpy():
-    global np
-    if np is None:
-        import numpy
-        np = numpy
-        _REDUCERS.update({
-            "add": lambda arr: arr.sum(axis=0),
-            "min": lambda arr: arr.min(axis=0),
-            "max": lambda arr: arr.max(axis=0),
-            "or": lambda arr: np.bitwise_or.reduce(arr, axis=0),
-        })
-    return np
+SUPPORTED_REDUCE_TAGS = frozenset(_REDUCERS)
 
 
 def reduce_lines(label, rows):
-    """Fold ``rows`` (full-line word lists) under ``label`` in one numpy
-    pass. Returns the merged word list, or None to decline — unknown
-    label, fewer than two rows, or data the kernel cannot reproduce
-    bit-for-bit (non-int words, out-of-range magnitudes)."""
-    tag = getattr(label, "vector_reduce", None)
-    if tag not in SUPPORTED_REDUCE_TAGS or len(rows) < 2:
+    """Fold ``rows`` (full-line word lists) under ``label`` column by
+    column. Returns the merged word list, or None to decline — unknown
+    label, fewer than two rows, or non-int words."""
+    fold = _REDUCERS.get(getattr(label, "vector_reduce", None))
+    if fold is None or len(rows) < 2:
         return None
-    bound = _KERNEL_BOUND
     for row in rows:
         for v in row:
-            if type(v) is not int or not -bound <= v <= bound:
+            if type(v) is not int:
                 return None
-    _load_numpy()
-    out = _REDUCERS[tag](np.asarray(rows, dtype=np.int64))
-    return [int(v) for v in out]
+    return [fold(column) for column in zip(*rows)]

@@ -15,8 +15,6 @@ Three layers:
 import subprocess
 import sys
 
-import pytest
-
 from repro.analysis.modelcheck import (Explorer, registered_labels,
                                        replay, run_modelcheck)
 from repro.analysis.modelcheck.checker import bounded_config
@@ -86,16 +84,26 @@ class TestSnapshotRestore:
 
 class TestCertifyPurity:
     def test_certify_module_does_not_import_numpy(self):
-        # The model checker runs on no-numpy CI legs; the pure certifier
-        # (and the kernels module it sits beside) must import clean.
+        # The simulator is pure Python: the certifier, the kernels and
+        # the whole vector engine import and run with numpy blocked, and
+        # a counter run really fuses transactions inside epochs.
         code = ("import sys; sys.modules['numpy'] = None; "
                 "import repro.sim.vector.certify; "
-                "import repro.sim.vector.kernels; print('ok')")
+                "import repro.sim.vector.kernels; "
+                "import repro.sim.vector.engine; "
+                "from repro.harness.runner import run_workload; "
+                "from repro.workloads.micro import counter; "
+                "s = run_workload(counter.build, 8, commtm=True, "
+                "backend='vector', total_ops=200).stats; "
+                "print('ok', s.host_vector_epochs, s.host_vector_fused_txs)")
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True,
                              env={"PYTHONPATH": "src"})
         assert out.returncode == 0, out.stderr
-        assert "ok" in out.stdout
+        ok, epochs, fused = out.stdout.split()
+        assert ok == "ok"
+        assert int(epochs) > 0
+        assert int(fused) >= 1
 
     def test_certify_probe_leaves_state_untouched(self):
         from repro.coherence.messages import AccessKind
@@ -110,7 +118,6 @@ class TestCertifyPurity:
         assert msys.snapshot_state() == snap
 
     def test_engine_wrapper_delegates_to_pure_function(self):
-        pytest.importorskip("numpy")
         from repro.core.machine import Machine
         from repro.params import small_config
         from repro.coherence.messages import AccessKind

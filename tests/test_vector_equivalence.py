@@ -33,14 +33,11 @@ from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV
 from repro.runtime.ops import BARRIER, Atomic
 from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
-from repro.sim.vector import BACKEND_ENV, available
+from repro.sim.vector import BACKEND_ENV
 from repro.workloads.apps import boruvka, genome, kmeans, ssca2, vacation
 from repro.workloads.micro import (counter, linked_list, ordered_put,
                                    refcount, topk)
 from repro.workloads.micro.common import BuiltWorkload
-
-pytestmark = pytest.mark.skipif(
-    not available(), reason="vector backend requires numpy")
 
 MICROS = {
     "counter": counter.build,

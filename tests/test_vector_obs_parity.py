@@ -26,13 +26,9 @@ import copy
 import pytest
 
 from repro.obs import TRACE_SCHEMA, chrome_trace
-from repro.sim.vector import available
 
 from .test_obs import validate_chrome_trace
 from .test_vector_equivalence import APPS, MICROS, _assert_parity, _run
-
-pytestmark = pytest.mark.skipif(
-    not available(), reason="vector backend requires numpy")
 
 
 def _stripped_payload(result):

@@ -15,18 +15,12 @@ backend actually drove. Three compositions matter:
   engine.
 """
 
-import pytest
-
 from repro.analysis.invariants import check_invariants
 from repro.analysis.sanitizer import SANITIZE_ENV, CoherenceSanitizer
 from repro.core.machine import Machine
 from repro.datatypes import SharedCounter
 from repro.params import SystemConfig
 from repro.runtime.ops import BARRIER, Atomic
-from repro.sim.vector import available
-
-pytestmark = pytest.mark.skipif(
-    not available(), reason="vector backend requires numpy")
 
 
 def _config(seed=1):

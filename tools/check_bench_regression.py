@@ -72,8 +72,8 @@ def check(baseline: dict, fresh: dict) -> list:
         base_runs = baseline.get(map_key, {})
         fresh_runs = fresh.get(map_key, {})
         if base_runs and not fresh_runs:
-            # The whole map is absent — a fresh run without numpy has no
-            # vector numbers; one missing warning beats one per entry.
+            # The whole map is absent (say, a fresh run that skipped a
+            # backend); one missing warning beats one per entry.
             warnings.append(
                 f"[{backend}] baseline has entries but none were measured")
             continue
