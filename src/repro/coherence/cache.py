@@ -9,6 +9,13 @@ preserving both the latency split and the capacity-abort behaviour.
 Capacity is modelled as a global LRU over lines (associativity conflicts are
 negligible for the evaluated footprints; the geometry's total line count is
 respected exactly).
+
+The cache also keeps the current transaction's *speculative set*: every
+line the transaction has marked (read, written or labeled-accessed),
+recorded once, at its first mark. Commit and abort walk that set, not
+every line held — the model of the hardware's flash-clear of the status
+bits (Sec. III-B1). The ``mark_*`` methods are the only place a spec bit
+is set, so no line can be marked without being recorded.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ class PrivateCache:
 
     __slots__ = ("core", "l1_geom", "l2_geom", "_lines", "_l1",
                  "_l1_capacity", "_l2_capacity", "peek_line",
-                 "eviction_hook", "spec_eviction_hook")
+                 "eviction_hook", "spec_eviction_hook", "_spec")
 
     def __init__(self, core: int, l1_geom: CacheGeometry,
                  l2_geom: CacheGeometry):
@@ -52,6 +59,9 @@ class PrivateCache:
         #: Called with (core, reason) when evicting a speculatively-accessed
         #: line forces the current transaction to abort.
         self.spec_eviction_hook: Optional[Callable[[int, str], None]] = None
+        #: The speculative set, allocated at the first mark: most caches
+        #: of a large machine never run a transaction.
+        self._spec: Optional[List[CacheLine]] = None
 
     # --- lookup -------------------------------------------------------------
 
@@ -124,21 +134,72 @@ class PrivateCache:
         self._l1.pop(line, None)
 
     # --- speculative set management -------------------------------------------
+    #
+    # Callers mark a line after their LRU touch: a touch can evict a
+    # speculative L1 line, which aborts the transaction and rolls the set
+    # back, and the mark must land in the set that follows.
+
+    def _record(self, entry: CacheLine) -> None:
+        spec = self._spec
+        if spec is None:
+            self._spec = [entry]
+        else:
+            spec.append(entry)
+
+    def mark_read(self, entry: CacheLine) -> None:
+        """Add ``entry`` to the transaction's read set."""
+        if not entry.spec_read:
+            if not (entry.spec_written or entry.spec_labeled):
+                self._record(entry)
+            entry.spec_read = True
+
+    def mark_labeled(self, entry: CacheLine) -> None:
+        """Add ``entry`` to the transaction's labeled set (a labeled load
+        or gather)."""
+        if not entry.spec_labeled:
+            if not (entry.spec_read or entry.spec_written):
+                self._record(entry)
+            entry.spec_labeled = True
+
+    def mark_store(self, entry: CacheLine, labeled: bool) -> None:
+        """A speculative store to ``entry``, labeled or not: save the
+        non-speculative value at the transaction's first write (lazy
+        versioning, Fig. 5), then add the line to the labeled or the
+        write set. The caller writes the words."""
+        entry.snapshot_before_write()
+        if not (entry.spec_read or entry.spec_written or entry.spec_labeled):
+            self._record(entry)
+        if labeled:
+            entry.spec_labeled = True
+        else:
+            entry.spec_written = True
 
     def spec_lines(self) -> List[CacheLine]:
-        return [e for e in self._lines.values() if e.speculative]
+        """The marked lines the cache still holds. A marked line that was
+        dropped or replaced stays in the set until commit or abort, which
+        clear it harmlessly."""
+        spec = self._spec
+        if not spec:
+            return []
+        lines = self._lines
+        return [e for e in spec if lines.get(e.line) is e]
 
     def rollback_all(self) -> None:
-        """Abort path: restore non-speculative values everywhere."""
-        for entry in list(self._lines.values()):
-            if entry.speculative:
+        """Abort path: restore the non-speculative value of every marked
+        line and clear the marks."""
+        spec = self._spec
+        if spec:
+            for entry in spec:
                 entry.rollback()
+            spec.clear()
 
     def commit_all(self) -> None:
-        """Commit path: mark all speculative lines non-speculative."""
-        for entry in self._lines.values():
-            if entry.speculative:
+        """Commit path: make every marked line non-speculative."""
+        spec = self._spec
+        if spec:
+            for entry in spec:
                 entry.commit()
+            spec.clear()
 
     # --- snapshot/restore (model-checker hooks) ----------------------------
 
@@ -149,11 +210,13 @@ class PrivateCache:
 
     def restore(self, snap) -> None:
         """Reset to a :meth:`snapshot` capture.  Lines are re-cloned so
-        the same snapshot can be restored from repeatedly."""
+        the same snapshot can be restored from repeatedly; the
+        speculative set is rebuilt from the restored lines' marks."""
         lines, l1 = snap
         self._lines.clear()
         for no, cl in lines:
             self._lines[no] = cl.clone()
+        self._spec = [cl for cl in self._lines.values() if cl.speculative]
         self._l1.clear()
         for no in l1:
             self._l1[no] = None

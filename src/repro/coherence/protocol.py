@@ -370,7 +370,7 @@ class MemorySystem:
         cycles = (self._l1_latency if cache.touch(entry.line)
                   else self._l12_latency)
         if speculative:
-            entry.spec_read = True
+            cache.mark_read(entry)
         self.stats.host_fastpath_hits += 1
         return entry.words[addr % LINE_BYTES // WORD_BYTES], cycles
 
@@ -390,9 +390,7 @@ class MemorySystem:
         cycles = (self._l1_latency if cache.touch(entry.line)
                   else self._l12_latency)
         if speculative:
-            if entry.clean_words is None:
-                entry.clean_words = list(entry.words)
-            entry.spec_written = True
+            cache.mark_store(entry, False)
         entry.words = words = list(entry.words)
         words[addr % LINE_BYTES // WORD_BYTES] = value
         entry.dirty = True
@@ -418,7 +416,7 @@ class MemorySystem:
         cycles = (self._l1_latency if cache.touch(entry.line)
                   else self._l12_latency)
         if speculative:
-            entry.spec_labeled = True
+            cache.mark_labeled(entry)
         self.stats.host_fastpath_hits += 1
         return entry.words[addr % LINE_BYTES // WORD_BYTES], cycles
 
@@ -439,9 +437,7 @@ class MemorySystem:
         cycles = (self._l1_latency if cache.touch(entry.line)
                   else self._l12_latency)
         if speculative:
-            if entry.clean_words is None:
-                entry.clean_words = list(entry.words)
-            entry.spec_labeled = True
+            cache.mark_store(entry, True)
         entry.words = words = list(entry.words)
         words[addr % LINE_BYTES // WORD_BYTES] = value
         entry.dirty = True
@@ -554,7 +550,8 @@ class MemorySystem:
             res.cycles += self._private_lookup_cycles(cache.touch(line_no))
         # The buffered write touches neither the result nor the line's
         # occupancy, so the postlude may follow it.
-        self._write_word(entry, addr, value, requester, labeled=False)
+        self._write_word(cache, entry, addr, value, requester,
+                         labeled=False)
         return self._finish(requester, res, "lazy_store")
 
     def publish_line(self, core: int, line_no: int,
@@ -618,7 +615,7 @@ class MemorySystem:
             res.cycles += (self._l1_latency if cache.touch(line_no)
                            else self._l12_latency)
             if requester.ts is not None:
-                entry.spec_read = True
+                cache.mark_read(entry)
             res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
             return res
 
@@ -648,7 +645,7 @@ class MemorySystem:
             entry = self.caches[core].lookup(line_no)
             cache.touch(line_no)
             if requester.speculative:
-                entry.spec_read = True
+                cache.mark_read(entry)
             res.value = entry.words[word_index(addr)]
             return res
 
@@ -661,7 +658,7 @@ class MemorySystem:
             ent.sharers.add(core)
         ent.check()
         if requester.speculative:
-            new.spec_read = True
+            cache.mark_read(new)
         res.value = new.words[word_index(addr)]
         if state is State.S:
             # Read sharing pipelines at the directory: a GETS served from
@@ -700,9 +697,10 @@ class MemorySystem:
         ent.sharers.update({owner, core})
         ent.check()
         new = CacheLine(line=line_no, state=State.S, words=data)
-        self.caches[core].install(new)
+        cache = self.caches[core]
+        cache.install(new)
         if requester.speculative:
-            new.spec_read = True
+            cache.mark_read(new)
         return True
 
     # ------------------------------------------------------------------
@@ -719,7 +717,8 @@ class MemorySystem:
         if entry is not None and ((st := entry.state) is _M or st is _E):
             res.cycles += (self._l1_latency if cache.touch(line_no)
                            else self._l12_latency)
-            self._write_word(entry, addr, value, requester, labeled=False)
+            self._write_word(cache, entry, addr, value, requester,
+                             labeled=False)
             if entry.state is State.E:
                 entry.state = State.M  # silent upgrade
             return res
@@ -741,7 +740,8 @@ class MemorySystem:
                 return res
             merged = self.caches[core].lookup(line_no)
             cache.touch(line_no)
-            self._write_word(merged, addr, value, requester, labeled=False)
+            self._write_word(cache, merged, addr, value, requester,
+                             labeled=False)
             return res
 
         # Invalidate the owner and/or S sharers.
@@ -795,17 +795,15 @@ class MemorySystem:
         ent.sharers.discard(core)
         ent.owner = core
         ent.check()
-        self._write_word(new, addr, value, requester, labeled=False)
+        self._write_word(cache, new, addr, value, requester,
+                         labeled=False)
         return res
 
-    def _write_word(self, entry: CacheLine, addr: int, value: object,
-                    requester: Requester, labeled: bool) -> None:
+    def _write_word(self, cache: PrivateCache, entry: CacheLine, addr: int,
+                    value: object, requester: Requester,
+                    labeled: bool) -> None:
         if requester.ts is not None:
-            entry.snapshot_before_write()
-            if labeled:
-                entry.spec_labeled = True
-            else:
-                entry.spec_written = True
+            cache.mark_store(entry, labeled)
         entry.words = words = list(entry.words)
         words[addr % LINE_BYTES // WORD_BYTES] = value
         entry.dirty = True
@@ -834,11 +832,11 @@ class MemorySystem:
                 res.cycles += (self._l1_latency if cache.touch(line_no)
                                else self._l12_latency)
                 if is_store:
-                    self._write_word(entry, addr, value, requester,
+                    self._write_word(cache, entry, addr, value, requester,
                                      labeled=True)
                 else:
                     if requester.ts is not None:
-                        entry.spec_labeled = True
+                        cache.mark_labeled(entry)
                     res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
                 return res
             if st is _U:
@@ -939,10 +937,11 @@ class MemorySystem:
         if final is None:
             raise ProtocolError(f"labeled access lost line {line_no}")
         if is_store:
-            self._write_word(final, addr, value, requester, labeled=True)
+            self._write_word(cache, final, addr, value, requester,
+                             labeled=True)
         else:
             if requester.speculative:
-                final.spec_labeled = True
+                cache.mark_labeled(final)
             res.value = final.words[word_index(addr)]
         return res
 
@@ -1015,14 +1014,14 @@ class MemorySystem:
         if res.abort_requester:
             return res
         if is_store:
-            self._write_word(final, addr, value, requester,
+            self._write_word(cache, final, addr, value, requester,
                              labeled=into_label is not None)
         else:
             if requester.speculative:
                 if into_label is not None:
-                    final.spec_labeled = True
+                    cache.mark_labeled(final)
                 else:
-                    final.spec_read = True
+                    cache.mark_read(final)
             res.value = final.words[word_index(addr)]
         return res
 
@@ -1221,7 +1220,7 @@ class MemorySystem:
         if not others:
             res.cycles += self._private_lookup_cycles(cache.touch(line_no))
             if requester.speculative:
-                entry.spec_labeled = True
+                cache.mark_labeled(entry)
             res.value = entry.words[word_index(addr)]
             return res
 
@@ -1302,7 +1301,7 @@ class MemorySystem:
 
         res.cycles += self._private_lookup_cycles(cache.touch(line_no))
         if requester.speculative:
-            entry.spec_labeled = True
+            cache.mark_labeled(entry)
         res.value = entry.words[word_index(addr)]
         res.overlap_cycles = res.cycles - cycles_at_dir_release
         return res

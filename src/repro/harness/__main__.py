@@ -22,6 +22,11 @@ and prints the top 25 functions by cumulative time to stderr
 (``--profile-out FILE`` additionally dumps the raw stats for ``pstats``/
 ``snakeviz``).
 
+A simulator error ends the run with exit status 1. When a sweep point
+raised it (a failed ``verify()``, a sanitizer finding, the livelock
+guard), the error is followed by the point (builder, threads, seed,
+backend) and a ``replay:`` command that re-runs that point alone.
+
 ``--trace-out``/``--report-json``/``--metrics-out``/``--hostprof-out``
 export structured observability artifacts (Perfetto trace, versioned run
 report with address-level abort attribution, hot-line metrics, host
@@ -36,11 +41,12 @@ import logging
 import os
 import sys
 
-from ..errors import SimulationError
+from ..errors import ReproError, SimulationError
 from . import artifacts
 from .cache import ResultCache
 from .experiments import list_experiments, run_experiment
-from .parallel import SERIAL_THRESHOLD_ENV, resolve_jobs
+from .parallel import (SERIAL_THRESHOLD_ENV, describe_point, replay_command,
+                       resolve_jobs)
 
 
 def main(argv=None) -> int:
@@ -177,9 +183,20 @@ def main(argv=None) -> int:
     try:
         report = run_experiment(args.experiment, threads=threads,
                                 scale=args.scale, jobs=jobs, cache=cache)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # run_points names the sweep point that raised (a failed verify,
+        # a sanitizer finding, the livelock guard) as ``point_spec``.
+        spec = getattr(exc, "point_spec", None)
+        if isinstance(exc, KeyError) and spec is None:
+            print(exc.args[0], file=sys.stderr)  # unknown experiment
+            return 2
+        if spec is None and not isinstance(exc, ReproError):
+            raise
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if spec is not None:
+            print(f"point: {describe_point(spec)}", file=sys.stderr)
+            print(f"replay: {replay_command(spec)}", file=sys.stderr)
+        return 1
     finally:
         HARNESS_PROF.stop("experiment", t0)
         if profiler is not None:

@@ -48,6 +48,7 @@ import dataclasses
 import importlib
 import logging
 import os
+import shlex
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -191,6 +192,36 @@ def run_point(spec: PointSpec):
     )
 
 
+def _run_named(spec: PointSpec):
+    """:func:`run_point`, naming the point in whatever it raises: the spec
+    is attached to the exception as ``point_spec``. The type is kept, so
+    callers' ``except`` clauses still match, and the attribute survives
+    the pickling that carries a pool worker's exception to the parent."""
+    try:
+        return run_point(spec)
+    except Exception as exc:
+        if getattr(exc, "point_spec", None) is None:
+            exc.point_spec = spec
+        raise
+
+
+def describe_point(spec: PointSpec) -> str:
+    """One line naming a point: builder, threads, seed and backend."""
+    return (f"{spec.build} threads={spec.num_threads} seed={spec.seed} "
+            f"backend={spec.backend}")
+
+
+def replay_command(spec: PointSpec) -> str:
+    """A shell line that re-runs ``spec`` alone from the repository root.
+    ``PointSpec``'s repr evaluates under the line's two imports."""
+    code = ("from repro.params import *; "
+            "from repro.harness.parallel import PointSpec, run_point; "
+            f"run_point({spec!r})")
+    if set(code) & set('"$`\\!'):
+        return f"PYTHONPATH=src python -c {shlex.quote(code)}"
+    return f'PYTHONPATH=src python -c "{code}"'
+
+
 def estimate_cost(spec: PointSpec) -> int:
     """Relative cost estimate for one spec, for load balancing only.
 
@@ -230,7 +261,7 @@ def partition_specs(specs: Sequence[PointSpec],
 
 def run_bucket(specs: Sequence[PointSpec]) -> List:
     """Simulate a bucket of specs in order. Top-level for pool pickling."""
-    return [run_point(spec) for spec in specs]
+    return [_run_named(spec) for spec in specs]
 
 
 def _available_cpus() -> int:
@@ -467,7 +498,7 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
                     "%s=0 or serial_threshold=0 to force the pool)",
                     n, threshold, SERIAL_THRESHOLD_ENV,
                 )
-            outputs = [run_point(spec) for spec in todo_specs]
+            outputs = [_run_named(spec) for spec in todo_specs]
         for (key, spec), result in zip(todo, outputs):
             results[key] = result
             if cache is not None:
@@ -491,6 +522,8 @@ __all__ = [
     "resolve_build",
     "make_spec",
     "run_point",
+    "describe_point",
+    "replay_command",
     "estimate_cost",
     "partition_specs",
     "run_bucket",

@@ -827,13 +827,12 @@ class VectorEngine(Engine):
                 # The remaining 2n-1 labeled ops replay closed form: the
                 # just-installed line L1-hits every one of them. The
                 # first store's copy-on-write snapshot feeds rollback
-                # (never taken — the real commit below clears it);
-                # spec_labeled was already set by the speculative
-                # install. One LRU touch stands in for all (idempotent).
+                # (never taken — the real commit below clears it); the
+                # speculative install already put the line in the
+                # labeled set. One LRU touch stands in for all
+                # (idempotent).
                 cache.touch(line_no)
-                if entry.clean_words is None:
-                    entry.clean_words = list(entry.words)
-                entry.spec_labeled = True
+                cache.mark_store(entry, True)
                 entry.words = words = list(entry.words)
                 j = plan.idx0
                 for d in plan.deltas:

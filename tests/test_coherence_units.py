@@ -235,14 +235,12 @@ class TestPrivateCache:
         cache = _small_cache(l2_lines=8)
         entry = CacheLine(line=0, state=State.M, words=[1] * 8)
         cache.install(entry)
-        entry.snapshot_before_write()
-        entry.spec_written = True
+        cache.mark_store(entry, False)
         entry.words = [9] * 8
         cache.rollback_all()
         assert cache.lookup(0).words == [1] * 8
         entry2 = cache.lookup(0)
-        entry2.snapshot_before_write()
-        entry2.spec_written = True
+        cache.mark_store(entry2, False)
         entry2.words = [5] * 8
         cache.commit_all()
         assert cache.lookup(0).words == [5] * 8
@@ -257,10 +255,67 @@ class TestPrivateCache:
     def test_spec_lines(self):
         cache = _small_cache(l2_lines=8)
         a = CacheLine(line=0, state=State.M, words=[0] * 8)
-        a.spec_read = True
         cache.install(a)
+        cache.mark_read(a)
         cache.install(CacheLine(line=1, state=State.S, words=[0] * 8))
         assert [e.line for e in cache.spec_lines()] == [0]
+
+    def test_each_line_recorded_once(self):
+        cache = _small_cache(l2_lines=8)
+        a = CacheLine(line=0, state=State.M, words=[0] * 8)
+        cache.install(a)
+        cache.mark_read(a)
+        cache.mark_labeled(a)
+        cache.mark_store(a, False)
+        cache.mark_store(a, True)
+        assert cache.spec_lines() == [a]
+        assert a.spec_read and a.spec_written and a.spec_labeled
+
+    def test_dropped_or_replaced_line_leaves_spec_lines(self):
+        cache = _small_cache(l2_lines=8)
+        dropped = CacheLine(line=0, state=State.S, words=[0] * 8)
+        replaced = CacheLine(line=1, state=State.U, label=ADD,
+                             words=[0] * 8)
+        kept = CacheLine(line=2, state=State.M, words=[0] * 8)
+        for entry in (dropped, replaced, kept):
+            cache.install(entry)
+        cache.mark_read(dropped)
+        cache.mark_labeled(replaced)
+        cache.mark_store(kept, False)
+        cache.drop(0)
+        successor = CacheLine(line=1, state=State.M, words=[7] * 8)
+        cache.install(successor)
+        assert cache.spec_lines() == [kept]
+        # Committing the dead entries along with the live one is harmless.
+        cache.commit_all()
+        assert cache.spec_lines() == []
+        assert not successor.speculative
+        assert cache.lookup(1).words == [7] * 8
+
+    @pytest.mark.parametrize("finish", ["commit_all", "rollback_all"])
+    def test_finish_leaves_unmarked_lines_untouched(self, finish):
+        cache = _small_cache(l1_lines=64, l2_lines=64)
+        unmarked = []
+        for line in range(40):
+            entry = CacheLine(line=line, state=(State.M, State.S)[line % 2],
+                              words=[line] * 8)
+            cache.install(entry)
+            unmarked.append(entry)
+        marked = CacheLine(line=40, state=State.M, words=[1] * 8)
+        cache.install(marked)
+        cache.mark_store(marked, False)
+        marked.words = [2] * 8
+        # Commit or rollback of this line would drop its clean copy.
+        unmarked[0].clean_words = [99] * 8
+        words = [e.words for e in unmarked]
+        before = [(list(e.words), e.clean_words, e.state) for e in unmarked]
+        getattr(cache, finish)()
+        assert [(list(e.words), e.clean_words, e.state)
+                for e in unmarked] == before
+        assert all(e.words is w for e, w in zip(unmarked, words))
+        assert marked.words == ([2] * 8 if finish == "commit_all"
+                                else [1] * 8)
+        assert not marked.speculative and marked.clean_words is None
 
 
 class TestDirectory:

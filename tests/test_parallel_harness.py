@@ -1,19 +1,28 @@
 """Parallel sweep layer: spec round-trips, dedupe, pool determinism, and
 the on-disk result cache."""
 
+import os
 import pickle
 import random
+import shlex
+import subprocess
+import sys
+from multiprocessing.pool import RemoteTraceback
+from pathlib import Path
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import SanitizerError, SimulationError
 from repro.harness import (ResultCache, fingerprint, make_spec, run_point,
                            run_points, resolve_build, resolve_jobs,
                            speedup_curve)
 from repro.harness.experiments import run_experiment
-from repro.harness.parallel import JOBS_ENV, build_path
+from repro.harness.parallel import (JOBS_ENV, PointSpec, build_path,
+                                    describe_point, replay_command)
 from repro.params import small_config
 from repro.workloads.micro import counter
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _counter_spec(threads=2, *, commtm=True, seed=1, total_ops=60,
@@ -135,6 +144,112 @@ def test_oversubscribed_jobs_run_serially(caplog, monkeypatch):
         results = run_points(specs, jobs=4, serial_threshold=0)
     assert len(results) == 4
     assert any("one CPU" in r.message for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# A failing point names itself
+# ---------------------------------------------------------------------------
+
+FAILING_SEED = 13
+
+
+def failing_build(machine, num_threads, total_ops=40):
+    """The counter micro, except that it raises at one seed, as a failed
+    verify or a sanitizer finding would."""
+    if machine.config.seed == FAILING_SEED:
+        raise SanitizerError(f"injected fault at seed {FAILING_SEED}")
+    return counter.build(machine, num_threads, total_ops=total_ops)
+
+
+def _failing_sweep():
+    return [make_spec(failing_build, 2, num_cores=16, seed=seed)
+            for seed in (1, FAILING_SEED, 2)]
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+def test_failing_point_is_attached_to_its_exception(pool, monkeypatch):
+    from repro.harness import parallel as par
+
+    specs = _failing_sweep()
+    if pool:
+        monkeypatch.setattr(par, "_available_cpus", lambda: 4)
+    with pytest.raises(SanitizerError) as info:
+        run_points(specs, jobs=4 if pool else 1, serial_threshold=0)
+    assert info.value.point_spec == specs[1]
+    # Equal-cost specs fill the buckets in order and the dispatcher runs
+    # only the first, so the failing point ran in a worker and its
+    # exception was pickled back.
+    assert isinstance(info.value.__cause__, RemoteTraceback) == pool
+
+
+def test_replay_line_reraises_in_a_subprocess():
+    spec = _failing_sweep()[1]
+    assert describe_point(spec) == (
+        f"tests.test_parallel_harness:failing_build threads=2 "
+        f"seed={FAILING_SEED} backend={spec.backend}")
+    line = replay_command(spec)
+    assert line.startswith('PYTHONPATH=src python -c "from repro.params')
+    env = dict(os.environ, PATH=os.pathsep.join(
+        [str(Path(sys.executable).parent), os.environ.get("PATH", "")]))
+    proc = subprocess.run(line, shell=True, cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stderr.rstrip().splitlines()[-1] == (
+        f"repro.errors.SanitizerError: injected fault at seed "
+        f"{FAILING_SEED}")
+
+
+@pytest.mark.parametrize("tag", ["plain", 'quote" dollar$ tick` bang!'])
+def test_replay_line_quotes_the_spec_for_the_shell(tag):
+    """The line splits back into the command and a program whose
+    ``run_point`` argument evaluates to the spec, ``base_config`` and
+    shell-special characters included."""
+    spec = PointSpec(build="tests.test_parallel_harness:failing_build",
+                     num_threads=2, base_config=small_config(num_cores=8),
+                     params=(("tag", tag),))
+    env, python, flag, code = shlex.split(replay_command(spec))
+    assert (env, python, flag) == ("PYTHONPATH=src", "python", "-c")
+    imports, _, call = code.rpartition("; ")
+    namespace = {}
+    exec(imports, namespace)
+    assert call.startswith("run_point(") and call.endswith(")")
+    assert eval(call[len("run_point("):-1], namespace) == spec
+
+
+def test_cli_names_the_failing_point(capsys, monkeypatch):
+    from repro.harness import __main__ as cli
+
+    spec = _failing_sweep()[1]
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda name, **kw: run_points([spec], jobs=1))
+    assert cli.main(["fig09", "--no-cache", "--jobs", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-3:] == [
+        f"error: SanitizerError: injected fault at seed {FAILING_SEED}",
+        f"point: {describe_point(spec)}",
+        f"replay: {replay_command(spec)}",
+    ]
+
+
+def test_cli_reports_errors_outside_points(capsys, monkeypatch):
+    """A simulator error no point raised gets the error line alone; any
+    other exception without a point propagates unchanged."""
+    from repro.errors import ConfigError
+    from repro.harness import __main__ as cli
+
+    def raising(exc):
+        def run_experiment(name, **kw):
+            raise exc
+        return run_experiment
+
+    monkeypatch.setattr(cli, "run_experiment",
+                        raising(ConfigError("bad machine")))
+    assert cli.main(["fig09", "--no-cache", "--jobs", "1"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] \
+        == "error: ConfigError: bad machine"
+    monkeypatch.setattr(cli, "run_experiment", raising(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        cli.main(["fig09", "--no-cache", "--jobs", "1"])
 
 
 def test_partition_specs_balances_and_covers():
