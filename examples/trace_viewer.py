@@ -10,21 +10,14 @@ tracer. Runs it on both systems and writes:
   backoff intervals, and counter tracks for outstanding U lines and the
   abort rate. Open either file at https://ui.perfetto.dev (or
   chrome://tracing).
-* ``trace_commtm_vector.json`` — the same CommTM run on the vector
-  backend, which adds two lanes: **engine (vector)** (per-epoch spans
-  annotated with op count and fence causes, gate-rebind and drain
-  markers, certifier mispredicts) and **host (wall µs)** (the
-  HostProfiler's phase accounting — epoch classify, kernel exec, strict
-  stepping — in its own wall-clock timebase).
 * A printed abort-attribution table — the paper's Fig. 18 wasted-cycle
   causes, refined to address/label level: which line, under which label,
   aborted whom, blamed on which attacking cores.
 
 Observation never changes a simulated number (``tests/test_obs.py``
-asserts bit-identical cycles and stats across all micro workloads, and
-``tests/test_vector_obs_parity.py`` extends that to identical obs
-payloads across backends), so what you see in the trace is exactly what
-an unobserved run does.
+asserts bit-identical cycles and stats across all micro workloads), so
+what you see in the trace is exactly what an unobserved run does. An
+observed run is the interpreted engine's on either backend.
 
 Run:  python examples/trace_viewer.py
 """
@@ -40,9 +33,9 @@ WRITERS = 7
 INCREMENTS = 12
 
 
-def run(commtm: bool, backend: str = None) -> None:
+def run(commtm: bool) -> None:
     config = small_config(num_cores=8, commtm_enabled=commtm)
-    machine = Machine(config, observe=True, backend=backend)
+    machine = Machine(config, observe=True)
     add = machine.register_label(add_label())
     counter = machine.alloc.alloc_line()
 
@@ -67,8 +60,6 @@ def run(commtm: bool, backend: str = None) -> None:
     machine.flush_reducible()
 
     name = "commtm" if commtm else "baseline"
-    if backend:
-        name = f"{name}_{backend}"
     path = f"trace_{name}.json"
     with open(path, "w") as fh:
         json.dump(chrome_trace(machine.obs, point=name), fh)
@@ -97,20 +88,9 @@ def run(commtm: bool, backend: str = None) -> None:
     hot = payload["metrics"]["hot_lines"][0]
     print(f"hottest line: {hot['line']} ({hot['touches']} touches, "
           f"{hot['labeled_touches']} labeled)")
-
-    if backend == "vector":
-        epochs = [e for e in payload["trace"]["vector_events"]
-                  if e.get("name") == "epoch"]
-        phases = payload["hostprof"]["phases"]
-        top = sorted(phases.items(), key=lambda kv: -kv[1]["ns"])[:3]
-        print(f"engine lane: {len(epochs)} epoch span(s), "
-              f"{len(payload['trace']['vector_events'])} event(s) total")
-        print("host lane (top phases): "
-              + ", ".join(f"{n} {p['ns'] / 1e6:.2f}ms" for n, p in top))
     print()
 
 
 if __name__ == "__main__":
     run(commtm=False)
     run(commtm=True)
-    run(commtm=True, backend="vector")

@@ -22,10 +22,6 @@ class AccessKind(enum.Enum):
         return self in (AccessKind.LABELED_LOAD, AccessKind.LABELED_STORE,
                         AccessKind.GATHER)
 
-    @property
-    def is_write(self) -> bool:
-        return self in (AccessKind.STORE, AccessKind.LABELED_STORE)
-
 
 class Requester:
     """Identity of a memory request's issuer.

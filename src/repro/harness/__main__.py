@@ -92,7 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--hostprof-out", metavar="FILE", default=None,
                         help="write host wall-clock phase accounting "
                              "JSON (repro-obs-hostprof/1): per-point "
-                             "simulate/verify and vector-engine phases, "
+                             "build/simulate/verify phases, "
                              "plus harness dispatch and cache traffic. "
                              "Implies REPRO_OBS=1 and --no-cache")
     parser.add_argument("--backend", choices=["interp", "vector"],

@@ -99,9 +99,9 @@ def write_metrics(path: str, experiment: str, results) -> None:
 
 def write_hostprof(path: str, experiment: str, results) -> None:
     """Host wall-clock accounting: one ``repro-obs-hostprof/1`` section
-    per observed sweep point (simulate/verify plus the vector engine's
-    epoch/kernel/strict/drain phases when it ran), and the process-wide
-    harness accountant (experiment dispatch, result-cache traffic)."""
+    per observed sweep point (build, simulate, verify), and the
+    process-wide harness accountant (experiment dispatch, result-cache
+    traffic)."""
     points = [{"name": point_label(r),
                "hostprof": r.info["obs"]["hostprof"]}
               for r in _observed(results)

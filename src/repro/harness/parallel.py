@@ -65,8 +65,8 @@ SERIAL_THRESHOLD_ENV = "REPRO_SERIAL_THRESHOLD"
 
 #: Sweeps with fewer uncached unique points than this run serially even
 #: when ``jobs > 1``: dispatching a handful of points through the pool
-#: costs more than it saves (BENCH_sim_throughput.json once recorded an
-#: 8-point sweep at 0.37s serial vs 0.93s under a cold 4-worker pool).
+#: costs more than it saves (on a single-CPU host an 8-point sweep took
+#: 0.37s serial vs 0.93s under a cold 4-worker pool).
 DEFAULT_SERIAL_THRESHOLD = 10
 
 #: Modules the forkserver imports *once* before any worker forks from it;

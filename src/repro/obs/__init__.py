@@ -21,10 +21,10 @@ breakdowns (Fig. 17), wasted-work attribution (Fig. 18), traffic splits
 * :mod:`~repro.obs.report` — versioned machine-readable run reports
   consumed by ``python -m repro.harness --report-json`` and CI artifacts.
 * :class:`~repro.obs.hostprof.HostProfiler` — a zero-dependency *host*
-  wall-clock phase accountant (epoch classify, kernel exec, strict
-  stepper, fenced replay, stats reduce; harness build/dispatch/cache
-  phases), emitted as a versioned ``repro-obs-hostprof/1`` report
-  section and an optional Perfetto host-time lane.
+  wall-clock phase accountant (machine and workload build, simulate,
+  verify; harness cache and dispatch phases), emitted as a versioned
+  ``repro-obs-hostprof/1`` report section and an optional Perfetto
+  host-time lane.
 
 Enablement follows the sanitizer's discipline exactly: ``observe=True`` on
 :class:`~repro.core.machine.Machine` or ``REPRO_OBS=1`` in the environment
@@ -35,14 +35,13 @@ config fingerprints. When off, nothing is installed: the engine's handler
 table, the protocol's hook slots and every hot path are byte-for-byte the
 code that runs without this package, so disabled-mode cycles and
 ``Stats.comparable()`` are bit-identical and throughput is unchanged.
-When on, the *interpreted* engine routes memory operations through the
-full protocol path (the same switch ``REPRO_NO_FASTPATH=1`` flips, proven
+When on, the engine routes memory operations through the full protocol
+path (the same switch ``REPRO_NO_FASTPATH=1`` flips, proven
 bit-identical by ``tests/test_fastpath_equivalence.py``) so every event is
-seen at a single choke point. The *vector* backend keeps its epochs and
-synthesizes the same emissions at their exact strict positions (deferring
-the order-sensitive ones; see ``repro.sim.vector.engine``), proven
-payload-identical by ``tests/test_vector_obs_parity.py`` — simulated
-results are bit-identical either way; only host-side wall-clock pays.
+seen at a single choke point. Observation is a per-op layer, like the
+sanitizer: on either backend an observed run is the interpreted engine's
+— the vector backend delegates it with a logged notice — so simulated
+results are bit-identical and only host-side wall-clock pays.
 """
 
 from .hostprof import HARNESS_PROF, HOSTPROF_SCHEMA, HostProfiler
@@ -52,7 +51,7 @@ from .observer import OBS_ENV, Observer, obs_enabled
 from .perfetto import TRACE_SCHEMA, chrome_trace, merge_traces
 from .recorder import TraceRecorder
 from .report import (METRICS_SCHEMA, REPORT_SCHEMA, per_label_table,
-                     point_report, vector_engagement)
+                     point_report)
 
 __all__ = [
     "OBS_ENV",
@@ -74,5 +73,4 @@ __all__ = [
     "merge_traces",
     "per_label_table",
     "point_report",
-    "vector_engagement",
 ]

@@ -5,20 +5,12 @@ accounts the simulator's own execution on the host — ``perf_counter_ns``
 deltas taken at phase boundaries, never per operation — so "why is this
 run slow on my machine" is answerable from the same artifact bundle as
 "why is this run slow in simulated cycles". Phases are coarse by
-contract:
-
-* vector engine: ``epoch`` (one classify+execute attempt), ``strict``
-  (one budgeted run-ahead burst), ``drain`` (the unbudgeted fenced
-  replay after a gate rebind), ``kernel`` (one batched reduction fold),
-  ``stats_reduce`` (the column flush);
-* harness: ``build_machine``, ``build_workload``, ``simulate``,
-  ``verify`` around one run, plus ``cache_get`` / ``cache_put`` /
-  ``experiment`` accumulated process-wide in :data:`HARNESS_PROF`.
+contract: ``build_machine``, ``build_workload``, ``simulate`` and
+``verify`` around one run, plus ``cache_get`` / ``cache_put`` /
+``experiment`` accumulated process-wide in :data:`HARNESS_PROF`.
 
 The accountant is zero-dependency and cheap enough to leave armed: two
-``perf_counter_ns`` calls and two dict adds per phase boundary. The
-vector engine still skips it entirely when no Observer is installed, so
-the obs-off hot loop stays untouched.
+``perf_counter_ns`` calls and two dict adds per phase boundary.
 
 Reports are versioned (:data:`HOSTPROF_SCHEMA`); :meth:`trace_events`
 renders the retained intervals as a Chrome ``X`` lane (host wall

@@ -54,11 +54,6 @@ class Observer:
     def __init__(self, machine, limit: int = DEFAULT_LIMIT):
         self.machine = machine
         self.recorder = TraceRecorder(limit=limit)
-        #: Engine-level lane for the vector backend (epoch spans,
-        #: certifier mispredicts, gate rebinds, strict-drain regions).
-        #: Kept separate from the per-core recorder so the core lanes'
-        #: payload stays byte-identical to an interpreted run.
-        self.vector_recorder = TraceRecorder(limit=limit)
         #: Host-side wall-clock phase accountant (see repro.obs.hostprof).
         self.hostprof = HostProfiler()
         self.lifecycle = LifecycleTracker()
@@ -232,63 +227,6 @@ class Observer:
     def invalidated(self, line_no: int, count: int = 1) -> None:
         self.metrics.invalidation(line_no, count)
 
-    # --- vector-engine hooks --------------------------------------------------
-    # The vector backend executes fused transactions closed form, so their
-    # begin/commit never pass the engine hooks above. These two synthesize
-    # the same emissions from the closed-form timestamps: ``fused_tx_begin``
-    # at the strict begin cycle, ``fused_tx_commit`` at the strict commit
-    # cycle (the engine defers it to that exact point so the counter
-    # samples and the event order match the interpreted run byte for byte).
-
-    def fused_tx_begin(self, core: int, cycle: int, ts) -> None:
-        self._pending.pop(core, None)
-        self.lifecycle.begin(core, cycle, ts)
-        self.recorder.begin_span(core, cycle, "tx",
-                                 args={"ts": ts, "attempt": 1})
-
-    def fused_tx_commit(self, core: int, cycle: int, committed_cycles: int,
-                        reads: int, writes: int, labeled: int,
-                        attempt: int = 1) -> None:
-        self.lifecycle.commit(core, cycle,
-                              committed_cycles=committed_cycles,
-                              read_set=reads, write_set=writes,
-                              labeled_set=labeled)
-        self.commits += 1
-        self.recorder.end_span(core, cycle, args={
-            "outcome": "commit", "attempt": attempt,
-            "read_set": reads, "write_set": writes, "labeled_set": labeled,
-        })
-        self._sample_counters(cycle)
-
-    # Engine-lane events: the epoch/gate machinery is host-side (it never
-    # changes simulated results), so its telemetry goes to the dedicated
-    # vector lane rather than the per-core lanes the parity oracle compares.
-
-    def vector_epoch(self, t0: int, dur: int, ops: int, fences: int,
-                     causes: dict) -> None:
-        self.vector_recorder.complete(0, t0, max(dur, 1), "epoch", args={
-            "ops": ops, "fences": fences,
-            "causes": dict(sorted(causes.items())),
-        })
-
-    def vector_mispredict(self, core: int, cycle: int, line: int,
-                          predicted: int, actual: int) -> None:
-        self.vector_recorder.instant(0, cycle, "mispredict", args={
-            "core": core, "line": line,
-            "predicted": predicted, "actual": actual,
-        })
-
-    def vector_gate_rebind(self, cycle: int, attempts: int, test: str,
-                           fused_txs: int, epoch_ops: int) -> None:
-        self.vector_recorder.instant(0, cycle, "gate_rebind", args={
-            "attempts": attempts, "test": test,
-            "fused_txs": fused_txs, "epoch_ops": epoch_ops,
-        })
-
-    def vector_drain(self, t0: int, t1: int) -> None:
-        self.vector_recorder.complete(0, t0, max(t1 - t0, 1),
-                                      "strict_drain")
-
     # --- exports --------------------------------------------------------------
 
     def hot_lines(self, k: int = 16):
@@ -308,11 +246,8 @@ class Observer:
                 "events": list(self.recorder.events),
                 "dropped": self.recorder.dropped,
                 "counts": self.recorder.counts(),
-                # Host-side lanes (empty under the interpreted engine).
-                # Consumers strip these before cross-backend payload
-                # comparisons: the core-lane payload above is the part
-                # that must match the interpreted run byte for byte.
-                "vector_events": list(self.vector_recorder.events),
+                # Host wall-clock lane: varies run to run, unlike the
+                # simulated-time events above.
                 "host_events": self.hostprof.trace_events(),
             },
             "hostprof": self.hostprof.report(),

@@ -9,13 +9,10 @@ counter tracks (``u_lines``, ``abort_rate``) render as graphs. Timestamps
 are simulated cycles presented as microseconds — Perfetto's units are
 cosmetic; relative placement is what matters.
 
-Schema ``/2`` adds two optional lanes past the core lanes: the vector
-engine's own track (epoch spans annotated with op count and fence-cause
-histogram, certifier-mispredict instants, gate-rebind markers,
-strict-drain regions — simulated-cycle timestamps) and the host
+Schema ``/2`` adds an optional lane past the core lanes: the host
 self-profiler's wall-clock track (phase intervals in real microseconds;
 a different timebase on purpose, so it gets its own lane instead of
-interleaving). Readers of ``/1`` payloads still work: the extra keys are
+interleaving). Readers of ``/1`` payloads still work: the extra key is
 simply absent and the export degrades to the core lanes.
 
 Multi-point sweeps merge into one trace with one *process* per sweep
@@ -30,12 +27,11 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 #: Version tag stamped into every exported trace (bump on breaking change).
-#: /2: optional vector-engine and host-time lanes after the core lanes.
+#: /2: an optional host-time lane after the core lanes.
 TRACE_SCHEMA = "repro-obs-trace/2"
 
 
 def _point_events(pid: int, point: str, events: List[dict],
-                  vector_events: Optional[List[dict]] = None,
                   host_events: Optional[List[dict]] = None) -> List[dict]:
     """One sweep point's events as a named Chrome process ``pid``.
 
@@ -43,10 +39,9 @@ def _point_events(pid: int, point: str, events: List[dict],
     chronological *per core* but interleaved across cores — so a stable
     sort by ``ts`` yields a globally ordered lane-consistent stream (B/E
     nesting per tid survives because equal timestamps keep append order).
-    The vector and host lanes are appended after the core lanes, each
-    sorted on its own: they never emit B/E pairs, and the host lane is on
-    a different timebase (wall µs), so per-lane monotonicity is all that
-    is required.
+    The host lane is appended after the core lanes and sorted on its own:
+    it never emits B/E pairs, and it is on a different timebase (wall
+    µs), so per-lane monotonicity is all that is required.
     """
     out: List[dict] = [{
         "ph": "M", "name": "process_name", "pid": pid, "tid": 0, "ts": 0,
@@ -60,18 +55,16 @@ def _point_events(pid: int, point: str, events: List[dict],
         tagged = dict(event)
         tagged["pid"] = pid
         out.append(tagged)
-    lane = (cores[-1] + 1) if cores else 1
-    for name, extra in (("engine (vector)", vector_events),
-                        ("host (wall µs)", host_events)):
-        if extra:
-            out.append({"ph": "M", "name": "thread_name", "pid": pid,
-                        "tid": lane, "ts": 0, "args": {"name": name}})
-            for event in sorted(extra, key=lambda e: e["ts"]):
-                tagged = dict(event)
-                tagged["pid"] = pid
-                tagged["tid"] = lane
-                out.append(tagged)
-        lane += 1
+    if host_events:
+        lane = (cores[-1] + 1) if cores else 1
+        out.append({"ph": "M", "name": "thread_name", "pid": pid,
+                    "tid": lane, "ts": 0,
+                    "args": {"name": "host (wall µs)"}})
+        for event in sorted(host_events, key=lambda e: e["ts"]):
+            tagged = dict(event)
+            tagged["pid"] = pid
+            tagged["tid"] = lane
+            out.append(tagged)
     return out
 
 
@@ -84,7 +77,6 @@ def chrome_trace(observer, pid: int = 0, point: Optional[str] = None) -> dict:
         "displayTimeUnit": "ms",
         "traceEvents": _point_events(
             pid, point or "run", recorder.events,
-            vector_events=observer.vector_recorder.events,
             host_events=observer.hostprof.trace_events()),
         "otherData": {
             "dropped_events": recorder.dropped,
@@ -99,8 +91,8 @@ def merge_traces(point_traces: Iterable[Tuple[str, dict]]) -> dict:
     ``point_traces`` yields ``(point_label, trace_payload)`` pairs where
     the payload is the ``"trace"`` entry of ``Observer.payload()`` (the
     form the harness attaches to ``ExperimentResult.info["obs"]``).
-    Payloads written before schema ``/2`` carry no ``vector_events`` /
-    ``host_events`` keys; they merge as core-lanes-only points.
+    Payloads written before schema ``/2`` carry no ``host_events`` key;
+    they merge as core-lanes-only points.
     """
     events: List[dict] = []
     dropped = 0
@@ -111,7 +103,6 @@ def merge_traces(point_traces: Iterable[Tuple[str, dict]]) -> dict:
             counts[name] = counts.get(name, 0) + n
         events.extend(_point_events(
             pid, point, payload["events"],
-            vector_events=payload.get("vector_events"),
             host_events=payload.get("host_events")))
     return {
         "schema": TRACE_SCHEMA,

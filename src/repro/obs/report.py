@@ -37,23 +37,6 @@ def per_label_table(stats) -> Dict[str, dict]:
     }
 
 
-def vector_engagement(stats) -> dict:
-    """How much of a run the vector backend's epochs actually covered —
-    ``None``-safe only in the sense that callers should gate on
-    ``stats.host_backend == "vector"`` first. The same block the
-    throughput benchmark records, so one artifact carries both the
-    simulated telemetry and the host-side engagement picture."""
-    return {
-        "epochs": stats.host_vector_epochs,
-        "epoch_ops": stats.host_vector_epoch_ops,
-        "fused_txs": stats.host_vector_fused_txs,
-        "kernel_reductions": stats.host_vector_kernel_reductions,
-        "gated": bool(stats.host_vector_gated),
-        "fence_causes": {k: int(v) for k, v in
-                         sorted(stats.host_vector_fence_causes.items())},
-    }
-
-
 def _rate(value, digits: int, none=None):
     """Round a host rate for the report, passing through the non-numeric
     forms (``None`` -> ``none``, "n/a (vector)" unchanged)."""
@@ -91,8 +74,6 @@ def point_report(result) -> dict:
             "runahead_ops_per_batch": _rate(stats.runahead_ops_per_batch, 3),
         },
     }
-    if stats.host_backend == "vector":
-        out["host"]["vector_engagement"] = vector_engagement(stats)
     obs = result.info.get("obs") if isinstance(result.info, dict) else None
     if obs is not None:
         out["lifecycle"] = obs["lifecycle"]["summary"]
@@ -140,5 +121,4 @@ def metrics_report(experiment: str, results: List) -> dict:
 
 
 __all__ = ["METRICS_SCHEMA", "REPORT_SCHEMA", "metrics_report",
-           "per_label_table", "point_report", "run_report",
-           "vector_engagement"]
+           "per_label_table", "point_report", "run_report"]

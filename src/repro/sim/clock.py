@@ -24,13 +24,9 @@ from ..errors import SimulationError
 
 
 class CoreClocks:
-    """Tracks each core's local cycle count and orders cores by time.
+    """Tracks each core's local cycle count and orders cores by time."""
 
-    Cores may be *parked* (blocked on backoff or finished); parked cores are
-    excluded from scheduling until released at a wake-up cycle.
-    """
-
-    __slots__ = ("num_cores", "cycles", "_heap", "_parked", "_done")
+    __slots__ = ("num_cores", "cycles", "_heap", "_done")
 
     def __init__(self, num_cores: int, jitter=None, max_jitter: int = 8):
         self.num_cores = num_cores
@@ -43,7 +39,6 @@ class CoreClocks:
             (self.cycles[c], c) for c in range(num_cores)
         ]
         heapq.heapify(self._heap)
-        self._parked = [False] * num_cores
         self._done = [False] * num_cores
 
     def advance(self, core: int, cycles: int) -> None:
@@ -54,10 +49,6 @@ class CoreClocks:
 
     def now(self, core: int) -> int:
         return self.cycles[core]
-
-    def park_until(self, core: int, wake_cycle: int) -> None:
-        """Block ``core`` until its clock reaches ``wake_cycle`` (backoff)."""
-        self.cycles[core] = max(self.cycles[core], wake_cycle)
 
     def finish(self, core: int) -> None:
         """Mark ``core``'s thread as completed."""

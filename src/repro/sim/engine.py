@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -143,13 +144,6 @@ class ThreadRunner:
     #: bound method replaces a four-hop attribute chain. None when the
     #: thread has finished (frames empty).
     send: object = None
-    #: Op already pulled from the generator but not yet executed (or the
-    #: ``_FINISHED`` sentinel, with the StopIteration value in
-    #: ``pulled_value``). Only the vector backend's epoch certification
-    #: sets these; consuming a pulled op before resuming the generator
-    #: preserves the consume-before-resume contract exactly.
-    pulled: object = None
-    pulled_value: object = None
 
 
 class Engine:
@@ -276,25 +270,32 @@ class Engine:
             raise SimulationError("no runnable core but simulation not finished")
         self.stats.parallel_cycles = self.clocks.max_cycle
 
-    def _run_runahead(self) -> None:
-        # Run-ahead (leapfrog) scheduler: pop the minimum core once, then
-        # keep stepping *that core* in a tight inner loop until its clock
-        # passes the next heap stamp. One heap transaction per quantum
-        # instead of one per op, and the running core never takes the
-        # stale-entry requeue path.
-        #
-        # Why the interleaving is bit-identical to one-pop-per-op: every
-        # unfinished, unblocked core other than the running one has exactly
-        # one heap entry at (a lower bound of) its current clock, so the
-        # one-pop loop would re-pop the running core immediately iff
-        # ``(cycles[core], core) <= heap[0]`` lexicographically. That is
-        # precisely the inner loop's continue condition. When ``heap[0]``
-        # is stale (its core was charged since being queued), the true
-        # stamp is *larger*, so breaking out is conservative: the outer
-        # loop re-pops, requeues the stale entry at its true time, and
-        # hands the quantum straight back. ``heap[0]`` is re-read every
-        # iteration because a step can push entries (barrier release
-        # reschedules the waiters).
+    def _run_runahead(self, limit: int = sys.maxsize) -> bool:
+        """Run until the ready heap drains (False) or about ``limit``
+        simulated operations have run (True: work remains, the running
+        core is back in the heap at its clock, and a later call continues
+        exactly where this one stopped).
+
+        Run-ahead (leapfrog) scheduler: pop the minimum core once, then
+        keep stepping *that core* in a tight inner loop until its clock
+        passes the next heap stamp. One heap transaction per quantum
+        instead of one per op, and the running core never takes the
+        stale-entry requeue path.
+
+        Why the interleaving is bit-identical to one-pop-per-op: every
+        unfinished, unblocked core other than the running one has exactly
+        one heap entry at (a lower bound of) its current clock, so the
+        one-pop loop would re-pop the running core immediately iff
+        ``(cycles[core], core) <= heap[0]`` lexicographically. That is
+        precisely the inner loop's continue condition. When ``heap[0]``
+        is stale (its core was charged since being queued), the true
+        stamp is *larger*, so breaking out is conservative: the outer
+        loop re-pops, requeues the stale entry at its true time, and
+        hands the quantum straight back. ``heap[0]`` is re-read every
+        iteration because a step can push entries (barrier release
+        reschedules the waiters). Stopping on the budget pushes the
+        running core back, which restores that invariant, so a budgeted
+        sequence of calls steps the same interleaving as one call."""
         clocks = self.clocks
         heap = clocks._heap
         done = clocks._done
@@ -310,72 +311,74 @@ class Engine:
         batches = 0
         ops = 0
 
-        if not heap:
+        try:
+            if not heap:
+                return False
+            stamp, core = heappop(heap)
+            while True:
+                if done[core]:
+                    if not heap:
+                        return False
+                    stamp, core = heappop(heap)
+                    continue
+                c = cycles[core]
+                if stamp < c:
+                    # Stale entry (core was charged since being queued);
+                    # requeue at its true time to preserve min-clock order.
+                    if heap:
+                        stamp, core = heappushpop(heap, (c, core))
+                    else:
+                        stamp = c
+                    continue
+
+                runner = runners[core]
+                batches += 1
+                while True:
+                    ops += 1
+                    tx = tx_active[core]
+                    if tx is not None and tx.aborted:
+                        self._restart_tx(runner, tx)
+                    else:
+                        value = runner.pending_value
+                        runner.pending_value = None
+                        try:
+                            op = runner.send(value)
+                        except StopIteration as stop:
+                            self._finish_frame(runner, stop.value)
+                            op = finished
+                        if op is not finished:
+                            try:
+                                handler = handlers[op.__class__]
+                            except KeyError:
+                                handler = self._resolve_handler(op)
+                            handler(runner, op)
+
+                    if runner.blocked or done[core]:
+                        break
+                    if ops >= limit:
+                        heapq.heappush(heap, (cycles[core], core))
+                        return True
+                    c = cycles[core]
+                    if heap:
+                        top = heap[0]
+                        if c > top[0] or (c == top[0] and core > top[1]):
+                            # Another core's turn (or a stale entry to
+                            # clean up): hand off, taking the new minimum
+                            # in the same heap transaction.
+                            stamp, core = heappushpop(heap, (c, core))
+                            break
+
+                if runner.blocked or done[runner.core]:
+                    # The core we were stepping left the ready set
+                    # (barrier or finished) without handing off; pull the
+                    # next one. (After a hand-off, ``core`` is already
+                    # the freshly popped entry and the loop top vets it.)
+                    if not heap:
+                        return False
+                    stamp, core = heappop(heap)
+        finally:
             self.stats.host_runahead_batches += batches
             self.stats.host_runahead_ops += ops
-            return
-        stamp, core = heappop(heap)
-        while True:
-            if done[core]:
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-                continue
-            c = cycles[core]
-            if stamp < c:
-                # Stale entry (core was charged since being queued); requeue
-                # at its true time to preserve min-clock order.
-                if heap:
-                    stamp, core = heappushpop(heap, (c, core))
-                else:
-                    stamp = c
-                continue
-
-            runner = runners[core]
-            batches += 1
-            while True:
-                ops += 1
-                tx = tx_active[core]
-                if tx is not None and tx.aborted:
-                    self._restart_tx(runner, tx)
-                else:
-                    value = runner.pending_value
-                    runner.pending_value = None
-                    try:
-                        op = runner.send(value)
-                    except StopIteration as stop:
-                        self._finish_frame(runner, stop.value)
-                        op = finished
-                    if op is not finished:
-                        try:
-                            handler = handlers[op.__class__]
-                        except KeyError:
-                            handler = self._resolve_handler(op)
-                        handler(runner, op)
-
-                if runner.blocked or done[core]:
-                    break
-                c = cycles[core]
-                if heap:
-                    top = heap[0]
-                    if c > top[0] or (c == top[0] and core > top[1]):
-                        # Another core's turn (or a stale entry to clean
-                        # up): hand off, taking the new minimum in the
-                        # same heap transaction.
-                        stamp, core = heappushpop(heap, (c, core))
-                        break
-
-            if runner.blocked or done[runner.core]:
-                # The core we were stepping left the ready set (barrier or
-                # finished) without handing off; pull the next one. (After
-                # a hand-off, ``core`` is already the freshly popped entry
-                # and the loop top vets it.)
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-
-        self.stats.host_runahead_batches += batches
-        self.stats.host_runahead_ops += ops
 
     def _run_stepped(self) -> None:
         # Reference scheduler (REPRO_NO_RUNAHEAD=1): one CoreClocks
@@ -414,12 +417,6 @@ class Engine:
         handler(runner, op)
 
     # ------------------------------------------------------------------
-
-    def _dispatch(self, runner: ThreadRunner, op) -> None:
-        handler = self._handlers.get(op.__class__)
-        if handler is None:
-            handler = self._resolve_handler(op)
-        handler(runner, op)
 
     def _resolve_handler(self, op):
         """Memoize a subclassed op (e.g. OrderedAtomic) into the table."""

@@ -33,9 +33,6 @@ class EpochColumns:
         self.pred_hits = 0
         self.pred_misses = 0
         #: fence cause -> count, flushed into host_vector_fence_causes.
-        #: When the observer is installed the engine stages causes in a
-        #: per-epoch dict instead (so each epoch span can report its own
-        #: causes) and merges them here at the epoch boundary.
         self.fence_causes: dict = {}
 
     def flush(self, stats) -> None:

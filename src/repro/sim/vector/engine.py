@@ -60,39 +60,22 @@ of uncertifiable misses), the strict phase gets at least one op per
 fenced event so the whole wave replays as one sorted batch. Every fence
 increments a cause histogram (``Stats.host_vector_fence_causes``).
 
-**Strict phases** (:meth:`VectorEngine._strict_stepper`). An exact clone of
-``Engine._run_runahead`` — same heap, same ``(stamp, core)`` tie-break,
-same stale-entry requeue — extended to (a) consume operations the epoch
-certification pulled but did not execute, (b) discard a pulled operation
-when its transaction aborts (replay re-creates it), and (c) stop after an
-operation budget so the engine can re-attempt an epoch. The budget starts
-small and doubles every time an epoch attempt fails, so irregular regions
-(conflicts, barriers, reductions) degrade gracefully toward plain
-run-ahead execution instead of thrashing on failed certifications.
+**Strict phases** are ``Engine._run_runahead`` itself, given an
+operation budget so the engine can re-attempt an epoch. The budget
+starts small and doubles every time an epoch attempt fails, so irregular
+regions (conflicts, barriers, reductions) degrade gracefully toward plain
+run-ahead execution instead of thrashing on failed certifications. At
+each epoch exit :meth:`VectorEngine._requeue` hands every operation the
+epoch pulled but did not execute back to its thread through a one-shot
+``runner.send``, and rebuilds the ready heap at exact clocks, so the
+loop needs no knowledge of epochs.
 
 Epochs batch per-op work, so anything that must see every operation —
-the coherence sanitizer, the Perfetto tracer, the ``REPRO_NO_FASTPATH``
-/ ``REPRO_NO_RUNAHEAD`` reference modes, lazy conflict detection —
-forces the whole run down the interpreted engine, with a logged notice
-(never a silently unchecked epoch).
-
-**Observability** (``REPRO_OBS``) is the exception: the obs layer *is*
-vector-native. Strict phases reuse the interpreted hooks verbatim (obs
-disables the interpreted fast path, so every strict access passes the
-full handlers); certified K_PROTO / K_FMISS accesses run the real
-handlers with ``Requester.now`` set, so touch/NACK/reduction/gather
-metrics fire naturally; epoch fast hits and fused transactions
-*synthesize* the emissions the interpreted run would have made — one
-touch per access, a begin span at the strict begin cycle, and a commit
-record **deferred** to its closed-form commit cycle (commit emissions
-sample machine-wide counters, so they must fire at their exact strict
-``(cycle, core)`` position, after every earlier event's mutations; see
-:meth:`VectorEngine._fire_deferred_obs`). The engine additionally feeds
-a dedicated vector lane (epoch spans, certifier mispredicts, gate
-rebinds, drain regions) and the host self-profiler
-(:mod:`repro.obs.hostprof`) — both outside the per-core payload the
-parity oracle compares. ``tests/test_vector_obs_parity.py`` proves the
-resulting obs payload identical to the interpreted run's.
+the coherence sanitizer, the observer (``REPRO_OBS``), the Perfetto
+tracer, the ``REPRO_NO_FASTPATH`` / ``REPRO_NO_RUNAHEAD`` reference
+modes, lazy conflict detection — forces the whole run down the
+interpreted engine, with a logged notice (never a silently unchecked
+epoch).
 """
 
 from __future__ import annotations
@@ -214,6 +197,24 @@ _GATE_OPS_PER_FUSED = 16
 _WARMUP_OP_CAP = 512
 
 
+def _one_shot(runner, op, value):
+    """A ``send`` for ``runner`` whose first call returns ``op`` — or,
+    for ``_FINISHED``, raises the StopIteration that carried ``value`` —
+    without resuming the generator, and puts the generator's own
+    ``send`` back. It ignores the value it is sent: the epoch sent the
+    pending value when it pulled ``op``, and none has arisen since."""
+    resume = runner.send
+    if op is _FINISHED:
+        def send(_):
+            runner.send = resume
+            raise StopIteration(value)
+    else:
+        def send(_):
+            runner.send = resume
+            return op
+    return send
+
+
 class VectorEngine(Engine):
     """Engine backend ``"vector"``: wavefront epochs + strict fallback."""
 
@@ -244,41 +245,16 @@ class VectorEngine(Engine):
         # collect the sharer lines and fold them in one column pass
         # (bit-identical words and charge; see kernels.reduce_lines).
         msys.reduction_kernel = self._reduction_kernel
-        #: Synthesized commit emissions awaiting their strict positions:
-        #: a heapq of ``(cycle, core, committed_cycles, reads, writes,
-        #: labeled, attempt)``. Commit emissions sample machine-wide
-        #: counters, so a fused transaction's commit — executed eagerly
-        #: at its heap pop — may only *emit* once every record ordered
-        #: before ``(cycle, core)`` has run. Always empty when no
-        #: Observer is installed, so the hot loops' guard is one local
-        #: truthiness test.
-        self._obs_deferred: List[tuple] = []
-        #: Host-side phase accountant (None ~ obs off: the hot loops
-        #: never look it up per op, only per phase boundary).
-        self._prof = self._obs.hostprof if self._obs is not None else None
-
-    def _fire_deferred_obs(self, t: int, core: int) -> None:
-        """Emit every deferred synthesized commit whose strict position
-        ``(cycle, core)`` does not follow the event about to execute at
-        ``(t, core)``. The tie (same cycle, same core) fires first: a
-        commit emission precedes the same core's next operation in
-        program order. Cross-core ties resolve by core index, exactly
-        the strict scheduler's ``(stamp, core)`` tie-break."""
-        deferred = self._obs_deferred
-        fire = self._obs.fused_tx_commit
-        heappop = heapq.heappop
-        while deferred and (deferred[0][0], deferred[0][1]) <= (t, core):
-            e = heappop(deferred)
-            fire(e[1], e[0], e[2], e[3], e[4], e[5], e[6])
+        #: Per core, the op an epoch pulled from the thread but has not
+        #: executed (``_FINISHED`` for a caught StopIteration, whose value
+        #: is in ``_pulled_value``). Empty between epochs: ``_requeue``
+        #: hands every held op back to its thread.
+        n = self.config.num_cores
+        self._pulled: List[object] = [None] * n
+        self._pulled_value: List[object] = [None] * n
 
     def _reduction_kernel(self, label, rows):
-        prof = self._prof
-        if prof is None:
-            out = reduce_lines(label, rows)
-        else:
-            t0 = prof.start()
-            out = reduce_lines(label, rows)
-            prof.stop("kernel", t0)
+        out = reduce_lines(label, rows)
         if out is not None:
             self.stats.host_vector_kernel_reductions += 1
         return out
@@ -289,6 +265,8 @@ class VectorEngine(Engine):
         machine = self.machine
         if getattr(machine, "sanitizer", None) is not None:
             return "coherence sanitizer installed (REPRO_SANITIZE)"
+        if self._obs is not None:
+            return "observer installed (REPRO_OBS)"
         if self._tracing:
             return "tracing enabled"
         if not fastpath_enabled():
@@ -303,19 +281,15 @@ class VectorEngine(Engine):
         reason = self._epochs_disabled_reason()
         if reason is not None:
             # Epochs batch per-op work; per-op layers (sanitizer,
-            # tracer, the reference escape hatches) must see every
-            # operation, so the whole run goes through the interpreted
-            # engine rather than producing unchecked epochs. The obs
-            # layer is the exception: its emissions are synthesized
-            # (and where order-sensitive, deferred) at their exact
-            # strict positions, so epochs stay on.
+            # observer, tracer, the reference escape hatches) must see
+            # every operation, so the whole run goes through the
+            # interpreted engine rather than producing unchecked epochs.
             log.info("vector backend: %s; running per-op via the "
                      "interpreted engine", reason)
             super().run()
             return
         self._run_vector()
         if not self.clocks.all_finished():
-            from ...errors import SimulationError
             raise SimulationError("no runnable core but simulation not finished")
         self.stats.parallel_cycles = self.clocks.max_cycle
 
@@ -332,101 +306,82 @@ class VectorEngine(Engine):
                     f"{_GATE_OPS_PER_FUSED} epoch ops")
         return None
 
-    def _gated_drain(self, attempts: int, test: str) -> None:
-        """The gate's rebind: log it, mark it on the vector lane (when
-        observing) and run the uninterrupted strict pass, accounted as
-        the ``drain`` host phase."""
-        stats = self.stats
-        stats.host_vector_gated = True
-        fused = stats.host_vector_fused_txs
-        ops = stats.host_vector_epoch_ops
-        log.info("vector backend: gate fired after %d epoch attempts (%s: "
-                 "%d fused in %d epoch ops); rebinding to the run-ahead "
-                 "loop", attempts, test, fused, ops)
-        obs = self._obs
-        prof = self._prof
-        if obs is not None:
-            obs.vector_gate_rebind(self.clocks.max_cycle, attempts, test,
-                                   fused, ops)
-            heap = self.clocks._heap
-            t0 = heap[0][0] if heap else self.clocks.max_cycle
-        if prof is None:
-            self._strict_drain()
-        else:
-            p0 = prof.start()
-            self._strict_drain()
-            prof.stop("drain", p0)
-        if obs is not None:
-            obs.vector_drain(t0, self.clocks.max_cycle)
-
     def _run_vector(self) -> None:
         burst = _MIN_BURST
         attempts = 0
         cap = _WARMUP_OP_CAP
-        prof = self._prof
-        strict = self._strict_stepper()
-        next(strict)  # prime: bind the hot locals, park at the first yield
-        try:
-            while True:
-                if prof is None:
-                    n, fences = self._run_epoch(cap)
-                else:
-                    p0 = prof.start()
-                    n, fences = self._run_epoch(cap)
-                    prof.stop("epoch", p0)
-                attempts += 1
-                if (attempts == _GATE_EARLY_ATTEMPTS
-                        or attempts == _GATE_WARMUP_EPOCHS):
-                    # Host-only decision: the strict drain is a clone of
-                    # the interpreted run-ahead loop, so simulated results
-                    # are bit-identical either way.
-                    test = self._gate_test(attempts)
-                    if test is not None:
-                        strict.close()  # lands its host counters
-                        self._gated_drain(attempts, test)
-                        break
-                    if attempts == _GATE_WARMUP_EPOCHS:
-                        cap = sys.maxsize  # the epochs stay: uncapped
-                if n == cap:
-                    # Stopped by the cap, not by a fence: there is no
-                    # fenced event for the strict phase to run first.
-                    continue
-                if n == 0:
-                    burst = min(burst * 2, _MAX_BURST)
-                elif n >= burst:
-                    burst = _MIN_BURST
-                else:
-                    burst = max(_MIN_BURST, burst // 2)
-                # Epoch-parallel fenced replay: when several cores fenced
-                # in this attempt (e.g. a barrier arrival wave, or misses
-                # on lines the certifier declined), give the strict phase
-                # at least one op per fenced event so the whole wave
-                # replays as one sorted batch instead of one epoch
-                # attempt per event.
-                if prof is None:
-                    more = strict.send(max(burst, fences))
-                else:
-                    p0 = prof.start()
-                    more = strict.send(max(burst, fences))
-                    prof.stop("strict", p0)
-                if not more:
+        while True:
+            n, fences = self._run_epoch(cap)
+            self._requeue()
+            attempts += 1
+            if (attempts == _GATE_EARLY_ATTEMPTS
+                    or attempts == _GATE_WARMUP_EPOCHS):
+                # Host-only decision: the strict phases are the
+                # interpreted run-ahead loop, so simulated results are
+                # bit-identical either way.
+                test = self._gate_test(attempts)
+                if test is not None:
+                    stats = self.stats
+                    stats.host_vector_gated = True
+                    log.info("vector backend: gate fired after %d epoch "
+                             "attempts (%s: %d fused in %d epoch ops); "
+                             "rebinding to the run-ahead loop", attempts,
+                             test, stats.host_vector_fused_txs,
+                             stats.host_vector_epoch_ops)
+                    self._run_runahead()
                     break
-        finally:
-            strict.close()  # run its ``finally`` so host counters land
-            if self._obs_deferred:
-                # Commits whose strict emission position lies past the
-                # last executed event (the run's tail): nothing can
-                # precede them anymore, so flush in heap order.
-                self._fire_deferred_obs(self.clocks.max_cycle + 1, -1)
-            # One deferred flush: nothing reads the columns' Stats fields
-            # mid-run, so per-epoch flushes would only add overhead to
-            # short epochs.
-            if prof is None:
-                self._cols.flush(self.stats)
+                if attempts == _GATE_WARMUP_EPOCHS:
+                    cap = sys.maxsize  # the epochs stay: uncapped
+            if n == cap:
+                # Stopped by the cap, not by a fence: there is no
+                # fenced event for the strict phase to run first.
+                continue
+            if n == 0:
+                burst = min(burst * 2, _MAX_BURST)
+            elif n >= burst:
+                burst = _MIN_BURST
             else:
-                p0 = prof.start()
-                self._cols.flush(self.stats)
-                prof.stop("stats_reduce", p0)
+                burst = max(_MIN_BURST, burst // 2)
+            # Epoch-parallel fenced replay: when several cores fenced in
+            # this attempt (e.g. a barrier arrival wave, or misses on
+            # lines the certifier declined), give the strict phase at
+            # least one op per fenced event so the whole wave replays as
+            # one sorted batch instead of one epoch attempt per event.
+            if not self._run_runahead(max(burst, fences)):
+                break
+        # One deferred flush: nothing reads the columns' Stats fields
+        # mid-run, so per-epoch flushes would only add overhead to short
+        # epochs.
+        self._cols.flush(self.stats)
+
+    def _requeue(self) -> None:
+        """End an epoch attempt: hand every op it pulled but did not
+        execute back to its thread, through a one-shot ``runner.send``
+        that returns the op (or raises the caught StopIteration) without
+        resuming the generator, and rebuild the ready heap with exactly
+        one entry per runnable core at its clock. The heap is then in the
+        state ``Engine._run_runahead`` keeps it in, so the strict phase is
+        that loop, unchanged: a restart replaces ``runner.send`` and so
+        discards an op held from the doomed attempt, and no blocked core
+        (an in-epoch barrier arrival) or duplicate entry (an in-epoch
+        barrier release) is left to skip."""
+        pulled = self._pulled
+        pulled_value = self._pulled_value
+        done = self.clocks._done
+        cycles = self._cycles
+        heap = []
+        for runner in self.runners:
+            if runner is None:
+                continue
+            core = runner.core
+            op = pulled[core]
+            if op is not None:
+                pulled[core] = None
+                runner.send = _one_shot(runner, op, pulled_value[core])
+            if not (done[core] or runner.blocked):
+                heap.append((cycles[core], core))
+        heapq.heapify(heap)
+        self.clocks._heap = heap
 
     # ------------------------------------------------------------------
     # Epoch phase
@@ -437,7 +392,7 @@ class VectorEngine(Engine):
         ``(ops, fences)`` — the number of operations executed (0 when
         nothing classified local) and the number of fence events
         observed. Operations pulled but not executed stay in
-        ``runner.pulled`` for the strict phase.
+        ``_pulled`` until :meth:`_requeue` hands them back.
 
         Cores whose next event is *not* local — a miss, a barrier, a
         transaction restart, thread completion — do not park the whole
@@ -458,20 +413,10 @@ class VectorEngine(Engine):
         cycles = self._cycles
         finished = _FINISHED
         classify = self._classify
+        pulled = self._pulled
+        pulled_value = self._pulled_value
         self._fused_ok.clear()
-        obs = self._obs
-        deferred = self._obs_deferred
-        if obs is None:
-            fc = self._cols.fence_causes
-        else:
-            # Fresh per-epoch histogram so the epoch's trace span can be
-            # annotated with *its own* fence causes; merged into the
-            # run-wide dict at the end of the attempt.
-            fc = {}
-        #: Epoch trace span bounds (observing only): first executed pop
-        #: time, max clock reached by an executed record.
-        ep_t0 = -1
-        ep_end = 0
+        fc = self._cols.fence_causes
         fences = 0
 
         heap: List[list] = []  # [start, core, rec] — min-start order
@@ -533,8 +478,8 @@ class VectorEngine(Engine):
             if (fence is not None and t >= fence) or epoch_ops >= cap:
                 # The minimum held start reached the fence: everything
                 # still on the heap starts at or past it too. Hold the
-                # lot (ops stay in runner.pulled) and let the strict
-                # phase run the fenced event first. The op cap stops
+                # lot (ops stay in _pulled) and let the strict phase
+                # run the fenced event first. The op cap stops
                 # the same way: pops are monotone in (start, core), the
                 # strict scheduler's order, so stopping before any pop
                 # leaves a state the strict phase continues exactly.
@@ -542,16 +487,6 @@ class VectorEngine(Engine):
                 # record too.
                 heappush(heap, item)
                 break
-            if obs is not None:
-                if ep_t0 < 0:
-                    ep_t0 = t
-                if deferred and (deferred[0][0],
-                                 deferred[0][1]) <= (t, item[1]):
-                    # A synthesized commit's strict position precedes
-                    # this record: emit it first (counter samples read
-                    # machine-wide state, which is now exactly what the
-                    # interpreted run would have seen at that point).
-                    self._fire_deferred_obs(t, item[1])
             rec = item[2]
             runner, core, dur, kind, op, data, tx = rec
 
@@ -584,25 +519,6 @@ class VectorEngine(Engine):
                         if fence is None or t < fence:
                             fence = t
                         break
-                if obs is not None:
-                    # Synthesize what the interpreted run would emit: the
-                    # begin span at the strict begin cycle t (the ts this
-                    # record "draws" is the pre-bump _next_ts), one touch
-                    # per labeled access (aggregate metrics, order-free),
-                    # and the commit record deferred to its closed-form
-                    # commit cycle t + dur - commit, where it interleaves
-                    # with other cores' emissions in strict order. Spec
-                    # sizes are constants: 2n labeled hits on one private
-                    # line set exactly spec_labeled -> (0, 0, 1).
-                    obs.fused_tx_begin(core, t, htm._next_ts)
-                    touch = obs.touch
-                    line_no = entry.line
-                    for _ in range(2 * len(deltas)):
-                        touch(line_no, label)
-                    commit = self._tx_commit_cycles
-                    heappush(deferred,
-                             (t + dur - commit, core, dur - commit,
-                              0, 0, 1, 1))
                 cache.touch(entry.line)
                 entry.words = words = list(entry.words)
                 j = idx0
@@ -678,19 +594,13 @@ class VectorEngine(Engine):
                         cols.pred_hits += 1
                     else:
                         cols.pred_misses += 1
-                        if obs is not None:
-                            obs.vector_mispredict(core, t, op.addr // 64,
-                                                  pred, dur)
                 proto_mutated = True
                 self._fused_ok.clear()
             elif kind == K_BEGIN:
-                # Clone of _op_atomic's outermost branch (tracing is off
-                # whenever epochs run). The timestamp draw happens here,
-                # in heap-pop order — the strict scheduler's order — and
-                # so does the begin emission.
+                # Clone of _op_atomic's outermost branch (tracing and obs
+                # are off whenever epochs run). The timestamp draw happens
+                # here, in heap-pop order — the strict scheduler's order.
                 tx = htm.begin(core, ts=op.ts)
-                if obs is not None:
-                    obs.tx_begin(core, t, tx)
                 breakdown[core].tx_committed += dur
                 tx.cycles_this_attempt += dur
                 gen = op.fn(runner.ctx, *op.args)
@@ -701,16 +611,11 @@ class VectorEngine(Engine):
                     fc["commit_revoked"] = fc.get("commit_revoked", 0) + 1
                     fences += 1
                     break
-                # Clone of _finish_frame's commit path (tracing off;
-                # eager detection, so no lazy publication). The commit
-                # emission runs before htm.commit — commit_all clears
-                # the spec bits the hook reads — at this record's pop
-                # time, which *is* its strict emission position.
+                # Clone of _finish_frame's commit path (tracing and obs
+                # off; eager detection, so no lazy publication).
                 frames = runner.frames
                 frames.pop()
                 runner.send = frames[-1].gen.send
-                if obs is not None:
-                    obs.tx_commit(core, t, tx)
                 htm.commit(core)
                 breakdown[core].tx_committed += dur
                 runner.pending_value = data  # the frame's StopIteration value
@@ -720,11 +625,9 @@ class VectorEngine(Engine):
                 # unwind, livelock guard, backoff draw + stall charged
                 # as wasted, begin_retry + begin charge, fresh generator)
                 # — bit-identical by construction; it advances the clock
-                # itself, so the duration is read back off it. A held op
-                # from the doomed attempt is discarded exactly as the
-                # strict stepper would (replay re-creates it).
-                runner.pulled = None
-                runner.pulled_value = None
+                # itself, so the duration is read back off it. An op
+                # handed back from the doomed attempt goes with the
+                # one-shot send it replaces (replay re-creates it).
                 self._restart_tx(runner, tx)
                 dur = cycles[core] - t
                 tx = tx_active[core]
@@ -733,7 +636,7 @@ class VectorEngine(Engine):
                 # arrival order. Non-last arrivers block and simply leave
                 # the epoch (no record, no fence — a blocked core cannot
                 # act until released).
-                runner.pulled = None
+                pulled[core] = None
                 self._barrier_arrive(runner)
                 epoch_ops += 1
                 if runner.blocked:
@@ -745,8 +648,6 @@ class VectorEngine(Engine):
                 # _maybe_release_barrier. Re-admit the whole wave into
                 # this same epoch.
                 nt = cycles[core]
-                if obs is not None and nt > ep_end:
-                    ep_end = nt
                 if heap:  # defensive: fall back to fencing the release
                     fences += 1
                     if fence is None or nt < fence:
@@ -770,17 +671,15 @@ class VectorEngine(Engine):
                 # begin (timestamp drawn in heap-pop = strict order),
                 # then schedule the body as its own record at t + dur.
                 # No frame is pushed — generator creation is deferred to
-                # the fallback path, where it is still side-effect free.
+                # the fallback path, where it is still side-effect free —
+                # and the Atomic is consumed: nothing is held any more.
                 tx = htm.begin(core, ts=op.ts)
-                if obs is not None:
-                    obs.tx_begin(core, t, tx)
                 breakdown[core].tx_committed += dur
                 tx.cycles_this_attempt += dur
                 nt = t + dur
                 cycles[core] = nt
+                pulled[core] = None
                 epoch_ops += 1
-                if obs is not None and nt > ep_end:
-                    ep_end = nt
                 item[0] = nt
                 item[2] = [runner, core, 0, K_FMISS_BODY, op, data, tx]
                 if heap and (heap[0][0] < nt
@@ -809,7 +708,6 @@ class VectorEngine(Engine):
                     gen = op.fn(runner.ctx, *op.args)
                     runner.frames.append(Frame(gen, op, True))
                     runner.send = gen.send
-                    runner.pulled = None
                     runner.pending_value = None
                     fc["fmiss_revoked"] = fc.get("fmiss_revoked", 0) + 1
                     fences += 1
@@ -848,23 +746,6 @@ class VectorEngine(Engine):
                 by_label[name] = by_label.get(name, 0) + n2
                 breakdown[core].tx_committed += dur
                 tx.cycles_this_attempt += dur
-                if obs is not None:
-                    # The real labeled_load above fired its own touch;
-                    # synthesize the remaining 2n-1 closed-form hits.
-                    # Spec sizes must be read before htm.commit clears
-                    # the bits; the commit record itself is deferred to
-                    # its strict emission position t + dur - commit.
-                    # Unlike the interpreted run, cycles_this_attempt
-                    # here includes the commit charge — subtract it.
-                    touch = obs.touch
-                    for _ in range(n2 - 1):
-                        touch(line_no, plan.label)
-                    reads, writes, labeled_n = obs._spec_sizes(core)
-                    commit = self._tx_commit_cycles
-                    heappush(deferred,
-                             (t + dur - commit, core,
-                              tx.cycles_this_attempt - commit,
-                              reads, writes, labeled_n, tx.attempts))
                 htm.commit(core)  # commit_all clears the spec residue
                 tx = None
                 runner.pending_value = plan.value
@@ -873,9 +754,6 @@ class VectorEngine(Engine):
                     cols.pred_hits += 1
                 else:
                     cols.pred_misses += 1
-                    if obs is not None:
-                        obs.vector_mispredict(core, t, line_no, pred,
-                                              res.cycles)
                 fused_txs += 1
                 proto_mutated = True
                 self._fused_ok.clear()
@@ -894,21 +772,12 @@ class VectorEngine(Engine):
                     # Classification guarantees a hit; if the protocol
                     # disagrees (an earlier protocol access invalidated
                     # or downgraded the line), hold the op (still in
-                    # runner.pulled) and end the epoch: everything left
+                    # _pulled) and end the epoch: everything left
                     # on the heap starts at or after this op, so nothing
                     # else may run first.
                     fc["fast_revoked"] = fc.get("fast_revoked", 0) + 1
                     fences += 1
                     break
-                if obs is not None:
-                    # The fast paths carry no hooks; the interpreted run
-                    # under obs takes the full handlers, which touch the
-                    # line once per access (with the label only when the
-                    # access routed as labeled).
-                    if kind == K_LOAD or kind == K_STORE:
-                        obs.touch(op.addr // 64)
-                    else:
-                        obs.touch(op.addr // 64, op.label)
                 if kind == K_LOAD or kind == K_LLOAD:
                     value, dur = fast
                     runner.pending_value = value
@@ -926,10 +795,8 @@ class VectorEngine(Engine):
                     tx.cycles_this_attempt += dur
             nt = t + dur
             cycles[core] = nt
-            runner.pulled = None
+            pulled[core] = None
             epoch_ops += 1
-            if obs is not None and nt > ep_end:
-                ep_end = nt
 
             # --- pull and classify this core's next op ------------------
             # A non-local pull fences this core at its new time
@@ -948,8 +815,8 @@ class VectorEngine(Engine):
                         runner.send = frames[-1].gen.send
                         value = stop.value
                         continue
-                    runner.pulled = finished
-                    runner.pulled_value = stop.value
+                    pulled[core] = finished
+                    pulled_value[core] = stop.value
                     if (self._commit_local and len(frames) > 1
                             and tx is not None
                             and not tx.aborted and not tx.lazy_written):
@@ -968,7 +835,7 @@ class VectorEngine(Engine):
                 break
             if nop is None:
                 continue
-            runner.pulled = nop
+            pulled[core] = nop
             if kind == K_FUSED and nop is op and nop.args is op.args:
                 # Hoisted Atomic re-yielded unchanged (e.g. counter's
                 # add_one): the plan and its validated target are still
@@ -1005,16 +872,8 @@ class VectorEngine(Engine):
                 gen = fop.fn(rn.ctx, *fop.args)
                 rn.frames.append(Frame(gen, fop, True))
                 rn.send = gen.send
-                rn.pulled = None
                 rn.pending_value = None
 
-        if obs is not None:
-            if epoch_ops:
-                obs.vector_epoch(ep_t0, max(ep_end, ep_t0) - ep_t0,
-                                 epoch_ops, fences, fc)
-            gfc = self._cols.fence_causes
-            for cause, count in fc.items():
-                gfc[cause] = gfc.get(cause, 0) + count
         if epoch_ops:
             stats = self.stats
             stats.host_vector_epochs += 1
@@ -1047,27 +906,24 @@ class VectorEngine(Engine):
                 return None
             fc["tx_restart"] = fc.get("tx_restart", 0) + 1
             return t
-        op = runner.pulled
-        if op is None:
-            value = runner.pending_value
-            runner.pending_value = None
-            while True:
-                try:
-                    op = runner.send(value)
-                except StopIteration as stop:
-                    frames = runner.frames
-                    if len(frames) > 1 and not frames[-1].is_tx_root:
-                        # Plain nested generator: popping it is free
-                        # and invisible to every other core.
-                        frames.pop()
-                        runner.send = frames[-1].gen.send
-                        value = stop.value
-                        continue
-                    runner.pulled = op = _FINISHED
-                    runner.pulled_value = stop.value
-                break
-            if op is not _FINISHED:
-                runner.pulled = op
+        value = runner.pending_value
+        runner.pending_value = None
+        while True:
+            try:
+                op = runner.send(value)
+            except StopIteration as stop:
+                frames = runner.frames
+                if len(frames) > 1 and not frames[-1].is_tx_root:
+                    # Plain nested generator: popping it is free and
+                    # invisible to every other core.
+                    frames.pop()
+                    runner.send = frames[-1].gen.send
+                    value = stop.value
+                    continue
+                op = _FINISHED
+                self._pulled_value[core] = stop.value
+            break
+        self._pulled[core] = op
         if op is _FINISHED:
             # A pending frame-finish: an inline-committable tx root
             # becomes a K_COMMIT record (the commit is a core-local
@@ -1080,8 +936,8 @@ class VectorEngine(Engine):
                     and not tx.lazy_written):
                 heapq.heappush(heap, [t, core,
                                       [runner, core, self._tx_commit_cycles,
-                                       K_COMMIT, None, runner.pulled_value,
-                                       tx]])
+                                       K_COMMIT, None,
+                                       self._pulled_value[core], tx]])
                 return None
             fc["thread_finish"] = fc.get("thread_finish", 0) + 1
             return t
@@ -1301,232 +1157,3 @@ class VectorEngine(Engine):
         return certify.certify_access(self.msys, core,
                                       _CERTIFY_KINDS[memkind], addr,
                                       label, now, spec)
-
-    # ------------------------------------------------------------------
-    # Strict phase
-    # ------------------------------------------------------------------
-
-    def _strict_stepper(self):
-        """Generator clone of ``Engine._run_runahead`` with three
-        extensions: pulled ops (held by a failed epoch certification) are
-        consumed before the generator is resumed; a pulled op is discarded
-        when its transaction aborted (replay re-creates it); and the loop
-        yields after a caller-supplied op budget so the engine can
-        re-attempt an epoch. ``send(budget)`` runs up to ``budget`` ops
-        and yields True while work remains, False when the ready heap
-        drained. A generator rather than a method so the three dozen hot
-        local bindings happen once per run, not once per burst."""
-        clocks = self.clocks
-        heap = clocks._heap
-        done = clocks._done
-        cycles = self._cycles
-        runners = self.runners
-        tx_active = self._tx_active
-        handlers = self._handlers
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        heappush = heapq.heappush
-        finished = _FINISHED
-        deferred = self._obs_deferred  # always [] when obs is off
-        fire_deferred = self._fire_deferred_obs
-        batches = 0
-        ops = 0
-        spent = 0
-
-        budget = yield None  # primed by next(); first send() starts work
-        try:
-            while True:
-                if not heap:
-                    budget = yield False
-                    continue
-                stamp, core = heappop(heap)
-                while True:
-                    if done[core] or runners[core].blocked:
-                        # A blocked core's entry is a stray duplicate: an
-                        # in-epoch barrier release reschedules its waiters
-                        # while their pre-epoch entries still sit here.
-                        # Discarding is safe — every unblock path issues a
-                        # fresh reschedule.
-                        if not heap:
-                            break  # outer loop reports the drain
-                        stamp, core = heappop(heap)
-                        continue
-                    c = cycles[core]
-                    if stamp < c:
-                        # Stale entry (core was charged since being queued
-                        # — including by an epoch); requeue at its true
-                        # time.
-                        if heap:
-                            stamp, core = heappushpop(heap, (c, core))
-                        else:
-                            stamp = c
-                        continue
-
-                    runner = runners[core]
-                    batches += 1
-                    while True:
-                        ops += 1
-                        spent += 1
-                        if deferred and (deferred[0][0], deferred[0][1]) \
-                                <= (cycles[core], core):
-                            # A fused commit synthesized by an earlier
-                            # epoch emits at this strict position.
-                            fire_deferred(cycles[core], core)
-                        tx = tx_active[core]
-                        if tx is not None and tx.aborted:
-                            # A held pulled op belongs to the generator
-                            # being discarded; replay will re-yield it.
-                            runner.pulled = None
-                            runner.pulled_value = None
-                            self._restart_tx(runner, tx)
-                        else:
-                            op = runner.pulled
-                            if op is not None:
-                                runner.pulled = None
-                                if op is finished:
-                                    value = runner.pulled_value
-                                    runner.pulled_value = None
-                                    self._finish_frame(runner, value)
-                                    op = finished
-                            else:
-                                value = runner.pending_value
-                                runner.pending_value = None
-                                try:
-                                    op = runner.send(value)
-                                except StopIteration as stop:
-                                    self._finish_frame(runner, stop.value)
-                                    op = finished
-                            if op is not finished:
-                                try:
-                                    handler = handlers[op.__class__]
-                                except KeyError:
-                                    handler = self._resolve_handler(op)
-                                handler(runner, op)
-
-                        if runner.blocked or done[core]:
-                            break
-                        if spent >= budget:
-                            # Budget spent with this core still runnable:
-                            # park it back in the heap (restoring the
-                            # one-entry-per-ready-core invariant) and hand
-                            # control back for an epoch attempt.
-                            heappush(heap, (cycles[core], core))
-                            spent = 0
-                            budget = yield True
-                            runner = None  # fresh pop after the epoch
-                            break
-                        c = cycles[core]
-                        if heap:
-                            top = heap[0]
-                            if c > top[0] or (c == top[0] and core > top[1]):
-                                stamp, core = heappushpop(heap, (c, core))
-                                break
-
-                    if runner is None:
-                        break  # re-pop via the outer loop
-                    if runner.blocked or done[runner.core]:
-                        if not heap:
-                            break  # outer loop reports the drain
-                        stamp, core = heappop(heap)
-        finally:
-            self.stats.host_runahead_batches += batches
-            self.stats.host_runahead_ops += ops
-
-    def _strict_drain(self) -> None:
-        """Unbudgeted strict pass: run the rest of the simulation through
-        the run-ahead loop. Used when the adaptive gate rebinds a
-        non-engaging workload — the budgeted stepper's per-op accounting
-        (spent/budget compare, generator suspensions between bursts) is
-        pure overhead once no further epoch attempt will ever run, and on
-        a fence-bound workload this loop covers ~95% of the ops. A clone
-        of ``Engine._run_runahead`` with the two vector-state extensions:
-        held pulled ops are consumed first (discarded when their
-        transaction aborted — replay re-creates them), and a popped entry
-        for a blocked core is a stray duplicate from an in-epoch barrier
-        release, discarded the same way the stepper does."""
-        clocks = self.clocks
-        heap = clocks._heap
-        done = clocks._done
-        cycles = self._cycles
-        runners = self.runners
-        tx_active = self._tx_active
-        handlers = self._handlers
-        heappop = heapq.heappop
-        heappushpop = heapq.heappushpop
-        finished = _FINISHED
-        deferred = self._obs_deferred  # always [] when obs is off
-        fire_deferred = self._fire_deferred_obs
-        batches = 0
-        ops = 0
-
-        if not heap:
-            return
-        stamp, core = heappop(heap)
-        while True:
-            if done[core] or runners[core].blocked:
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-                continue
-            c = cycles[core]
-            if stamp < c:
-                if heap:
-                    stamp, core = heappushpop(heap, (c, core))
-                else:
-                    stamp = c
-                continue
-
-            runner = runners[core]
-            batches += 1
-            while True:
-                ops += 1
-                if deferred and (deferred[0][0], deferred[0][1]) \
-                        <= (cycles[core], core):
-                    # A fused commit synthesized by an earlier epoch
-                    # emits at this strict position.
-                    fire_deferred(cycles[core], core)
-                tx = tx_active[core]
-                if tx is not None and tx.aborted:
-                    runner.pulled = None
-                    runner.pulled_value = None
-                    self._restart_tx(runner, tx)
-                else:
-                    op = runner.pulled
-                    if op is not None:
-                        runner.pulled = None
-                        if op is finished:
-                            value = runner.pulled_value
-                            runner.pulled_value = None
-                            self._finish_frame(runner, value)
-                            op = finished
-                    else:
-                        value = runner.pending_value
-                        runner.pending_value = None
-                        try:
-                            op = runner.send(value)
-                        except StopIteration as stop:
-                            self._finish_frame(runner, stop.value)
-                            op = finished
-                    if op is not finished:
-                        try:
-                            handler = handlers[op.__class__]
-                        except KeyError:
-                            handler = self._resolve_handler(op)
-                        handler(runner, op)
-
-                if runner.blocked or done[core]:
-                    break
-                c = cycles[core]
-                if heap:
-                    top = heap[0]
-                    if c > top[0] or (c == top[0] and core > top[1]):
-                        stamp, core = heappushpop(heap, (c, core))
-                        break
-
-            if runner.blocked or done[runner.core]:
-                if not heap:
-                    break
-                stamp, core = heappop(heap)
-
-        self.stats.host_runahead_batches += batches
-        self.stats.host_runahead_ops += ops

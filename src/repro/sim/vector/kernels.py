@@ -21,9 +21,7 @@ fast path:
   of plan validation;
 * the HTM timestamp counter advances by one (a committed transaction's
   timestamp is unobservable to the *simulation*, only the counter's final
-  value matters; the observer, when installed, reads the pre-bump value as
-  the synthesized begin span's ``ts`` — exactly what ``htm.begin`` would
-  have drawn).
+  value matters).
 
 Speculative read/write bits are *not* set: commit would clear them in the
 same closed-form step, and during an epoch no other core can observe them

@@ -27,9 +27,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree_sum(self) -> int:
-        return 2 * len(self.edges)
-
 
 def road_network(num_nodes: int, extra_edge_factor: float = 1.3,
                  seed: int = 1) -> Graph:

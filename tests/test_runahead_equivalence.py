@@ -14,6 +14,11 @@ The adaptive fast-path gate (``Engine._disable_fastpath``) is validated
 here too: it is driven purely by the attempt/hit sequence, which the
 trace tests prove is scheduler-independent, so gating composes with
 run-ahead without breaking bit-identity.
+
+The loop is the strict phase of both backends: the vector engine runs it
+between epoch attempts with an op budget (``_run_runahead(limit=k)``).
+The budget tests hold a run cut into budgeted calls to the same result
+as one unbudgeted call.
 """
 
 import pytest
@@ -263,3 +268,44 @@ def test_micro_interleaving_identical(name, monkeypatch):
                                      runahead=False, monkeypatch=monkeypatch)
     assert ahead == stepped
     assert stats_a.comparable() == stats_s.comparable()
+
+
+# ---------------------------------------------------------------------------
+# Op budget (the vector backend's strict phases)
+# ---------------------------------------------------------------------------
+
+#: name -> (build, threads, params): a multi-core barrier workload; a
+#: single thread, whose one quantum never ends (the heap is empty while
+#: it runs); a transactional micro.
+BUDGET_WORKLOADS = {
+    "barrier_mix": (_random_mix, 4, {}),
+    "single_thread": (refcount.build, 1, dict(total_ops=60)),
+    "counter": (counter.build, 4, dict(total_ops=120)),
+}
+
+
+def _budgeted_run(name, limit):
+    """Drive ``_run_runahead(limit=limit)`` until it reports no work left
+    (``limit=None``: one unbudgeted call). Returns the engine."""
+    build, threads, params = BUDGET_WORKLOADS[name]
+    machine = Machine(small_config(num_cores=8, seed=1, commtm_enabled=True))
+    built = build(machine, threads, **params)
+    engine = Engine(machine, built.bodies)
+    if limit is None:
+        assert engine._run_runahead() is False
+    else:
+        while engine._run_runahead(limit=limit):
+            pass
+    assert engine.clocks.all_finished()
+    return engine
+
+
+@pytest.mark.parametrize("limit", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(BUDGET_WORKLOADS))
+def test_budgeted_runahead_is_bit_identical(name, limit):
+    whole = _budgeted_run(name, None)
+    cut = _budgeted_run(name, limit)
+    assert cut.clocks.max_cycle == whole.clocks.max_cycle
+    assert cut.clocks.cycles == whole.clocks.cycles
+    assert cut.stats.comparable() == whole.stats.comparable()
+    assert cut.stats.host_runahead_ops == whole.stats.host_runahead_ops

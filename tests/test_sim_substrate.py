@@ -68,13 +68,6 @@ class TestCoreClocks:
         clocks.reschedule(1)
         assert clocks.next_core() == 0  # requeued at its true time
 
-    def test_park_until(self):
-        clocks = CoreClocks(1)
-        clocks.park_until(0, 500)
-        assert clocks.now(0) == 500
-        clocks.park_until(0, 100)  # never goes backwards
-        assert clocks.now(0) == 500
-
     def test_max_cycle(self):
         clocks = CoreClocks(3)
         clocks.advance(1, 42)

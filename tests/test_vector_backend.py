@@ -110,9 +110,9 @@ def test_interp_run_never_touches_vector_engine():
 
 
 def test_vector_engine_is_an_engine():
-    # The strict phases are a clone of the interpreted scheduler; keeping
-    # the subclass relationship means handler-table surgery (obs,
-    # sanitizer, fast-path gate) applies unmodified.
+    # The strict phases are the interpreted scheduler itself; keeping
+    # the subclass relationship means handler-table surgery (sanitizer,
+    # fast-path gate) applies unmodified.
     from repro.sim.vector.engine import VectorEngine
     assert issubclass(VectorEngine, Engine)
 

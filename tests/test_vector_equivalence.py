@@ -14,16 +14,14 @@ plus a randomized op mix, and compare per-thread cycles,
 same differential oracle the run-ahead scheduler is held to in
 tests/test_runahead_equivalence.py.
 
-Composition is covered too. The coherence sanitizer is a per-op layer:
-``REPRO_SANITIZE=1`` plus ``backend="vector"`` forces delegation to the
-interpreted path with a logged notice (bit-identical, zero epochs). The
-obs layer is *vector-native*: ``REPRO_OBS=1`` keeps the epochs engaged
-and the engine synthesizes the interpreted path's emissions at their
-exact strict positions — the full payload-equality matrix lives in
-``tests/test_vector_obs_parity.py``; here we assert the engagement and
-stats parity.
+Composition is covered too. The coherence sanitizer and the observer
+are per-op layers: ``REPRO_SANITIZE=1`` or ``REPRO_OBS=1`` plus
+``backend="vector"`` forces delegation to the interpreted path with a
+logged notice (bit-identical, zero epochs), so an observed run has one
+engine and one obs payload on either backend.
 """
 
+import copy
 import logging
 
 import pytest
@@ -201,34 +199,42 @@ def test_random_mix_parity(commtm, seed, monkeypatch):
     _assert_parity(interp, vector)
 
 
-def test_vector_composes_with_sanitize(monkeypatch, caplog):
-    """REPRO_SANITIZE is a per-op layer: combined with the vector backend
-    the whole run must delegate to the interpreted path (zero epochs),
-    say so in the log, and stay bit-identical."""
+def simulated_payload(result) -> dict:
+    """A run's obs payload without its host wall-clock sections (the
+    hostprof report and its trace lane), which differ from run to run;
+    deep-copied, so comparing never mutates ``result.info``."""
+    payload = copy.deepcopy(result.info["obs"])
+    del payload["hostprof"]
+    del payload["trace"]["host_events"]
+    return payload
+
+
+#: Per-op layer -> (``_run`` flag, the name the delegation notice gives).
+LAYERS = {
+    "sanitizer": ("sanitize", "coherence sanitizer"),
+    "observer": ("observe", "observer"),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+def test_vector_composes_with_layer(layer, monkeypatch, caplog):
+    """The sanitizer and the observer are per-op layers: combined with
+    the vector backend the whole run must delegate to the interpreted
+    path (zero epochs), say so in the log, and stay bit-identical. An
+    observed run's obs payload is the interpreted run's, too."""
+    flag, name = LAYERS[layer]
     interp = _run(MICROS["counter"], backend="interp", commtm=True, seed=1,
-                  monkeypatch=monkeypatch, sanitize=True)
+                  monkeypatch=monkeypatch, **{flag: True})
     with caplog.at_level(logging.INFO, logger="repro.sim.vector"):
         vector = _run(MICROS["counter"], backend="vector", commtm=True,
-                      seed=1, monkeypatch=monkeypatch, sanitize=True)
+                      seed=1, monkeypatch=monkeypatch, **{flag: True})
     _assert_parity(interp, vector)
     assert vector.stats.host_backend == "vector"
     assert vector.stats.host_vector_epochs == 0
-    assert any("interpreted engine" in r.message for r in caplog.records)
-
-
-def test_vector_composes_with_obs(monkeypatch):
-    """REPRO_OBS is vector-native: epochs stay engaged under observation
-    and the simulated results remain bit-identical. (Payload equality
-    across every workload is tests/test_vector_obs_parity.py's job.)"""
-    interp = _run(MICROS["counter"], backend="interp", commtm=True, seed=1,
-                  monkeypatch=monkeypatch, observe=True)
-    vector = _run(MICROS["counter"], backend="vector", commtm=True, seed=1,
-                  monkeypatch=monkeypatch, observe=True)
-    _assert_parity(interp, vector)
-    assert vector.stats.host_backend == "vector"
-    assert vector.stats.host_vector_epochs > 0
-    assert vector.stats.host_vector_epoch_ops > 0
-    assert vector.info["obs"] is not None
+    assert any(name in r.message and "interpreted engine" in r.message
+               for r in caplog.records)
+    if layer == "observer":
+        assert simulated_payload(vector) == simulated_payload(interp)
 
 
 @pytest.mark.parametrize("env", [NO_FASTPATH_ENV, NO_RUNAHEAD_ENV])

@@ -10,9 +10,11 @@ backend actually drove. Three compositions matter:
   with the sanitizer genuinely checking along the way;
 * a genuine vector run (epochs engaged, fenced replay exercised): the
   final coherence state must pass the shared invariant suite;
-* the adaptive gate (``_strict_drain`` rebind to the run-ahead loop):
-  same obligation on the gated path, plus parity with the interpreted
-  engine.
+* the adaptive gate (its rebind to the run-ahead loop): same
+  obligation on the gated path, plus parity with the interpreted engine.
+
+The runs pin ``observe=False``: the observer is a per-op layer too, so an
+exported ``REPRO_OBS=1`` would turn the epochs and the gate off.
 """
 
 from repro.analysis.invariants import check_invariants
@@ -28,7 +30,8 @@ def _config(seed=1):
 
 
 def _counter_run(backend, sanitize=False, adds=12, threads=8):
-    machine = Machine(_config(), backend=backend, sanitize=sanitize)
+    machine = Machine(_config(), backend=backend, sanitize=sanitize,
+                      observe=False)
     counter = SharedCounter(machine)
 
     def body(ctx):
@@ -44,8 +47,8 @@ def _counter_run(backend, sanitize=False, adds=12, threads=8):
 def _fence_storm_run(backend, threads=8, iters=24):
     """Every op is a shared-line coherence miss or a barrier — near-zero
     epoch-eligible cycles, so the adaptive gate rebinds the run to the
-    strict (run-ahead) loop via ``_strict_drain``."""
-    machine = Machine(_config(), backend=backend)
+    strict (run-ahead) loop."""
+    machine = Machine(_config(), backend=backend, observe=False)
     lines = [machine.alloc.alloc_line() for _ in range(2)]
     for addr in lines:
         machine.seed_word(addr, 0)

@@ -4,17 +4,13 @@
 Reads a ``repro-obs-hostprof/1`` JSON file (written by ``python -m
 repro.harness ... --hostprof-out``), prints a phase-accounting table to
 stdout, and appends the same table to ``$GITHUB_STEP_SUMMARY`` when that
-variable is set — so the CI bench-smoke leg surfaces where host time goes
-(simulate vs verify vs build; epoch classify vs kernel exec vs strict
-stepping on the vector backend) without anyone downloading the artifact.
-
-Optionally takes a ``--report`` run-report JSON (``repro-obs-report/1``)
-and adds each point's vector-engagement block (epochs, fused txs, kernel
-reductions, gate state) next to its host phases.
+variable is set — so the CI obs-artifacts job surfaces where host time
+goes (simulate vs verify vs build, cache and dispatch) without anyone
+downloading the artifact.
 
 Usage::
 
-    python tools/obs_summary.py obs-hostprof.json [--report obs-report.json]
+    python tools/obs_summary.py obs-hostprof.json
 """
 
 from __future__ import annotations
@@ -39,21 +35,7 @@ def _phase_rows(section: dict) -> list:
     return [(name, p["ns"], p["calls"], p["share"]) for name, p in order]
 
 
-def _engagement_by_point(report: dict) -> dict:
-    out = {}
-    for point in report.get("points", []):
-        host = point.get("host", {})
-        if "vector_engagement" in host:
-            # Same label format as harness.artifacts.point_label, so the
-            # block lands next to the matching hostprof section.
-            system = "commtm" if point.get("commtm") else "baseline"
-            label = (f"{point.get('name', '?')} "
-                     f"t={point.get('num_threads', '?')} {system}")
-            out[label] = host["vector_engagement"]
-    return out
-
-
-def render(doc: dict, engagement: dict) -> list:
+def render(doc: dict) -> list:
     lines = [
         "## Observability: host phase accounting",
         "",
@@ -87,20 +69,6 @@ def render(doc: dict, engagement: dict) -> list:
         for pname, ns, calls, share in _phase_rows(section):
             lines.append(f"| {pname} | {_fmt_ns(ns)} | {calls} "
                          f"| {share:.1%} |")
-        eng = engagement.get(name)
-        if eng:
-            causes = ", ".join(f"{k}={v}" for k, v in
-                               sorted(eng.get("fence_causes", {}).items())) \
-                or "none"
-            lines += [
-                "",
-                f"vector engagement: {eng.get('epochs', 0)} epoch(s), "
-                f"{eng.get('epoch_ops', 0)} op(s), "
-                f"{eng.get('fused_txs', 0)} fused tx(s), "
-                f"{eng.get('kernel_reductions', 0)} kernel reduction(s), "
-                f"gated={'yes' if eng.get('gated') else 'no'}; "
-                f"fences: {causes}",
-            ]
         lines.append("")
     return lines
 
@@ -109,9 +77,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Markdown summary of a repro-obs-hostprof/1 artifact.")
     parser.add_argument("hostprof", help="hostprof JSON (--hostprof-out)")
-    parser.add_argument("--report", default=None,
-                        help="optional run-report JSON (--report-json) for "
-                             "per-point vector-engagement blocks")
     args = parser.parse_args(argv)
 
     try:
@@ -122,16 +87,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    engagement = {}
-    if args.report:
-        try:
-            with open(args.report) as fh:
-                engagement = _engagement_by_point(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"obs_summary: cannot read {args.report}: {exc} "
-                  "(continuing without engagement)", file=sys.stderr)
-
-    lines = render(doc, engagement)
+    lines = render(doc)
     print("\n".join(lines))
 
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
