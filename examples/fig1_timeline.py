@@ -3,23 +3,23 @@
 Transactions X0-X4 increment a shared counter and X5 reads it. On a
 conventional HTM the increments serialize (a chain of aborts and
 retries); with CommTM they run concurrently in U state, and only the
-reader triggers a reduction.
+reader triggers a reduction. The lanes are drawn from the observer's
+recording: ``(`` marks every attempt, retries included.
 
 Run:  python examples/fig1_timeline.py
 """
 
-from repro import Atomic, LabeledLoad, LabeledStore, Load, Machine, SystemConfig, Work
+from repro import Atomic, LabeledLoad, LabeledStore, Load, Machine, Work
 from repro.core.labels import add_label
+from repro.obs import render_timeline
 from repro.params import small_config
-from repro.sim.trace import render_timeline
 
 WRITERS = 5
 
 
 def run(commtm: bool) -> None:
-    config = small_config(num_cores=8, commtm_enabled=commtm,
-                          trace_enabled=True)
-    machine = Machine(config)
+    config = small_config(num_cores=8, commtm_enabled=commtm)
+    machine = Machine(config, observe=True)
     add = machine.register_label(add_label())
     counter = machine.alloc.alloc_line()
 
@@ -46,7 +46,7 @@ def run(commtm: bool) -> None:
 
     name = "CommTM" if commtm else "Conventional HTM"
     print(render_timeline(
-        machine.tracer,
+        machine.obs,
         title=f"--- {name}: X0-X4 increment, X5 reads ---",
     ))
     print(f"final counter = {machine.read_word(counter)}, "

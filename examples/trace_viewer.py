@@ -1,12 +1,12 @@
 """Export a Perfetto trace and an abort-attribution report.
 
-The same contended counter as ``fig1_timeline.py``, observed by the
-structured observability layer (``repro.obs``) instead of the flat ASCII
-tracer. Runs it on both systems and writes:
+The same contended counter as ``fig1_timeline.py``, whose ASCII lanes
+come from the same observer, exported here in full. Runs it on both
+systems and writes:
 
 * ``trace_baseline.json`` / ``trace_commtm.json`` — Chrome/Perfetto
   traces (``repro-obs-trace/2``): one lane per core, transaction spans
-  with attempt and outcome, conflict/NACK/reduction/gather instants,
+  with attempt and outcome, conflict/NACK/reduction/gather/barrier instants,
   backoff intervals, and counter tracks for outstanding U lines and the
   abort rate. Open either file at https://ui.perfetto.dev (or
   chrome://tracing).

@@ -18,7 +18,7 @@ Run all static passes via ``python -m repro.analysis``.
 from .findings import ERROR, WARNING, Finding, errors_in, format_findings
 from .laws import check_laws, check_suite
 from .lint import check_paths, check_registry, check_source
-from .sanitizer import SANITIZE_ENV, CoherenceSanitizer, sanitize_enabled
+from .sanitizer import SANITIZE_ENV, CoherenceSanitizer
 
 __all__ = [
     "ERROR",
@@ -33,5 +33,4 @@ __all__ = [
     "check_source",
     "SANITIZE_ENV",
     "CoherenceSanitizer",
-    "sanitize_enabled",
 ]

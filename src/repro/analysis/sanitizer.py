@@ -61,23 +61,16 @@ test that ``MemorySystem._finish`` always made.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from ..errors import SanitizerError
 from .findings import ERROR, Finding
 from .invariants import check_invariants, check_line, line_holders
 
-#: Set to 1/true/yes to enable the sanitizer for any run (CLI, tests,
-#: benchmarks) without plumbing a flag through.
+#: Set on (anything but "", 0, false or no) to sanitize every run (CLI,
+#: tests, benchmarks) without plumbing a flag through. Resolved into
+#: ``Machine.options.sanitize``.
 SANITIZE_ENV = "REPRO_SANITIZE"
-
-
-def sanitize_enabled(default: bool = False) -> bool:
-    value = os.environ.get(SANITIZE_ENV)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("", "0", "false", "no")
 
 
 class CoherenceSanitizer:

@@ -122,8 +122,6 @@ class MemorySystem:
         )
         self.directory.eviction_hook = self._on_l3_eviction
         self.conflicts: ConflictManagerBase = NoTransactions()
-        #: Optional Tracer (set by the Machine facade).
-        self.tracer = None
         #: Optional CoherenceSanitizer (set by the Machine facade when
         #: sanitizing; see repro.analysis.sanitizer). None keeps every
         #: operation on its original path.
@@ -1069,10 +1067,6 @@ class MemorySystem:
             merged = list(own.words)
         self.stats.reductions += 1
         self.stats.reductions_by_label[label.name] += 1
-        if self.tracer is not None and requester.now is not None:
-            from ..sim.trace import EventKind
-            self.tracer.record(requester.now, core, EventKind.REDUCTION,
-                               detail=label.name)
 
         # Sharers forward their lines in parallel (the dedicated virtual
         # network); the shadow thread merges them one at a time. When a
@@ -1226,10 +1220,6 @@ class MemorySystem:
 
         self.stats.gathers += 1
         self.stats.gathers_by_label[label.name] += 1
-        if self.tracer is not None and requester.now is not None:
-            from ..sim.trace import EventKind
-            self.tracer.record(requester.now, core, EventKind.GATHER,
-                               detail=label.name)
         cycles_before = res.cycles
         num_sharers = len(ent.u_sharers)
         nackers = self._resolve_victims(
@@ -1536,7 +1526,7 @@ class MemorySystem:
     def snapshot_state(self):
         """Capture the complete coherence state — every private cache,
         the L3/directory, line occupancy, and memory.  Stats, hooks
-        (sanitizer/tracer/obs/conflicts), and the label registry are
+        (sanitizer/obs/conflicts), and the label registry are
         deliberately excluded: they are run infrastructure, not protocol
         state, and the model checker compares snapshots for equality.
 

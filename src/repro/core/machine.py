@@ -22,24 +22,85 @@ This is the main entry point of the public API::
 Setting ``config.commtm_enabled = False`` turns the same machine into the
 paper's baseline eager-lazy HTM: labeled operations execute as conventional
 loads and stores.
+
+How the machine runs — engine backend, coherence sanitizer, observer, and
+the fast-path and run-ahead escape hatches — is resolved once, when it is
+built, into ``machine.options`` (:class:`RunOptions`); the environment is
+not read again, so a machine runs with the options it was built with.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from ..analysis.sanitizer import SANITIZE_ENV
 from ..coherence.protocol import MemorySystem
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..htm.conflict import ConflictManager
 from ..htm.htm import HtmRuntime
 from ..mem.layout import Allocator
 from ..mem.memory import MainMemory
+from ..obs.observer import OBS_ENV
 from ..params import SystemConfig
-from ..sim.engine import Engine
+from ..sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine
 from ..sim.rng import RngStreams
 from ..sim.stats import Stats
+from ..sim.vector import BACKEND_ENV, BACKENDS, INTERP
 from .labels import Label, LabelRegistry
+
+
+def env_flag(name: str) -> bool:
+    """Whether the variable ``name`` is set on: anything but unset, "",
+    ``0``, ``false`` or ``no`` (any case, surrounding blanks ignored)."""
+    return os.environ.get(name, "").strip().lower() not in (
+        "", "0", "false", "no")
+
+
+def resolve_backend(explicit: Optional[str] = None) -> str:
+    """The engine backend, ``"interp"`` or ``"vector"``: ``explicit``
+    (the ``Machine(backend=...)`` or CLI argument), else
+    :data:`~repro.sim.vector.BACKEND_ENV`, else the interpreted default.
+    Unknown names raise :class:`ConfigError`."""
+    if explicit is None:
+        explicit = os.environ.get(BACKEND_ENV, "").strip() or INTERP
+    name = str(explicit).strip().lower()
+    if name not in BACKENDS:
+        raise ConfigError(
+            f"unknown engine backend {name!r}; choose one of {BACKENDS}"
+        )
+    return name
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How one machine runs, resolved once when it is built.
+
+    None of these can change a simulated number, which is why they are
+    kept out of :class:`SystemConfig` and so out of the result cache's
+    config fingerprints. ``fastpath`` and ``runahead`` are the reference
+    escape hatches ``REPRO_NO_FASTPATH`` and ``REPRO_NO_RUNAHEAD``."""
+
+    backend: str
+    sanitize: bool
+    observe: bool
+    fastpath: bool
+    runahead: bool
+
+
+def resolve_options(backend: Optional[str] = None,
+                    sanitize: Optional[bool] = None,
+                    observe: Optional[bool] = None) -> RunOptions:
+    """Each option from its explicit argument, else its ``REPRO_*``
+    variable, else its default."""
+    return RunOptions(
+        backend=resolve_backend(backend),
+        sanitize=env_flag(SANITIZE_ENV) if sanitize is None else sanitize,
+        observe=env_flag(OBS_ENV) if observe is None else observe,
+        fastpath=not env_flag(NO_FASTPATH_ENV),
+        runahead=not env_flag(NO_RUNAHEAD_ENV),
+    )
 
 
 @dataclass
@@ -64,19 +125,14 @@ class Machine:
                  observe: Optional[bool] = None,
                  backend: Optional[str] = None):
         self.config = config if config is not None else SystemConfig()
-        # Engine backend ("interp" or "vector"). Like ``sanitize`` and
-        # ``observe`` this is not a SystemConfig field — backends are
-        # bit-identical in simulated behaviour, so the backend must not
-        # perturb config fingerprints; the harness carries it on PointSpec
-        # instead (where it *is* part of the cache fingerprint, because
-        # cached results record which backend produced them). None defers
-        # to REPRO_BACKEND, then to the interpreted default.
-        from ..sim import vector
-        self.backend = vector.resolve_backend(backend)
+        # Backend, sanitizer and observer are run options, not config:
+        # backends are bit-identical in simulated behaviour (the harness
+        # carries the backend on PointSpec, where it is part of the cache
+        # fingerprint because cached results record which backend
+        # produced them).
+        self.options = resolve_options(backend, sanitize, observe)
         self.stats = Stats(num_cores=self.config.num_cores)
-        self.stats.host_backend = self.backend
-        from ..sim.trace import Tracer
-        self.tracer = Tracer(enabled=self.config.trace_enabled)
+        self.stats.host_backend = self.options.backend
         self.rng = RngStreams(self.config.seed)
         self.memory = MainMemory()
         self.alloc = Allocator()
@@ -84,27 +140,20 @@ class Machine:
                                     virtualize=virtualize_labels)
         self.msys = MemorySystem(self.config, self.memory, self.labels,
                                  self.stats, self.rng)
-        self.msys.tracer = self.tracer
         # Opt-in coherence-invariant checking (repro.analysis.sanitizer).
-        # ``sanitize`` is kept out of SystemConfig on purpose: it cannot
-        # change simulated results, so it must not perturb the result
-        # cache's config fingerprints. None defers to REPRO_SANITIZE.
         from ..analysis import sanitizer
         self.sanitizer: Optional[sanitizer.CoherenceSanitizer] = None
-        if sanitize if sanitize is not None else sanitizer.sanitize_enabled():
+        if self.options.sanitize:
             sanitizer.install(self)
         self.conflicts = ConflictManager(self.msys.caches, self.stats,
                                          policy=self.config.conflict_policy)
         self.msys.attach_conflict_manager(self.conflicts)
         self.htm = HtmRuntime(self.config.num_cores, self.conflicts,
                               self.msys.caches, self.stats)
-        # Opt-in structured observability (repro.obs). Like ``sanitize``,
-        # ``observe`` is deliberately not a SystemConfig field: it cannot
-        # change simulated results, so it must not perturb the result
-        # cache's config fingerprints. None defers to REPRO_OBS.
-        from ..obs import Observer, obs_enabled
+        # Opt-in structured observability (repro.obs).
+        from ..obs import Observer
         self.obs: Optional[Observer] = None
-        if observe if observe is not None else obs_enabled():
+        if self.options.observe:
             self.obs = Observer(self)
             self.msys.obs = self.obs
             self.conflicts.obs = self.obs
@@ -205,7 +254,7 @@ class Machine:
                 "a Machine can only run once; build a fresh one per run"
             )
         self._ran = True
-        if self.backend == "vector":
+        if self.options.backend == "vector":
             from ..sim.vector.engine import VectorEngine
             engine = VectorEngine(self, bodies)
         else:

@@ -61,15 +61,3 @@ class TransactionError(ReproError):
 class SimulationError(ReproError):
     """Engine-level failure: deadlock (no runnable thread), livelock guard
     exceeded, or a thread raised inside its coroutine."""
-
-
-class AbortTransaction(ReproError):
-    """Internal control-flow signal: the current transaction must abort.
-
-    Thrown into the transaction's generator by the engine; user code never
-    catches it (the ``Atomic`` runner handles replay).
-    """
-
-    def __init__(self, cause: str = "conflict"):
-        super().__init__(cause)
-        self.cause = cause

@@ -8,8 +8,7 @@ and ``repro.harness.cache``).
 """
 
 from .artifacts import (ResultSink, install_sink, clear_sink, notify,
-                        write_metrics, write_outputs, write_report,
-                        write_trace)
+                        write_outputs, write_report, write_trace)
 from .cache import ResultCache, default_cache_dir, fingerprint
 from .confidence import CiResult, confidence_interval, run_until_confident
 from .parallel import (PointSpec, build_path, make_spec, resolve_build,
@@ -22,7 +21,6 @@ __all__ = [
     "install_sink",
     "clear_sink",
     "notify",
-    "write_metrics",
     "write_outputs",
     "write_report",
     "write_trace",

@@ -9,15 +9,15 @@ Usage::
     python -m repro.harness fig09 --no-cache        # force re-simulation
     python -m repro.harness fig09 --profile         # where does time go?
     python -m repro.harness fig09 --trace-out t.json \\
-        --report-json r.json --metrics-out m.json   # structured artifacts
+        --report-json r.json                        # structured artifacts
 
 Sweeps fan out over ``--jobs`` worker processes (default: ``REPRO_JOBS``,
 else the machine's CPU count) and reuse previously simulated points from
 the on-disk cache (``--cache-dir``, default ``~/.cache/repro-commtm``;
 disable with ``--no-cache``). Parallel and cached runs produce output
-identical to ``--jobs 1 --no-cache``. Sweeps with fewer uncached points
-than ``--serial-threshold`` run serially (pool dispatch would cost more
-than it saves); ``--profile`` runs the experiment under :mod:`cProfile`
+identical to ``--jobs 1 --no-cache``. Sweeps with fewer than ten
+uncached points run serially (pool dispatch would cost more than it
+saves); ``--profile`` runs the experiment under :mod:`cProfile`
 and prints the top 25 functions by cumulative time to stderr
 (``--profile-out FILE`` additionally dumps the raw stats for ``pstats``/
 ``snakeviz``).
@@ -27,11 +27,11 @@ raised it (a failed ``verify()``, a sanitizer finding, the livelock
 guard), the error is followed by the point (builder, threads, seed,
 backend) and a ``replay:`` command that re-runs that point alone.
 
-``--trace-out``/``--report-json``/``--metrics-out``/``--hostprof-out``
-export structured observability artifacts (Perfetto trace, versioned run
-report with address-level abort attribution, hot-line metrics, host
-wall-clock phase accounting — see :mod:`repro.obs`); any of them implies
-``REPRO_OBS=1`` and ``--no-cache``.
+``--trace-out`` and ``--report-json`` export the structured observability
+artifacts: a Perfetto trace, and the versioned run report with
+address-level abort attribution, hot lines and host wall-clock phase
+accounting (see :mod:`repro.obs`). Either implies ``REPRO_OBS=1`` and
+``--no-cache``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from ..errors import ReproError, SimulationError
 from . import artifacts
 from .cache import ResultCache
 from .experiments import list_experiments, run_experiment
-from .parallel import (SERIAL_THRESHOLD_ENV, describe_point, replay_command,
-                       resolve_jobs)
+from .parallel import describe_point, replay_command, resolve_jobs
 
 
 def main(argv=None) -> int:
@@ -65,11 +64,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes for sweeps "
                              "(default: $REPRO_JOBS, else CPU count)")
-    parser.add_argument("--serial-threshold", type=int, default=None,
-                        help="run sweeps with fewer uncached points than "
-                             "this serially even when --jobs > 1 "
-                             "(default: $REPRO_SERIAL_THRESHOLD, else 10; "
-                             "0 always uses the pool)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result cache")
     parser.add_argument("--cache-dir", default=None,
@@ -82,18 +76,10 @@ def main(argv=None) -> int:
                              "ui.perfetto.dev). Implies REPRO_OBS=1 and "
                              "--no-cache")
     parser.add_argument("--report-json", metavar="FILE", default=None,
-                        help="write a machine-readable run report "
-                             "(per-point stats, per-label table, abort "
-                             "attribution). Implies REPRO_OBS=1 and "
-                             "--no-cache")
-    parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                        help="write per-line/per-label hot-line metrics "
-                             "JSON. Implies REPRO_OBS=1 and --no-cache")
-    parser.add_argument("--hostprof-out", metavar="FILE", default=None,
-                        help="write host wall-clock phase accounting "
-                             "JSON (repro-obs-hostprof/1): per-point "
-                             "build/simulate/verify phases, "
-                             "plus harness dispatch and cache traffic. "
+                        help="write the versioned run report "
+                             "(repro-obs-report/2: per-point stats, "
+                             "per-label table, abort attribution, hot "
+                             "lines, host phases, harness phases). "
                              "Implies REPRO_OBS=1 and --no-cache")
     parser.add_argument("--backend", choices=["interp", "vector"],
                         default=None,
@@ -148,9 +134,7 @@ def main(argv=None) -> int:
         args.no_cache = True
 
     sink = None
-    obs_requested = bool(args.trace_out or args.report_json
-                         or args.metrics_out or args.hostprof_out)
-    if obs_requested:
+    if args.trace_out or args.report_json:
         # Same propagation as --sanitize: the env var reaches sweep
         # workers, and cached results carry no obs payload, so skip them.
         from ..obs import OBS_ENV
@@ -166,10 +150,6 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.serial_threshold is not None:
-        # The registry's experiment closures predate the threshold knob;
-        # the env var is how run_points picks it up at every sweep.
-        os.environ[SERIAL_THRESHOLD_ENV] = str(max(0, args.serial_threshold))
 
     profiler = None
     if args.profile or args.profile_out:
@@ -214,9 +194,8 @@ def main(argv=None) -> int:
         try:
             written = artifacts.write_outputs(
                 args.experiment, sink.results, trace_out=args.trace_out,
-                report_json=args.report_json, metrics_out=args.metrics_out,
-                hostprof_out=args.hostprof_out,
-                threads=threads, scale=args.scale)
+                report_json=args.report_json, threads=threads,
+                scale=args.scale)
             for path in written:
                 print(f"[obs] wrote {path}", file=sys.stderr)
         finally:

@@ -7,8 +7,8 @@ a side channel: :func:`install_sink` arms a module-level collector,
 parallel.run_points` and the closure fallback in ``runner._run_calls``)
 with every batch of :class:`~repro.harness.runner.ExperimentResult`\\ s it
 produces, and :func:`write_outputs` turns the collected points into the
-``--trace-out`` / ``--report-json`` / ``--metrics-out`` files after the
-experiment's report has printed.
+``--trace-out`` (Perfetto trace) and ``--report-json`` (run report) files
+after the experiment's report has printed.
 
 The sink is process-local. Sweep workers never install one — results come
 back to the parent through the pool (obs payloads ride along in
@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 from typing import List, Optional
 
-from ..obs.hostprof import HARNESS_PROF, HOSTPROF_SCHEMA
 from ..obs.perfetto import merge_traces
-from ..obs.report import metrics_report, run_report
+from ..obs.report import run_report
 
 _sink: Optional["ResultSink"] = None
 
@@ -72,15 +71,10 @@ def point_label(result) -> str:
     return f"{result.name} t={result.num_threads} {system}"
 
 
-def _observed(results) -> List:
-    return [r for r in results
-            if isinstance(r.info, dict) and "obs" in r.info]
-
-
 def write_trace(path: str, results) -> None:
     """Merged Chrome/Perfetto trace: one process per observed sweep point."""
-    traces = [(point_label(r), r.info["obs"]["trace"])
-              for r in _observed(results)]
+    traces = [(point_label(r), r.info["obs"]["trace"]) for r in results
+              if isinstance(r.info, dict) and "obs" in r.info]
     with open(path, "w") as fh:
         json.dump(merge_traces(traces), fh)
 
@@ -92,33 +86,8 @@ def write_report(path: str, experiment: str, results, *, threads=None,
                              scale=scale), fh, indent=2)
 
 
-def write_metrics(path: str, experiment: str, results) -> None:
-    with open(path, "w") as fh:
-        json.dump(metrics_report(experiment, results), fh, indent=2)
-
-
-def write_hostprof(path: str, experiment: str, results) -> None:
-    """Host wall-clock accounting: one ``repro-obs-hostprof/1`` section
-    per observed sweep point (build, simulate, verify), and the
-    process-wide harness accountant (experiment dispatch, result-cache
-    traffic)."""
-    points = [{"name": point_label(r),
-               "hostprof": r.info["obs"]["hostprof"]}
-              for r in _observed(results)
-              if "hostprof" in r.info["obs"]]
-    doc = {
-        "schema": HOSTPROF_SCHEMA,
-        "experiment": experiment,
-        "harness": HARNESS_PROF.report(),
-        "points": points,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
 def write_outputs(experiment: str, results, *, trace_out=None,
-                  report_json=None, metrics_out=None, hostprof_out=None,
-                  threads=None, scale=None) -> List[str]:
+                  report_json=None, threads=None, scale=None) -> List[str]:
     """Write every requested artifact; returns the paths written."""
     written = []
     if trace_out:
@@ -128,15 +97,8 @@ def write_outputs(experiment: str, results, *, trace_out=None,
         write_report(report_json, experiment, results, threads=threads,
                      scale=scale)
         written.append(report_json)
-    if metrics_out:
-        write_metrics(metrics_out, experiment, results)
-        written.append(metrics_out)
-    if hostprof_out:
-        write_hostprof(hostprof_out, experiment, results)
-        written.append(hostprof_out)
     return written
 
 
 __all__ = ["ResultSink", "clear_sink", "install_sink", "notify",
-           "point_label", "write_hostprof", "write_metrics",
-           "write_outputs", "write_report", "write_trace"]
+           "point_label", "write_outputs", "write_report", "write_trace"]

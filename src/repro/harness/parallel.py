@@ -27,9 +27,7 @@ Key design points:
   runs a warmup initializer that imports the simulator stack at creation,
   so even ``spawn`` workers are hot before the first spec arrives;
   :func:`warm_pool` lets callers pay the whole pool startup outside any
-  timed region. Sweeps smaller than a configurable threshold
-  (:data:`DEFAULT_SERIAL_THRESHOLD`, override with
-  ``REPRO_SERIAL_THRESHOLD`` or the ``serial_threshold`` argument) run
+  timed region. Sweeps smaller than :data:`SERIAL_THRESHOLD` points run
   serially instead — small sweeps never regress behind pool dispatch.
 * **Adaptive chunk sizing.** Spec costs within one sweep routinely differ
   by an order of magnitude (an 8-thread contended point vs its 1-thread
@@ -60,14 +58,11 @@ log = logging.getLogger("repro.harness")
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variable overriding the serial-fallback threshold.
-SERIAL_THRESHOLD_ENV = "REPRO_SERIAL_THRESHOLD"
-
 #: Sweeps with fewer uncached unique points than this run serially even
 #: when ``jobs > 1``: dispatching a handful of points through the pool
 #: costs more than it saves (on a single-CPU host an 8-point sweep took
 #: 0.37s serial vs 0.93s under a cold 4-worker pool).
-DEFAULT_SERIAL_THRESHOLD = 10
+SERIAL_THRESHOLD = 10
 
 #: Modules the forkserver imports *once* before any worker forks from it;
 #: workers then inherit the fully-imported simulator for free. The list is
@@ -158,12 +153,13 @@ def make_spec(build: Callable, num_threads: int, *,
               **params) -> PointSpec:
     """Spec for one :func:`run_workload`-style invocation.
 
-    The backend is resolved *here* (explicit argument beats
-    ``REPRO_BACKEND`` beats the interpreted default), so the spec — and
-    with it the dedupe key and the result-cache fingerprint — always names
-    the engine that will actually run the point.
+    The backend is resolved *here*, as a ``Machine`` resolves it
+    (explicit argument beats ``REPRO_BACKEND`` beats the interpreted
+    default), so the spec — and with it the dedupe key and the
+    result-cache fingerprint — always names the engine that will actually
+    run the point.
     """
-    from ..sim.vector import resolve_backend
+    from ..core.machine import resolve_backend
 
     return PointSpec(
         build=build_path(build),
@@ -291,24 +287,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, int(jobs))
 
 
-def resolve_serial_threshold(threshold: Optional[int] = None) -> int:
-    """Serial-fallback point count: explicit argument, else
-    ``REPRO_SERIAL_THRESHOLD``, else :data:`DEFAULT_SERIAL_THRESHOLD`.
-    ``0`` disables the fallback entirely."""
-    if threshold is None:
-        env = os.environ.get(SERIAL_THRESHOLD_ENV, "").strip()
-        if env:
-            try:
-                threshold = int(env)
-            except ValueError:
-                raise SimulationError(
-                    f"{SERIAL_THRESHOLD_ENV}={env!r} is not an integer"
-                ) from None
-        else:
-            threshold = DEFAULT_SERIAL_THRESHOLD
-    return max(0, int(threshold))
-
-
 # --- persistent worker pool -------------------------------------------------
 #
 # One pool per host process, created on first parallel sweep and reused for
@@ -417,16 +395,16 @@ atexit.register(shutdown_pool)
 
 
 def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
-               cache=None, serial_threshold: Optional[int] = None) -> List:
+               cache=None) -> List:
     """Simulate every spec; return results aligned with ``specs``.
 
     Identical specs are simulated once. With ``cache`` (a
     :class:`~repro.harness.cache.ResultCache`), previously simulated points
     are loaded from disk and fresh ones are stored. ``jobs > 1`` fans the
     uncached unique specs over the persistent worker pool in chunks —
-    unless fewer than ``serial_threshold`` points remain, in which case
-    they run serially (see :func:`resolve_serial_threshold`). The output
-    is identical to ``jobs=1`` by construction.
+    unless fewer than :data:`SERIAL_THRESHOLD` points remain, in which
+    case they run serially. The output is identical to ``jobs=1`` by
+    construction.
     """
     jobs = resolve_jobs(jobs)
 
@@ -451,7 +429,6 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
     if todo:
         todo_specs = [spec for _, spec in todo]
         n = len(todo_specs)
-        threshold = resolve_serial_threshold(serial_threshold)
         # Dispatch width adapts to the CPUs this process can actually
         # use: ``jobs`` is a ceiling, not a promise to oversubscribe.
         # Fanning simulator processes out past the affinity mask only
@@ -459,7 +436,7 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
         # work (the recorded sweep16 regression was exactly that — a
         # 4-worker pool on a one-CPU host losing to the serial loop).
         workers = min(jobs, _available_cpus())
-        if workers > 1 and n > 1 and n >= threshold:
+        if workers > 1 and n > 1 and n >= SERIAL_THRESHOLD:
             pool = get_pool(workers)
             # Adaptive chunk sizing: one cost-balanced bucket per worker
             # (LPT over the spec cost estimates) instead of fixed-size
@@ -494,9 +471,7 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
                 log.info(
                     "sweep has %d uncached point(s), below the serial "
                     "threshold of %d: running serially (pool dispatch "
-                    "would cost more than it saves; set "
-                    "%s=0 or serial_threshold=0 to force the pool)",
-                    n, threshold, SERIAL_THRESHOLD_ENV,
+                    "would cost more than it saves)", n, SERIAL_THRESHOLD,
                 )
             outputs = [_run_named(spec) for spec in todo_specs]
         for (key, spec), result in zip(todo, outputs):
@@ -506,7 +481,7 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
 
     ordered = [results[key] for key in positions]
     # Offer every produced/loaded result to the artifact sink (a no-op
-    # unless the CLI armed one for --trace-out/--report-json/--metrics-out).
+    # unless the CLI armed one for --trace-out/--report-json).
     from . import artifacts
     artifacts.notify(ordered)
     return ordered
@@ -514,8 +489,7 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
 
 __all__ = [
     "JOBS_ENV",
-    "SERIAL_THRESHOLD_ENV",
-    "DEFAULT_SERIAL_THRESHOLD",
+    "SERIAL_THRESHOLD",
     "POOL_PRELOAD_MODULES",
     "PointSpec",
     "build_path",
@@ -528,7 +502,6 @@ __all__ = [
     "partition_specs",
     "run_bucket",
     "resolve_jobs",
-    "resolve_serial_threshold",
     "get_pool",
     "warm_pool",
     "shutdown_pool",

@@ -95,7 +95,7 @@ def run_workload(build: Callable, num_threads: int, *,
     """Build and run one workload configuration on a fresh machine.
 
     ``backend`` of None defers to ``REPRO_BACKEND``, then the interpreted
-    default (see :func:`repro.sim.vector.resolve_backend`)."""
+    default (see :func:`repro.core.machine.resolve_backend`)."""
     config = _make_config(num_cores, commtm, gather, seed, base_config)
     b0 = perf_counter_ns()
     machine = Machine(config, backend=backend)
@@ -111,8 +111,7 @@ def run_workload(build: Callable, num_threads: int, *,
     return run_built(machine, built, verify=verify)
 
 
-def _run_calls(build: Callable, calls: List[dict], jobs, cache,
-               serial_threshold: Optional[int] = None) \
+def _run_calls(build: Callable, calls: List[dict], jobs, cache) \
         -> List[ExperimentResult]:
     """Run many ``run_workload``-style calls (dicts of its keyword
     arguments, ``num_threads`` included) through the parallel layer.
@@ -133,16 +132,14 @@ def _run_calls(build: Callable, calls: List[dict], jobs, cache,
             results.append(memo[key])
         artifacts.notify(results)
         return results
-    return run_points(specs, jobs=jobs, cache=cache,
-                      serial_threshold=serial_threshold)
+    return run_points(specs, jobs=jobs, cache=cache)
 
 
 def speedup_curve(build: Callable, thread_counts: Iterable[int], *,
                   num_cores: int = 128, systems: Dict[str, dict] = None,
                   seed: int = 1, base_config: Optional[SystemConfig] = None,
                   verify: bool = True, jobs: Optional[int] = None,
-                  cache=None, serial_threshold: Optional[int] = None,
-                  **params) -> Dict[str, Dict[int, float]]:
+                  cache=None, **params) -> Dict[str, Dict[int, float]]:
     """Speedup series per system, normalized to 1-thread baseline cycles.
 
     ``systems`` maps a series name to flags for :func:`run_workload`
@@ -173,7 +170,7 @@ def speedup_curve(build: Callable, thread_counts: Iterable[int], *,
             calls.append(dict(common, num_threads=threads, commtm=commtm,
                               gather=gather, **merged))
 
-    results = _run_calls(build, calls, jobs, cache, serial_threshold)
+    results = _run_calls(build, calls, jobs, cache)
     base_cycles = results[0].cycles
 
     curves: Dict[str, Dict[int, float]] = {}
@@ -190,8 +187,7 @@ def collect_points(build: Callable, thread_counts: Iterable[int], *,
                    gather: Optional[bool] = None, seed: int = 1,
                    base_config: Optional[SystemConfig] = None,
                    verify: bool = True, jobs: Optional[int] = None,
-                   cache=None, serial_threshold: Optional[int] = None,
-                   **params) -> List[ExperimentResult]:
+                   cache=None, **params) -> List[ExperimentResult]:
     """Full :class:`ExperimentResult` per thread count (for breakdowns)."""
     calls = [
         dict(num_threads=threads, num_cores=num_cores, commtm=commtm,
@@ -199,4 +195,4 @@ def collect_points(build: Callable, thread_counts: Iterable[int], *,
              verify=verify, **params)
         for threads in thread_counts
     ]
-    return _run_calls(build, calls, jobs, cache, serial_threshold)
+    return _run_calls(build, calls, jobs, cache)

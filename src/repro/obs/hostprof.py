@@ -12,18 +12,16 @@ contract: ``build_machine``, ``build_workload``, ``simulate`` and
 The accountant is zero-dependency and cheap enough to leave armed: two
 ``perf_counter_ns`` calls and two dict adds per phase boundary.
 
-Reports are versioned (:data:`HOSTPROF_SCHEMA`); :meth:`trace_events`
-renders the retained intervals as a Chrome ``X`` lane (host wall
-microseconds) that the Perfetto exporter appends as its own thread.
+:meth:`HostProfiler.report` is a section of the versioned run report
+(:mod:`repro.obs.report`); :meth:`~HostProfiler.trace_events` renders the
+retained intervals as a Chrome ``X`` lane (host wall microseconds) that
+the Perfetto exporter appends as its own thread.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
 from typing import Dict, List
-
-#: Version tag stamped into every hostprof report section.
-HOSTPROF_SCHEMA = "repro-obs-hostprof/1"
 
 #: Bound on *retained* per-interval events; totals and call counts keep
 #: accumulating past it, and the report records how many were dropped.
@@ -81,10 +79,9 @@ class HostProfiler:
     # --- exports ------------------------------------------------------------
 
     def report(self) -> dict:
-        """Versioned plain-dict section (picklable, JSON-ready)."""
+        """Plain-dict run-report section (picklable, JSON-ready)."""
         total = sum(self.totals.values())
         return {
-            "schema": HOSTPROF_SCHEMA,
             "total_ns": total,
             "phases": {
                 name: {
@@ -111,11 +108,10 @@ class HostProfiler:
 
 #: Process-wide accountant for phases with no per-run Observer to hang
 #: off: result-cache lookups/stores and whole-experiment dispatch. The
-#: CLI's ``--hostprof-out`` document carries its report alongside the
-#: per-point sections. Worker processes accumulate their own instance;
-#: only the parent's is reported (cache and dispatch run in the parent).
+#: run report's ``harness`` section is its report, beside the per-point
+#: sections. Worker processes accumulate their own instance; only the
+#: parent's is reported (cache and dispatch run in the parent).
 HARNESS_PROF = HostProfiler()
 
 
-__all__ = ["DEFAULT_EVENT_LIMIT", "HARNESS_PROF", "HOSTPROF_SCHEMA",
-           "HostProfiler"]
+__all__ = ["DEFAULT_EVENT_LIMIT", "HARNESS_PROF", "HostProfiler"]

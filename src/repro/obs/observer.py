@@ -23,7 +23,6 @@ Abort attribution is assembled from three call sites, in order:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 from .hostprof import HostProfiler
@@ -31,17 +30,10 @@ from .lifecycle import AbortRecord, LifecycleTracker
 from .metrics import MetricsRegistry
 from .recorder import DEFAULT_LIMIT, TraceRecorder
 
-#: Set to 1/true/yes to enable observability for any run (CLI, tests,
-#: benchmarks) without plumbing a flag through — same discipline as
-#: REPRO_SANITIZE.
+#: Set on (anything but "", 0, false or no) to observe every run (CLI,
+#: tests, benchmarks) without plumbing a flag through — same discipline as
+#: REPRO_SANITIZE. Resolved into ``Machine.options.observe``.
 OBS_ENV = "REPRO_OBS"
-
-
-def obs_enabled(default: bool = False) -> bool:
-    value = os.environ.get(OBS_ENV)
-    if value is None:
-        return default
-    return value.strip().lower() not in ("", "0", "false", "no")
 
 
 def _label_name(label) -> Optional[str]:
@@ -149,6 +141,10 @@ class Observer:
                                    args={"attempt": tx.attempts,
                                          "cause": cause})
         self._sample_counters(cycle)
+
+    def barrier(self, core: int, cycle: int) -> None:
+        """``core`` arrived at a barrier."""
+        self.recorder.instant(core, cycle, "barrier")
 
     # --- conflict-manager hooks -----------------------------------------------
 
@@ -266,4 +262,4 @@ class Observer:
         }
 
 
-__all__ = ["OBS_ENV", "Observer", "obs_enabled"]
+__all__ = ["OBS_ENV", "Observer"]

@@ -4,10 +4,10 @@ Produces the `Trace Event Format`_ JSON object form: ``{"traceEvents":
 [...]}`` plus top-level metadata. Open the file directly in
 ``ui.perfetto.dev`` (or ``chrome://tracing``): each simulated core is a
 named thread lane carrying its transaction spans (B/E), instant events
-(reductions, gathers, NACKs, conflicts) and backoff intervals (X), and the
-counter tracks (``u_lines``, ``abort_rate``) render as graphs. Timestamps
-are simulated cycles presented as microseconds — Perfetto's units are
-cosmetic; relative placement is what matters.
+(reductions, gathers, barriers, NACKs, conflicts) and backoff intervals
+(X), and the counter tracks (``u_lines``, ``abort_rate``) render as
+graphs. Timestamps are simulated cycles presented as microseconds —
+Perfetto's units are cosmetic; relative placement is what matters.
 
 Schema ``/2`` adds an optional lane past the core lanes: the host
 self-profiler's wall-clock track (phase intervals in real microseconds;

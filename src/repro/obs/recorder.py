@@ -7,10 +7,9 @@ chronological, which is what lets the exporter's stable sort keep B/E
 pairs matched.
 
 The recorder is bounded: past ``limit`` events new ones are *counted* as
-dropped, never silently lost (the failure mode the flat ``Tracer`` had
-before it grew a ``dropped`` counter). Span *ends* bypass the limit while
-a span is open on that core — at most one per core — so truncated traces
-still parse as well-formed B/E trees in Perfetto.
+dropped, never silently lost. Span *ends* bypass the limit while a span
+is open on that core — at most one per core — so truncated traces still
+parse as well-formed B/E trees in Perfetto.
 """
 
 from __future__ import annotations

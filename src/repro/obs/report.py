@@ -1,23 +1,29 @@
 """Machine-readable run reports.
 
 ``python -m repro.harness <exp> --report-json out.json`` writes one
-versioned JSON document per run: experiment identity, then one entry per
+versioned JSON document per run, the run's one document beside its
+Perfetto trace: experiment identity, the harness's host phase accounting
+(result-cache traffic, whole-experiment dispatch), then one entry per
 simulated sweep point (:func:`point_report`) carrying the headline stats,
 the per-label table (labeled instructions, reductions, gathers — the
 sweep-output form of ``tests/test_per_label_stats.py``'s in-process
 counters), and — when the point ran with observability — the transaction
-lifecycle summary, the address/label-level abort-attribution table, and
-the top-K hottest lines. CI uploads these as artifacts; any consumer can
-dispatch on the ``schema`` field.
+lifecycle summary, the address/label-level abort-attribution table, the
+top-K hottest lines, the per-label touches, the trace-event counts and
+the point's host phase accounting. CI uploads these as artifacts; any
+consumer can dispatch on the ``schema`` field.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-#: Version tags for the run report and the standalone metrics document.
-REPORT_SCHEMA = "repro-obs-report/1"
-METRICS_SCHEMA = "repro-obs-metrics/1"
+from .hostprof import HARNESS_PROF
+
+#: Version tag of the run report. /2: a top-level ``harness`` section and
+#: per-point ``trace_event_counts``; the standalone metrics and hostprof
+#: documents are gone.
+REPORT_SCHEMA = "repro-obs-report/2"
 
 
 def per_label_table(stats) -> Dict[str, dict]:
@@ -80,10 +86,8 @@ def point_report(result) -> dict:
         out["abort_attribution"] = obs["lifecycle"]["abort_attribution"]
         out["hot_lines"] = obs["metrics"]["hot_lines"]
         out["obs_per_label_touches"] = obs["metrics"]["per_label"]
-        # Host-side self-profile (repro-obs-hostprof/1): absent on
-        # payloads written before the hostprof section existed.
-        if "hostprof" in obs:
-            out["hostprof"] = obs["hostprof"]
+        out["trace_event_counts"] = obs["trace"]["counts"]
+        out["hostprof"] = obs["hostprof"]
     return out
 
 
@@ -95,30 +99,9 @@ def run_report(experiment: str, results: List, *, threads=None,
         "experiment": experiment,
         "threads": list(threads) if threads is not None else None,
         "scale": scale,
+        "harness": HARNESS_PROF.report(),
         "points": [point_report(r) for r in results],
     }
 
 
-def metrics_report(experiment: str, results: List) -> dict:
-    """The ``--metrics-out`` document: hot-line metrics per sweep point."""
-    points = []
-    for result in results:
-        obs = (result.info.get("obs")
-               if isinstance(result.info, dict) else None)
-        points.append({
-            "name": result.name,
-            "num_threads": result.num_threads,
-            "commtm": bool(result.commtm),
-            "hot_lines": obs["metrics"]["hot_lines"] if obs else [],
-            "per_label": obs["metrics"]["per_label"] if obs else {},
-            "trace_event_counts": (obs["trace"]["counts"] if obs else {}),
-        })
-    return {
-        "schema": METRICS_SCHEMA,
-        "experiment": experiment,
-        "points": points,
-    }
-
-
-__all__ = ["METRICS_SCHEMA", "REPORT_SCHEMA", "metrics_report",
-           "per_label_table", "point_report", "run_report"]
+__all__ = ["REPORT_SCHEMA", "per_label_table", "point_report", "run_report"]

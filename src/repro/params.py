@@ -156,14 +156,11 @@ class SystemConfig:
     #: draw from derived streams).
     seed: int = 1
 
-    #: Record per-core transaction/reduction/gather events for timeline
-    #: rendering (``repro.sim.trace``). Off by default (memory cost).
-    #: The structured observability layer (``repro.obs``: Perfetto traces,
-    #: lifecycle records, hot-line metrics) is deliberately NOT a config
-    #: field — it cannot change simulated results, so enabling it must not
-    #: perturb the result cache's config fingerprints. Enable it with
-    #: ``Machine(..., observe=True)`` or ``REPRO_OBS=1`` instead.
-    trace_enabled: bool = False
+    # Observation (``repro.obs``: timelines, Perfetto traces, lifecycle
+    # records, hot-line metrics) is deliberately NOT a config field: it
+    # cannot change simulated results, so enabling it must not perturb
+    # the result cache's config fingerprints. It is a run option instead
+    # (``Machine(..., observe=True)`` or ``REPRO_OBS=1``).
 
     def __post_init__(self) -> None:
         self.validate()

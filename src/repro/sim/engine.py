@@ -34,7 +34,6 @@ differential testing, mirroring ``REPRO_NO_FASTPATH``.
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -56,35 +55,23 @@ from ..runtime.ops import (
 )
 from ..runtime.thread_api import ThreadCtx
 from .clock import CoreClocks
-from .trace import EventKind
 
 #: Sentinel distinguishing "generator finished" from any yielded op (a body
 #: yielding ``None`` must still be rejected as an unknown operation).
 _FINISHED = object()
 
-#: Escape-hatch environment variable: any value other than ""/"0"/"false"
-#: forces every memory operation down the full protocol path (differential
-#: testing of the private-hit fast path). Read per Engine so tests can flip
-#: it between runs in one process.
+#: Escape-hatch environment variable: set on, it forces every memory
+#: operation down the full protocol path (differential testing of the
+#: private-hit fast path). Resolved into ``Machine.options.fastpath`` when
+#: the machine is built.
 NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
 
-
-def fastpath_enabled() -> bool:
-    return os.environ.get(NO_FASTPATH_ENV, "").strip().lower() in (
-        "", "0", "false")
-
-
-#: Escape-hatch environment variable: any value other than ""/"0"/"false"
-#: replaces the run-ahead scheduler with the stepped reference loop (one
-#: ``CoreClocks.next_core()`` / step / ``reschedule()`` transaction per
-#: simulated operation). Same differential-testing role as
-#: REPRO_NO_FASTPATH; read per Engine.run so tests can flip it per run.
+#: Escape-hatch environment variable: set on, it replaces the run-ahead
+#: scheduler with the stepped reference loop (one ``CoreClocks.next_core()``
+#: / step / ``reschedule()`` transaction per simulated operation). Same
+#: differential-testing role as REPRO_NO_FASTPATH; resolved into
+#: ``Machine.options.runahead`` when the machine is built.
 NO_RUNAHEAD_ENV = "REPRO_NO_RUNAHEAD"
-
-
-def runahead_enabled() -> bool:
-    return os.environ.get(NO_RUNAHEAD_ENV, "").strip().lower() in (
-        "", "0", "false")
 
 
 #: Adaptive fast-path gate. Attempting the private-hit fast path costs a
@@ -178,33 +165,32 @@ class Engine:
 
         # Hot-path bindings. ``conflicts.active`` and ``clocks.cycles`` are
         # mutated in place by their owners, so holding the list references
-        # is safe; ``tracer.record`` is a bound no-op when tracing is off.
+        # is safe.
         self._tx_active = self.htm.conflicts.active
         self._cycles = self.clocks.cycles
         self._breakdown = self.stats.breakdown
-        self._trace = machine.tracer.record
-        self._tracing = machine.tracer.enabled
         self._commtm = self.config.commtm_enabled
         self._eager = self.config.conflict_detection != "lazy"
         self._tx_begin_cycles = self.config.tx_begin_cycles
         self._tx_commit_cycles = self.config.tx_commit_cycles
         # Memory operations dispatch to the private-hit fast path by
         # default; the ``_op_*_fast`` handlers fall back to the full
-        # handlers on anything but a stable private hit. REPRO_NO_FASTPATH
-        # swaps in the full handlers wholesale (zero per-op overhead in
-        # either mode).
+        # handlers on anything but a stable private hit. The
+        # REPRO_NO_FASTPATH option swaps in the full handlers wholesale
+        # (zero per-op overhead in either mode).
         self._fast_load = self.msys.fast_load
         self._fast_store = self.msys.fast_store
         self._fast_labeled_load = self.msys.fast_labeled_load
         self._fast_labeled_store = self.msys.fast_labeled_store
         # Transaction-lifecycle hooks for the obs layer: bound no-ops when
-        # no Observer is installed (same discipline as tracer.record).
-        obs = getattr(machine, "obs", None)
+        # no Observer is installed.
+        obs = machine.obs
         self._obs = obs
         self._obs_tx_begin = obs.tx_begin if obs is not None else _obs_noop
         self._obs_tx_retry = obs.tx_retry if obs is not None else _obs_noop
         self._obs_tx_commit = obs.tx_commit if obs is not None else _obs_noop
         self._obs_tx_abort = obs.tx_abort if obs is not None else _obs_noop
+        self._obs_barrier = obs.barrier if obs is not None else _obs_noop
         # Observing forces the full handlers: fast private hits never reach
         # MemorySystem's public ops where the protocol-level hooks live.
         # This is the same switch REPRO_NO_FASTPATH flips, proven
@@ -214,7 +200,7 @@ class Engine:
         # host_fastpath_misses attempt counter) and whether the adaptive
         # gate still has a decision to make (one-shot, at the end of the
         # warmup window).
-        self._fastpath_attempting = fastpath_enabled() and obs is None
+        self._fastpath_attempting = machine.options.fastpath and obs is None
         self._gate_pending = self._fastpath_attempting
         self._handlers = {
             Atomic: self._op_atomic,
@@ -234,7 +220,7 @@ class Engine:
         # When sanitizing, every memory-op handler is wrapped with one
         # dirty-line checkpoint. The table is rebuilt per Engine, so the
         # unsanitized hot path keeps its direct bindings.
-        self._sanitizer = getattr(machine, "sanitizer", None)
+        self._sanitizer = machine.sanitizer
         if self._sanitizer is not None:
             self._sanitize_handlers(self._handlers)
 
@@ -262,7 +248,7 @@ class Engine:
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        if runahead_enabled():
+        if self.machine.options.runahead:
             self._run_runahead()
         else:
             self._run_stepped()
@@ -433,8 +419,6 @@ class Engine:
         core = runner.core
         if self._tx_active[core] is None:
             tx = self.htm.begin(core, ts=op.ts)  # OrderedAtomic: order == priority
-            if self._tracing:
-                self._trace(self._cycles[core], core, EventKind.TX_BEGIN)
             if self._obs is not None:
                 self._obs_tx_begin(core, self._cycles[core], tx)
             # Inline _charge: a freshly begun transaction cannot be aborted.
@@ -483,7 +467,7 @@ class Engine:
                 f"Barrier inside a transaction on core {core}"
             )
         runner.blocked = True
-        self._trace(self._cycles[core], core, EventKind.BARRIER)
+        self._obs_barrier(core, self._cycles[core])
         self._barrier_waiting.append(core)
         self._maybe_release_barrier(skip_reschedule=core)
 
@@ -840,8 +824,6 @@ class Engine:
             if self._obs is not None:
                 self._obs_tx_commit(core, self._cycles[core], tx)
             self.htm.commit(core)
-            if self._tracing:
-                self._trace(self._cycles[core], core, EventKind.TX_COMMIT)
             # Inline stats.charge(in_tx=True) + clocks.advance: the commit
             # latency lands in the committed bucket after the tx detaches.
             cycles = self._tx_commit_cycles
@@ -866,8 +848,6 @@ class Engine:
             )
         tx_frame = runner.frames.pop()
         atomic = tx_frame.atomic
-        self._trace(self._cycles[core], core, EventKind.TX_ABORT,
-                    detail=str(tx.abort_cause))
 
         if tx.attempts >= self.config.max_restarts:
             raise SimulationError(

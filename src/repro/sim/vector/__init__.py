@@ -18,18 +18,14 @@ oracle (see tests/test_vector_equivalence.py). Epochs pay off only while
 they fuse transactions; an adaptive gate hands every other run to the
 run-ahead loop (see :mod:`.engine`).
 
-This module owns backend *selection*. ``resolve_backend`` implements the
-precedence rules: an explicit ``backend=`` argument beats
-``REPRO_BACKEND``, which beats the default.
+This module names the backends; ``repro.core.machine.resolve_backend``
+picks one: an explicit ``backend=`` argument beats ``REPRO_BACKEND``,
+which beats the default.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from typing import Optional
-
-from ...errors import ConfigError
 
 log = logging.getLogger("repro.sim.vector")
 
@@ -44,20 +40,3 @@ VECTOR = "vector"
 
 BACKENDS = (INTERP, VECTOR)
 
-
-def resolve_backend(explicit: Optional[str] = None) -> str:
-    """Resolve the effective backend name (``"interp"`` or ``"vector"``).
-
-    ``explicit`` (the ``Machine(backend=...)`` / CLI argument) takes
-    precedence over :data:`BACKEND_ENV`; both beat the interpreted
-    default. Unknown names raise :class:`ConfigError`.
-    """
-    if explicit is not None:
-        name = str(explicit).strip().lower()
-    else:
-        name = os.environ.get(BACKEND_ENV, "").strip().lower() or INTERP
-    if name not in BACKENDS:
-        raise ConfigError(
-            f"unknown engine backend {name!r}; choose one of {BACKENDS}"
-        )
-    return name

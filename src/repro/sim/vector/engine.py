@@ -71,11 +71,10 @@ epoch pulled but did not execute back to its thread through a one-shot
 loop needs no knowledge of epochs.
 
 Epochs batch per-op work, so anything that must see every operation —
-the coherence sanitizer, the observer (``REPRO_OBS``), the Perfetto
-tracer, the ``REPRO_NO_FASTPATH`` / ``REPRO_NO_RUNAHEAD`` reference
-modes, lazy conflict detection — forces the whole run down the
-interpreted engine, with a logged notice (never a silently unchecked
-epoch).
+the coherence sanitizer, the observer (``REPRO_OBS``), the
+``REPRO_NO_FASTPATH`` / ``REPRO_NO_RUNAHEAD`` reference modes, lazy
+conflict detection — forces the whole run down the interpreted engine,
+with a logged notice (never a silently unchecked epoch).
 """
 
 from __future__ import annotations
@@ -97,15 +96,7 @@ from ...runtime.ops import (
     Store,
     Work,
 )
-from ..engine import (
-    _FINISHED,
-    Engine,
-    Frame,
-    NO_FASTPATH_ENV,
-    NO_RUNAHEAD_ENV,
-    fastpath_enabled,
-    runahead_enabled,
-)
+from ..engine import _FINISHED, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine, Frame
 from . import certify, log
 from .columns import EpochColumns
 from .kernels import lower_atomic, reduce_lines
@@ -262,16 +253,14 @@ class VectorEngine(Engine):
     # ------------------------------------------------------------------
 
     def _epochs_disabled_reason(self) -> Optional[str]:
-        machine = self.machine
-        if getattr(machine, "sanitizer", None) is not None:
+        options = self.machine.options
+        if self._sanitizer is not None:
             return "coherence sanitizer installed (REPRO_SANITIZE)"
         if self._obs is not None:
             return "observer installed (REPRO_OBS)"
-        if self._tracing:
-            return "tracing enabled"
-        if not fastpath_enabled():
+        if not options.fastpath:
             return f"{NO_FASTPATH_ENV} set"
-        if not runahead_enabled():
+        if not options.runahead:
             return f"{NO_RUNAHEAD_ENV} set"
         if not self._eager:
             return "lazy conflict detection"
@@ -281,7 +270,7 @@ class VectorEngine(Engine):
         reason = self._epochs_disabled_reason()
         if reason is not None:
             # Epochs batch per-op work; per-op layers (sanitizer,
-            # observer, tracer, the reference escape hatches) must see
+            # observer, the reference escape hatches) must see
             # every operation, so the whole run goes through the
             # interpreted engine rather than producing unchecked epochs.
             log.info("vector backend: %s; running per-op via the "
@@ -597,8 +586,8 @@ class VectorEngine(Engine):
                 proto_mutated = True
                 self._fused_ok.clear()
             elif kind == K_BEGIN:
-                # Clone of _op_atomic's outermost branch (tracing and obs
-                # are off whenever epochs run). The timestamp draw happens
+                # Clone of _op_atomic's outermost branch (obs is off
+                # whenever epochs run). The timestamp draw happens
                 # here, in heap-pop order — the strict scheduler's order.
                 tx = htm.begin(core, ts=op.ts)
                 breakdown[core].tx_committed += dur
@@ -611,8 +600,8 @@ class VectorEngine(Engine):
                     fc["commit_revoked"] = fc.get("commit_revoked", 0) + 1
                     fences += 1
                     break
-                # Clone of _finish_frame's commit path (tracing and obs
-                # off; eager detection, so no lazy publication).
+                # Clone of _finish_frame's commit path (obs off; eager
+                # detection, so no lazy publication).
                 frames = runner.frames
                 frames.pop()
                 runner.send = frames[-1].gen.send

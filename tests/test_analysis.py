@@ -13,11 +13,11 @@ from repro.analysis import (ERROR, WARNING, check_laws, check_paths,
 from repro.analysis.lint import check_lowerings
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.laws import check_suite
-from repro.analysis.sanitizer import SANITIZE_ENV, sanitize_enabled
+from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.coherence.states import State
 from repro.core.labels import LabelRegistry, add_label, min_label, \
     wordwise_label
-from repro.core.machine import Machine
+from repro.core.machine import Machine, resolve_options
 from repro.datatypes import SharedCounter
 from repro.datatypes.contracts import LawSuite, builtin_suites, wordwise_gen
 from repro.errors import SanitizerError
@@ -308,13 +308,14 @@ class TestSanitizer:
     def test_env_parsing(self, monkeypatch):
         for on in ("1", "true", "YES", " 1 "):
             monkeypatch.setenv(SANITIZE_ENV, on)
-            assert sanitize_enabled()
+            assert resolve_options().sanitize
+            assert not resolve_options(sanitize=False).sanitize
         for off in ("", "0", "false", "no"):
             monkeypatch.setenv(SANITIZE_ENV, off)
-            assert not sanitize_enabled()
+            assert not resolve_options().sanitize
+            assert resolve_options(sanitize=True).sanitize
         monkeypatch.delenv(SANITIZE_ENV)
-        assert not sanitize_enabled()
-        assert sanitize_enabled(default=True)
+        assert not resolve_options().sanitize
 
     def test_off_by_default_installs_nothing(self, monkeypatch):
         monkeypatch.delenv(SANITIZE_ENV, raising=False)

@@ -12,9 +12,10 @@ statistic and excludes only the ``host_*`` instrumentation counters.
 import pytest
 
 from repro.analysis.sanitizer import SANITIZE_ENV
+from repro.core.machine import resolve_options
 from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV
-from repro.sim.engine import NO_FASTPATH_ENV, fastpath_enabled
+from repro.sim.engine import NO_FASTPATH_ENV
 from repro.workloads.micro import (counter, linked_list, ordered_put,
                                    refcount, topk)
 
@@ -95,12 +96,12 @@ def test_sanitized_runs_are_clean_and_equivalent(name, no_fastpath,
     assert checked.stats.comparable() == plain.stats.comparable()
     for off in ("1", "true", "yes", " 1 "):
         monkeypatch.setenv(NO_FASTPATH_ENV, off)
-        assert not fastpath_enabled()
-    for on in ("", "0", "false", " FALSE "):
+        assert not resolve_options().fastpath
+    for on in ("", "0", "false", " FALSE ", "no", " No "):
         monkeypatch.setenv(NO_FASTPATH_ENV, on)
-        assert fastpath_enabled()
+        assert resolve_options().fastpath
     monkeypatch.delenv(NO_FASTPATH_ENV)
-    assert fastpath_enabled()
+    assert resolve_options().fastpath
 
 
 def test_counter_commtm_is_hit_dominated(monkeypatch):

@@ -16,13 +16,14 @@ Three contracts, in roughly increasing strength:
 
 import json
 import pickle
+import runpy
+from pathlib import Path
 
 import pytest
 
-from repro.core.machine import Machine
+from repro.core.machine import Machine, resolve_options
 from repro.harness.runner import run_workload
 from repro.obs import (
-    METRICS_SCHEMA,
     OBS_ENV,
     REPORT_SCHEMA,
     TRACE_SCHEMA,
@@ -30,7 +31,6 @@ from repro.obs import (
     TraceRecorder,
     chrome_trace,
     merge_traces,
-    obs_enabled,
     per_label_table,
     point_report,
 )
@@ -300,24 +300,31 @@ def test_cli_writes_versioned_artifacts(tmp_path, monkeypatch):
 
     trace_out = tmp_path / "trace.json"
     report_out = tmp_path / "report.json"
-    metrics_out = tmp_path / "metrics.json"
     rc = main(["fig09", "--threads", "1", "--scale", "0.02", "--jobs", "1",
                "--no-cache",
                "--trace-out", str(trace_out),
-               "--report-json", str(report_out),
-               "--metrics-out", str(metrics_out)])
+               "--report-json", str(report_out)])
     assert rc == 0
     trace = json.loads(trace_out.read_text())
     validate_chrome_trace(trace)
     report = json.loads(report_out.read_text())
-    assert report["schema"] == REPORT_SCHEMA
+    assert report["schema"] == REPORT_SCHEMA == "repro-obs-report/2"
     assert report["experiment"] == "fig09"
-    assert report["points"]
-    assert all("per_label" in p and "lifecycle" in p
-               for p in report["points"])
-    metrics = json.loads(metrics_out.read_text())
-    assert metrics["schema"] == METRICS_SCHEMA
-    assert any(p["hot_lines"] for p in metrics["points"])
+    assert report["harness"]["phases"]["experiment"]["calls"] >= 1
+    points = report["points"]
+    assert points
+    assert all("per_label" in p and "lifecycle" in p for p in points)
+    assert any(p["hot_lines"] for p in points)
+    for point in points:
+        assert point["trace_event_counts"]["tx"] > 0
+        assert set(point["hostprof"]["phases"]) >= {"simulate", "verify"}
+        assert "schema" not in point["hostprof"]
+    # The CI job summary renders the same document.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "obs_summary.py"
+    summary = "\n".join(runpy.run_path(str(tool))["render"](report))
+    assert "### Harness" in summary
+    assert "### counter t=1 commtm" in summary
+    assert "| simulate |" in summary
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +350,15 @@ def test_obs_is_bit_identical(name, commtm, monkeypatch):
 
 def test_obs_enabled_env_parsing(monkeypatch):
     monkeypatch.delenv(OBS_ENV, raising=False)
-    assert not obs_enabled()
-    assert obs_enabled(default=True)
+    assert not resolve_options().observe
+    assert resolve_options(observe=True).observe
     for on in ("1", "true", "yes", " 1 "):
         monkeypatch.setenv(OBS_ENV, on)
-        assert obs_enabled()
+        assert resolve_options().observe
+        assert not resolve_options(observe=False).observe
     for off in ("", "0", "false", " NO "):
         monkeypatch.setenv(OBS_ENV, off)
-        assert not obs_enabled()
+        assert not resolve_options().observe
 
 
 def test_machine_without_obs_installs_nothing(monkeypatch):

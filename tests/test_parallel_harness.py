@@ -96,12 +96,13 @@ def test_serial_and_parallel_sweeps_identical(monkeypatch):
     specs = [_counter_spec(t, commtm=c, total_ops=40)
              for t in (1, 2) for c in (False, True)]
     serial = run_points(specs, jobs=1)
-    # serial_threshold=0 forces the pool despite the small spec count,
-    # and the pinned CPU count keeps the worker path exercised on
+    # A zero serial threshold forces the pool despite the small spec
+    # count, and the pinned CPU count keeps the worker path exercised on
     # single-CPU hosts (where the affinity clamp would otherwise fall
     # back to the serial loop).
+    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
     monkeypatch.setattr(par, "_available_cpus", lambda: 4)
-    parallel = run_points(specs, jobs=4, serial_threshold=0)
+    parallel = run_points(specs, jobs=4)
     assert [r.cycles for r in serial] == [r.cycles for r in parallel]
     assert [r.stats.summary() for r in serial] \
         == [r.stats.summary() for r in parallel]
@@ -110,17 +111,18 @@ def test_serial_and_parallel_sweeps_identical(monkeypatch):
 def test_pool_persists_across_sweeps(monkeypatch):
     from repro.harness import parallel as par
 
+    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
     monkeypatch.setattr(par, "_available_cpus", lambda: 4)
     specs = [_counter_spec(t, commtm=c, total_ops=40)
              for t in (1, 2) for c in (False, True)]
-    run_points(specs, jobs=2, serial_threshold=0)
+    run_points(specs, jobs=2)
     pool = par._pool
     assert pool is not None and par._pool_jobs == 2
     run_points([_counter_spec(t, total_ops=41) for t in (1, 2)],
-               jobs=2, serial_threshold=0)
+               jobs=2)
     assert par._pool is pool  # reused, not rebuilt
     # A different worker count rebuilds; shutdown clears.
-    run_points(specs, jobs=3, serial_threshold=0)
+    run_points(specs, jobs=3)
     assert par._pool is not pool and par._pool_jobs == 3
     par.shutdown_pool()
     assert par._pool is None
@@ -132,6 +134,7 @@ def test_oversubscribed_jobs_run_serially(caplog, monkeypatch):
     so once."""
     from repro.harness import parallel as par
 
+    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
     monkeypatch.setattr(par, "_available_cpus", lambda: 1)
 
     def boom(jobs):
@@ -141,7 +144,7 @@ def test_oversubscribed_jobs_run_serially(caplog, monkeypatch):
     specs = [_counter_spec(t, commtm=c, total_ops=40)
              for t in (1, 2) for c in (False, True)]
     with caplog.at_level("INFO", logger="repro.harness"):
-        results = run_points(specs, jobs=4, serial_threshold=0)
+        results = run_points(specs, jobs=4)
     assert len(results) == 4
     assert any("one CPU" in r.message for r in caplog.records)
 
@@ -171,10 +174,11 @@ def test_failing_point_is_attached_to_its_exception(pool, monkeypatch):
     from repro.harness import parallel as par
 
     specs = _failing_sweep()
+    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
     if pool:
         monkeypatch.setattr(par, "_available_cpus", lambda: 4)
     with pytest.raises(SanitizerError) as info:
-        run_points(specs, jobs=4 if pool else 1, serial_threshold=0)
+        run_points(specs, jobs=4 if pool else 1)
     assert info.value.point_spec == specs[1]
     # Equal-cost specs fill the buckets in order and the dispatcher runs
     # only the first, so the failing point ran in a worker and its
@@ -290,23 +294,6 @@ def test_small_sweep_falls_back_to_serial(caplog, monkeypatch):
     assert len(results) == 4
     assert any("below the serial threshold" in r.message
                for r in caplog.records)
-
-
-def test_resolve_serial_threshold(monkeypatch):
-    from repro.harness.parallel import (DEFAULT_SERIAL_THRESHOLD,
-                                        SERIAL_THRESHOLD_ENV,
-                                        resolve_serial_threshold)
-
-    assert resolve_serial_threshold(5) == 5
-    assert resolve_serial_threshold(-3) == 0
-    monkeypatch.setenv(SERIAL_THRESHOLD_ENV, "17")
-    assert resolve_serial_threshold() == 17
-    assert resolve_serial_threshold(2) == 2  # explicit beats env
-    monkeypatch.setenv(SERIAL_THRESHOLD_ENV, "lots")
-    with pytest.raises(SimulationError):
-        resolve_serial_threshold()
-    monkeypatch.delenv(SERIAL_THRESHOLD_ENV)
-    assert resolve_serial_threshold() == DEFAULT_SERIAL_THRESHOLD
 
 
 def test_resolve_jobs(monkeypatch):

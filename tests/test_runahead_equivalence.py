@@ -25,12 +25,12 @@ import pytest
 
 from repro import Machine
 from repro.analysis.sanitizer import SANITIZE_ENV
+from repro.core.machine import resolve_options
 from repro.harness.runner import run_workload
 from repro.obs import OBS_ENV
 from repro.params import small_config
 from repro.runtime.ops import BARRIER, Atomic
-from repro.sim.engine import (Engine, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV,
-                              runahead_enabled)
+from repro.sim.engine import Engine, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
 from repro.workloads.micro import (counter, linked_list, ordered_put,
                                    refcount, topk)
 from repro.workloads.micro.common import BuiltWorkload
@@ -111,12 +111,30 @@ def test_runahead_composes_with_obs_and_sanitize(name, mode, monkeypatch):
 def test_env_parsing(monkeypatch):
     for off in ("1", "true", "yes", " 1 "):
         monkeypatch.setenv(NO_RUNAHEAD_ENV, off)
-        assert not runahead_enabled()
-    for on in ("", "0", "false", " FALSE "):
+        assert not resolve_options().runahead
+    for on in ("", "0", "false", " FALSE ", "no", " No "):
         monkeypatch.setenv(NO_RUNAHEAD_ENV, on)
-        assert runahead_enabled()
+        assert resolve_options().runahead
     monkeypatch.delenv(NO_RUNAHEAD_ENV)
-    assert runahead_enabled()
+    assert resolve_options().runahead
+
+
+def test_options_are_fixed_when_the_machine_is_built(monkeypatch):
+    """The escape hatches are read once, by ``Machine()``: exporting them
+    between construction and ``run()`` changes nothing."""
+    monkeypatch.delenv(NO_RUNAHEAD_ENV, raising=False)
+    monkeypatch.delenv(NO_FASTPATH_ENV, raising=False)
+    # Pinned: the host counters below are the interpreted engine's, and
+    # an Observer or sanitizer would turn the fast path off.
+    machine = Machine(small_config(num_cores=16, seed=1), backend="interp",
+                      sanitize=False, observe=False)
+    assert machine.options.runahead and machine.options.fastpath
+    built = MICROS["counter"](machine, 4, total_ops=240)
+    monkeypatch.setenv(NO_RUNAHEAD_ENV, "1")
+    monkeypatch.setenv(NO_FASTPATH_ENV, "1")
+    machine.run(built.bodies)
+    assert machine.stats.host_runahead_batches > 0
+    assert machine.stats.host_fastpath_hits > 0
 
 
 # ---------------------------------------------------------------------------

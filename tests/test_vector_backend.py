@@ -15,6 +15,7 @@ import pytest
 
 from repro import Machine
 from repro.analysis.sanitizer import SANITIZE_ENV
+from repro.core.machine import resolve_backend
 from repro.core.labels import (add_label, max_label, min_label, oput_label,
                                wordwise_label)
 from repro.datatypes import SharedCounter
@@ -28,7 +29,7 @@ from repro.params import SystemConfig, small_config
 from repro.runtime.ops import Atomic
 from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine
 from repro.sim.stats import Stats
-from repro.sim.vector import BACKEND_ENV, BACKENDS, resolve_backend
+from repro.sim.vector import BACKEND_ENV, BACKENDS
 from repro.sim.vector import engine as vector_engine
 from repro.sim.vector.columns import EpochColumns
 from repro.sim.vector.kernels import reduce_lines
@@ -47,24 +48,24 @@ def _clean_backend_env(monkeypatch):
 
 def test_default_is_interp():
     assert resolve_backend() == "interp"
-    assert Machine(small_config()).backend == "interp"
+    assert Machine(small_config()).options.backend == "interp"
 
 
 def test_explicit_argument_selects_vector():
     assert resolve_backend("vector") == "vector"
-    assert Machine(small_config(), backend="vector").backend == "vector"
+    assert Machine(small_config(), backend="vector").options.backend == "vector"
 
 
 def test_env_selects_vector(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "vector")
     assert resolve_backend() == "vector"
-    assert Machine(small_config()).backend == "vector"
+    assert Machine(small_config()).options.backend == "vector"
 
 
 def test_explicit_argument_beats_env(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "vector")
     assert resolve_backend("interp") == "interp"
-    assert Machine(small_config(), backend="interp").backend == "interp"
+    assert Machine(small_config(), backend="interp").options.backend == "interp"
 
 
 def test_names_are_normalized():

@@ -1,16 +1,16 @@
 #!/usr/bin/env python
-"""Render an observability hostprof artifact as a Markdown summary.
+"""Render a run report's host phase accounting as a Markdown summary.
 
-Reads a ``repro-obs-hostprof/1`` JSON file (written by ``python -m
-repro.harness ... --hostprof-out``), prints a phase-accounting table to
-stdout, and appends the same table to ``$GITHUB_STEP_SUMMARY`` when that
-variable is set — so the CI obs-artifacts job surfaces where host time
-goes (simulate vs verify vs build, cache and dispatch) without anyone
-downloading the artifact.
+Reads a ``repro-obs-report/2`` JSON file (written by ``python -m
+repro.harness ... --report-json``), prints its harness and per-point
+phase-accounting tables to stdout, and appends the same tables to
+``$GITHUB_STEP_SUMMARY`` when that variable is set — so the CI
+obs-artifacts job surfaces where host time goes (simulate vs verify vs
+build, cache and dispatch) without anyone downloading the artifact.
 
 Usage::
 
-    python tools/obs_summary.py obs-hostprof.json
+    python tools/obs_summary.py obs-report.json
 """
 
 from __future__ import annotations
@@ -29,10 +29,14 @@ def _fmt_ns(ns: int) -> str:
     return f"{ns / 1e3:.0f}µs"
 
 
-def _phase_rows(section: dict) -> list:
+def _table(heading: str, section: dict) -> list:
+    lines = [f"### {heading}", "", "| phase | wall | calls | share |",
+             "|---|---:|---:|---:|"]
     phases = section.get("phases", {})
-    order = sorted(phases.items(), key=lambda kv: -kv[1]["ns"])
-    return [(name, p["ns"], p["calls"], p["share"]) for name, p in order]
+    for name, p in sorted(phases.items(), key=lambda kv: -kv[1]["ns"]):
+        lines.append(f"| {name} | {_fmt_ns(p['ns'])} | {p['calls']} "
+                     f"| {p['share']:.1%} |")
+    return lines + [""]
 
 
 def render(doc: dict) -> list:
@@ -43,47 +47,29 @@ def render(doc: dict) -> list:
         f"(`{doc.get('schema', '?')}`)",
         "",
     ]
-
     harness = doc.get("harness", {})
     if harness.get("phases"):
-        lines += [
-            "### Harness",
-            "",
-            "| phase | wall | calls | share |",
-            "|---|---:|---:|---:|",
-        ]
-        for name, ns, calls, share in _phase_rows(harness):
-            lines.append(f"| {name} | {_fmt_ns(ns)} | {calls} "
-                         f"| {share:.1%} |")
-        lines.append("")
-
+        lines += _table("Harness", harness)
     for point in doc.get("points", []):
-        name = point.get("name", "?")
-        section = point.get("hostprof", {})
-        lines += [
-            f"### {name}",
-            "",
-            "| phase | wall | calls | share |",
-            "|---|---:|---:|---:|",
-        ]
-        for pname, ns, calls, share in _phase_rows(section):
-            lines.append(f"| {pname} | {_fmt_ns(ns)} | {calls} "
-                         f"| {share:.1%} |")
-        lines.append("")
+        if "hostprof" not in point:  # the point ran unobserved
+            continue
+        system = "commtm" if point.get("commtm") else "baseline"
+        name = f"{point.get('name', '?')} t={point.get('num_threads')} {system}"
+        lines += _table(name, point["hostprof"])
     return lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Markdown summary of a repro-obs-hostprof/1 artifact.")
-    parser.add_argument("hostprof", help="hostprof JSON (--hostprof-out)")
+        description="Markdown summary of a repro-obs-report/2 run report.")
+    parser.add_argument("report", help="run report JSON (--report-json)")
     args = parser.parse_args(argv)
 
     try:
-        with open(args.hostprof) as fh:
+        with open(args.report) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"obs_summary: cannot read {args.hostprof}: {exc}",
+        print(f"obs_summary: cannot read {args.report}: {exc}",
               file=sys.stderr)
         return 2
 
