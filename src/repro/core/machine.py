@@ -89,6 +89,12 @@ class RunOptions:
     runahead: bool
 
 
+#: The variables :func:`resolve_options` reads. A sweep's pool workers
+#: apply the dispatching process's values of these before each point.
+OPTION_ENVS = (BACKEND_ENV, SANITIZE_ENV, OBS_ENV, NO_FASTPATH_ENV,
+               NO_RUNAHEAD_ENV)
+
+
 def resolve_options(backend: Optional[str] = None,
                     sanitize: Optional[bool] = None,
                     observe: Optional[bool] = None) -> RunOptions:

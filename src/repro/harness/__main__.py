@@ -12,12 +12,13 @@ Usage::
         --report-json r.json                        # structured artifacts
 
 Sweeps fan out over ``--jobs`` worker processes (default: ``REPRO_JOBS``,
-else the machine's CPU count) and reuse previously simulated points from
-the on-disk cache (``--cache-dir``, default ``~/.cache/repro-commtm``;
-disable with ``--no-cache``). Parallel and cached runs produce output
-identical to ``--jobs 1 --no-cache``. Sweeps with fewer than ten
-uncached points run serially (pool dispatch would cost more than it
-saves); ``--profile`` runs the experiment under :mod:`cProfile`
+else the machine's CPU count; capped at the CPUs this process may use)
+and reuse previously simulated points from the on-disk cache
+(``--cache-dir``, default ``~/.cache/repro-commtm``; disable with
+``--no-cache``). Every sweep of two or more uncached points goes to the
+pool, whose first use in a run costs a few tenths of a second to
+start. Parallel and cached runs produce output identical to ``--jobs 1
+--no-cache``. ``--profile`` runs the experiment under :mod:`cProfile`
 and prints the top 25 functions by cumulative time to stderr
 (``--profile-out FILE`` additionally dumps the raw stats for ``pstats``/
 ``snakeviz``).
@@ -62,8 +63,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="operation-count multiplier")
     parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="worker processes for sweeps "
-                             "(default: $REPRO_JOBS, else CPU count)")
+                        help="worker processes for sweeps, at most one "
+                             "per usable CPU (default: $REPRO_JOBS, else "
+                             "CPU count; 1: no pool)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result cache")
     parser.add_argument("--cache-dir", default=None,
@@ -105,7 +107,7 @@ def main(argv=None) -> int:
         print("\n".join(list_experiments()))
         return 0
 
-    # Make the harness's operational messages (e.g. the small-sweep
+    # Make the harness's operational messages (e.g. the one-CPU
     # serial-fallback note) visible without configuring global logging.
     harness_log = logging.getLogger("repro.harness")
     if not harness_log.handlers:
@@ -126,8 +128,9 @@ def main(argv=None) -> int:
         os.environ[BACKEND_ENV] = args.backend
 
     if args.sanitize:
-        # Worker pools inherit the environment, so the flag reaches every
-        # sweep point; cached results were never sanitized, so skip them.
+        # Sweeps hand the run-option variables to their pool workers, so
+        # the flag reaches every point; cached results were never
+        # sanitized, so skip them.
         from ..analysis.sanitizer import SANITIZE_ENV
 
         os.environ[SANITIZE_ENV] = "1"

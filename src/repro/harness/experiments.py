@@ -146,7 +146,8 @@ def run_experiment(name: str, threads: List[int] = None,
 
     ``jobs`` (worker processes) and ``cache`` (a
     :class:`~repro.harness.cache.ResultCache`) are forwarded to the sweep
-    layer; both default to serial, uncached execution.
+    layer: ``jobs`` defaults to ``REPRO_JOBS``, else the CPU count, and
+    ``cache`` to none.
     """
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))

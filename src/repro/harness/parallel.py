@@ -18,31 +18,38 @@ Key design points:
   simulated once and the result is shared between all requesting positions.
   This is what makes the 1-thread baseline of a speedup curve free when it
   also appears as a swept point.
-* **Deterministic merge.** ``pool.map`` preserves input order; combined
-  with the canonical dedupe the merge is a pure function of the spec list.
-* **The pool is persistent and pays for itself.** Workers are created once
-  per host process (``forkserver`` with the simulator preloaded, falling
-  back to ``fork``, then ``spawn``) and reused across sweeps, so repeated
-  sweeps never pay interpreter + import startup per task. Every worker
-  runs a warmup initializer that imports the simulator stack at creation,
-  so even ``spawn`` workers are hot before the first spec arrives;
+* **Deterministic merge.** Results are placed back by position, whatever
+  order the workers finish in; combined with the canonical dedupe the
+  merge is a pure function of the spec list.
+* **The pool is persistent.** Workers are created once per host process
+  (``forkserver`` with the simulator preloaded, falling back to ``fork``,
+  then ``spawn``) and reused across sweeps, so repeated sweeps never pay
+  interpreter + import startup per task. Every worker runs a warmup
+  initializer that imports the simulator stack at creation, so even
+  ``spawn`` workers are hot before the first spec arrives;
   :func:`warm_pool` lets callers pay the whole pool startup outside any
-  timed region. Sweeps smaller than :data:`SERIAL_THRESHOLD` points run
-  serially instead — small sweeps never regress behind pool dispatch.
-* **Adaptive chunk sizing.** Spec costs within one sweep routinely differ
-  by an order of magnitude (an 8-thread contended point vs its 1-thread
-  baseline), so fixed-size chunks leave workers idle behind the worst
-  chunk. Specs are instead packed into one bucket per worker by
-  longest-processing-time greedy assignment over a cost estimate
-  (:func:`estimate_cost`), so each worker gets one balanced batch and the
-  per-task dispatch/pickle overhead is paid ``jobs`` times, not once per
-  point.
+  timed region.
+* **Self-scheduled dispatch.** Every sweep of two or more uncached points
+  goes to the pool when two or more CPUs are usable, heaviest estimate
+  (:func:`estimate_cost`) first, as tasks of ``ceil(n / (4 * workers))``
+  consecutive points. Each worker takes the next task from the pool's
+  shared queue as soon as it finishes one, so a wrong estimate costs at
+  most one task of imbalance. The dispatching process only waits.
+* **Run options travel with the tasks.** A forkserver worker keeps the
+  environment the server started with, so every task carries the
+  dispatching process's :data:`~repro.core.machine.OPTION_ENVS` and the
+  worker applies them before it builds the machine.
+* **A dead worker fails the sweep.** A worker killed outright (the OOM
+  killer, a signal) breaks the pool; the sweep raises
+  :class:`SimulationError` naming every point whose result had not come
+  back, and the next sweep builds a fresh pool.
 """
 
 from __future__ import annotations
 
 import atexit
 import dataclasses
+import functools
 import importlib
 import logging
 import os
@@ -57,12 +64,6 @@ log = logging.getLogger("repro.harness")
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Sweeps with fewer uncached unique points than this run serially even
-#: when ``jobs > 1``: dispatching a handful of points through the pool
-#: costs more than it saves (on a single-CPU host an 8-point sweep took
-#: 0.37s serial vs 0.93s under a cold 4-worker pool).
-SERIAL_THRESHOLD = 10
 
 #: Modules the forkserver imports *once* before any worker forks from it;
 #: workers then inherit the fully-imported simulator for free. The list is
@@ -219,45 +220,31 @@ def replay_command(spec: PointSpec) -> str:
 
 
 def estimate_cost(spec: PointSpec) -> int:
-    """Relative cost estimate for one spec, for load balancing only.
+    """Relative cost estimate for one spec, for ordering the pool's queue.
 
     Simulated work scales with how many ops each thread issues times how
     many threads issue them, so ``total_ops * num_threads`` (with the
-    micro default of 1000 when the builder has no such knob) tracks the
-    real wall-clock ordering well enough for bucket packing. Estimates
-    only need to get the *ranking* roughly right — the LPT packing in
-    :func:`partition_specs` is what turns them into balanced buckets.
+    micro default of 1000 when the builder has no such knob) ranks the
+    heavy points first. The ranking only decides which points start
+    first; workers pull the rest as they free up.
     """
     params = dict(spec.params)
     total_ops = params.get("total_ops") or 1000
     return max(1, int(total_ops) * max(1, spec.num_threads))
 
 
-def partition_specs(specs: Sequence[PointSpec],
-                    buckets: int) -> List[List[int]]:
-    """Pack spec indices into at most ``buckets`` cost-balanced buckets.
-
-    Longest-processing-time greedy: visit specs in descending estimated
-    cost, always appending to the currently lightest bucket. Returns the
-    non-empty buckets; each inner list holds indices into ``specs`` in
-    descending-cost order, so every worker starts with its heaviest point
-    while the others are still being dispatched.
-    """
-    buckets = max(1, min(buckets, len(specs)))
-    loads = [0] * buckets
-    out: List[List[int]] = [[] for _ in range(buckets)]
-    order = sorted(range(len(specs)),
-                   key=lambda i: estimate_cost(specs[i]), reverse=True)
-    for i in order:
-        b = loads.index(min(loads))
-        out[b].append(i)
-        loads[b] += estimate_cost(specs[i])
-    return [bucket for bucket in out if bucket]
-
-
-def run_bucket(specs: Sequence[PointSpec]) -> List:
-    """Simulate a bucket of specs in order. Top-level for pool pickling."""
-    return [_run_named(spec) for spec in specs]
+def _run_under(env: Tuple[Tuple[str, Optional[str]], ...],
+               spec: PointSpec):
+    """:func:`_run_named` under the dispatching process's run options.
+    ``env`` pairs each of :data:`~repro.core.machine.OPTION_ENVS` with its
+    value there, None for unset; a worker applies it first, since it
+    otherwise keeps the environment its forkserver started with."""
+    for name, value in env:
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
+    return _run_named(spec)
 
 
 def _available_cpus() -> int:
@@ -290,7 +277,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 # --- persistent worker pool -------------------------------------------------
 #
 # One pool per host process, created on first parallel sweep and reused for
-# every later one (rebuilt only if a different ``jobs`` is requested).
+# every later one (rebuilt only if a different ``jobs`` is requested or a
+# worker died).
 # ``forkserver`` + preload means worker startup is a bare fork of an
 # already-imported interpreter; cold spawn startup is paid at most once.
 
@@ -352,8 +340,10 @@ def get_pool(jobs: int):
     if _pool is not None and _pool_jobs != jobs:
         shutdown_pool()
     if _pool is None:
-        _pool = _pool_context().Pool(processes=jobs,
-                                     initializer=_worker_warmup)
+        from concurrent.futures import ProcessPoolExecutor
+
+        _pool = ProcessPoolExecutor(jobs, mp_context=_pool_context(),
+                                    initializer=_worker_warmup)
         _pool_jobs = jobs
     return _pool
 
@@ -368,8 +358,7 @@ def warm_pool(jobs: Optional[int] = None) -> None:
     workers = min(resolve_jobs(jobs), _available_cpus())
     if workers <= 1:
         return  # sweeps will run serially; there is nothing to warm
-    pool = get_pool(workers)
-    pool.map(_warm_task, [0.02] * workers, 1)
+    list(get_pool(workers).map(_warm_task, [0.02] * workers))
 
 
 def _warm_task(hold_seconds: float) -> int:
@@ -385,8 +374,7 @@ def shutdown_pool() -> None:
     """Tear down the persistent pool (no-op when none exists)."""
     global _pool, _pool_jobs
     if _pool is not None:
-        _pool.terminate()
-        _pool.join()
+        _pool.shutdown(wait=True, cancel_futures=True)
         _pool = None
         _pool_jobs = 0
 
@@ -400,11 +388,10 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
 
     Identical specs are simulated once. With ``cache`` (a
     :class:`~repro.harness.cache.ResultCache`), previously simulated points
-    are loaded from disk and fresh ones are stored. ``jobs > 1`` fans the
-    uncached unique specs over the persistent worker pool in chunks —
-    unless fewer than :data:`SERIAL_THRESHOLD` points remain, in which
-    case they run serially. The output is identical to ``jobs=1`` by
-    construction.
+    are loaded from disk and fresh ones are stored. Two or more uncached
+    unique specs run on the persistent worker pool (:func:`_run_pooled`)
+    when ``jobs`` and the usable CPUs both exceed one. The output is
+    identical to ``jobs=1`` by construction.
     """
     jobs = resolve_jobs(jobs)
 
@@ -436,29 +423,8 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
         # work (the recorded sweep16 regression was exactly that — a
         # 4-worker pool on a one-CPU host losing to the serial loop).
         workers = min(jobs, _available_cpus())
-        if workers > 1 and n > 1 and n >= SERIAL_THRESHOLD:
-            pool = get_pool(workers)
-            # Adaptive chunk sizing: one cost-balanced bucket per worker
-            # (LPT over the spec cost estimates) instead of fixed-size
-            # chunks — per-task dispatch overhead is paid ``workers``
-            # times, not once per point, and no worker idles behind a
-            # chunk that happened to collect the expensive points. The
-            # dispatching process is a worker too: it simulates the
-            # heaviest bucket itself while the pool drains the rest, so
-            # that bucket's specs and results never cross a process
-            # boundary at all and an otherwise-idle parent core joins
-            # the sweep.
-            buckets = partition_specs(todo_specs, workers)
-            async_out = pool.map_async(
-                run_bucket,
-                [[todo_specs[i] for i in bucket] for bucket in buckets[1:]],
-                1)
-            local_out = run_bucket([todo_specs[i] for i in buckets[0]])
-            nested = [local_out] + (async_out.get() if buckets[1:] else [])
-            outputs = [None] * n
-            for bucket, bucket_out in zip(buckets, nested):
-                for i, result in zip(bucket, bucket_out):
-                    outputs[i] = result
+        if workers > 1 and n > 1:
+            outputs = _run_pooled(todo_specs, workers)
         else:
             if jobs > 1 and workers == 1 and n > 1:
                 log.info(
@@ -466,12 +432,6 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
                     "this process: running serially (an oversubscribed "
                     "pool re-runs the same serial work plus dispatch "
                     "overhead)", jobs,
-                )
-            elif jobs > 1 and n > 1:
-                log.info(
-                    "sweep has %d uncached point(s), below the serial "
-                    "threshold of %d: running serially (pool dispatch "
-                    "would cost more than it saves)", n, SERIAL_THRESHOLD,
                 )
             outputs = [_run_named(spec) for spec in todo_specs]
         for (key, spec), result in zip(todo, outputs):
@@ -487,9 +447,46 @@ def run_points(specs: Sequence[PointSpec], *, jobs: Optional[int] = None,
     return ordered
 
 
+def _run_pooled(specs: Sequence[PointSpec], workers: int) -> List:
+    """Simulate ``specs`` on the pool; return results aligned with them.
+
+    The specs go out heaviest estimate first (ties in spec order) as tasks
+    of ``ceil(n / (4 * workers))`` consecutive points, the chunk size
+    ``multiprocessing.Pool.map`` picks by default: one point per task for
+    a figure's sweep, a dozen for 96 four-millisecond seed points, whose
+    task round trip would otherwise cost a quarter of their run.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    from ..core.machine import OPTION_ENVS
+
+    order = sorted(range(len(specs)), key=lambda i: estimate_cost(specs[i]),
+                   reverse=True)
+    env = tuple((name, os.environ.get(name)) for name in OPTION_ENVS)
+    outputs: List = [None] * len(specs)
+    done = 0
+    try:
+        for result in get_pool(workers).map(
+                functools.partial(_run_under, env),
+                [specs[i] for i in order],
+                chunksize=-(-len(specs) // (4 * workers))):
+            outputs[order[done]] = result
+            done += 1
+    except BrokenProcessPool as exc:
+        shutdown_pool()  # unusable now; the next sweep builds a fresh one
+        missing = [specs[i] for i in order[done:]]
+        error = SimulationError(
+            f"a pool worker died (killed by a signal or out of memory) "
+            f"before {len(missing)} point(s) came back: "
+            + "; ".join(describe_point(spec) for spec in missing))
+        if len(missing) == 1:
+            error.point_spec = missing[0]
+        raise error from exc
+    return outputs
+
+
 __all__ = [
     "JOBS_ENV",
-    "SERIAL_THRESHOLD",
     "POOL_PRELOAD_MODULES",
     "PointSpec",
     "build_path",
@@ -499,8 +496,6 @@ __all__ = [
     "describe_point",
     "replay_command",
     "estimate_cost",
-    "partition_specs",
-    "run_bucket",
     "resolve_jobs",
     "get_pool",
     "warm_pool",

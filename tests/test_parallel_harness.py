@@ -5,9 +5,10 @@ import os
 import pickle
 import random
 import shlex
+import signal
 import subprocess
 import sys
-from multiprocessing.pool import RemoteTraceback
+import time
 from pathlib import Path
 
 import pytest
@@ -96,11 +97,9 @@ def test_serial_and_parallel_sweeps_identical(monkeypatch):
     specs = [_counter_spec(t, commtm=c, total_ops=40)
              for t in (1, 2) for c in (False, True)]
     serial = run_points(specs, jobs=1)
-    # A zero serial threshold forces the pool despite the small spec
-    # count, and the pinned CPU count keeps the worker path exercised on
-    # single-CPU hosts (where the affinity clamp would otherwise fall
-    # back to the serial loop).
-    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
+    # The pinned CPU count keeps the worker path exercised on single-CPU
+    # hosts (where the affinity clamp would otherwise fall back to the
+    # serial loop).
     monkeypatch.setattr(par, "_available_cpus", lambda: 4)
     parallel = run_points(specs, jobs=4)
     assert [r.cycles for r in serial] == [r.cycles for r in parallel]
@@ -111,7 +110,6 @@ def test_serial_and_parallel_sweeps_identical(monkeypatch):
 def test_pool_persists_across_sweeps(monkeypatch):
     from repro.harness import parallel as par
 
-    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
     monkeypatch.setattr(par, "_available_cpus", lambda: 4)
     specs = [_counter_spec(t, commtm=c, total_ops=40)
              for t in (1, 2) for c in (False, True)]
@@ -134,7 +132,6 @@ def test_oversubscribed_jobs_run_serially(caplog, monkeypatch):
     so once."""
     from repro.harness import parallel as par
 
-    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
     monkeypatch.setattr(par, "_available_cpus", lambda: 1)
 
     def boom(jobs):
@@ -147,6 +144,42 @@ def test_oversubscribed_jobs_run_serially(caplog, monkeypatch):
         results = run_points(specs, jobs=4)
     assert len(results) == 4
     assert any("one CPU" in r.message for r in caplog.records)
+
+
+def test_small_sweep_runs_on_the_pool(monkeypatch):
+    """Two uncached points and two usable CPUs are enough for the pool: a
+    figure's 8-point sweep gains from it as a 96-point one does."""
+    from repro.harness import parallel as par
+
+    real_get_pool, sizes = par.get_pool, []
+
+    def spy(jobs):
+        sizes.append(jobs)
+        return real_get_pool(jobs)
+
+    monkeypatch.setattr(par, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(par, "get_pool", spy)
+    specs = [_counter_spec(t, commtm=c, total_ops=40)
+             for t in (1, 2) for c in (False, True)]
+    assert len(run_points(specs, jobs=2)) == 4
+    assert sizes == [2]
+
+
+def test_pool_workers_take_the_sweeps_run_options(monkeypatch):
+    """A forkserver worker keeps the environment the server started with,
+    yet every pooled point must run under the options the dispatching
+    process has now, whichever way they changed since the pool started."""
+    from repro.harness import parallel as par
+    from repro.obs import OBS_ENV
+
+    monkeypatch.setattr(par, "_available_cpus", lambda: 4)
+    specs = [_counter_spec(t, seed=seed, total_ops=40)
+             for t in (1, 2) for seed in range(1, 6)]
+    run_points(specs, jobs=2)  # the pool exists before the change
+    monkeypatch.setenv(OBS_ENV, "1")
+    assert all("obs" in r.info for r in run_points(specs, jobs=2))
+    monkeypatch.delenv(OBS_ENV)
+    assert not any("obs" in r.info for r in run_points(specs, jobs=2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +202,81 @@ def _failing_sweep():
             for seed in (1, FAILING_SEED, 2)]
 
 
+def dying_build(machine, num_threads, total_ops=40):
+    """The counter micro, except that at one seed its process is killed
+    outright, as the OOM killer would kill it. The kill waits a moment, so
+    that the sweep's other points come back first. Never run in the test
+    process: it would kill it."""
+    if machine.config.seed == FAILING_SEED:
+        time.sleep(0.2)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return counter.build(machine, num_threads, total_ops=total_ops)
+
+
+#: Two sweeps that each lose a pool worker, then one that must succeed on
+#: a fresh pool. The first has ten points, the second loses exactly one.
+DYING_SWEEPS = f"""
+from repro.errors import SimulationError
+from repro.harness import make_spec, parallel, run_points
+from tests.test_parallel_harness import dying_build
+
+parallel._available_cpus = lambda: 2
+sweeps = [(1, {FAILING_SEED}, *range(2, 10)), (1, 2, {FAILING_SEED}), (1, 2)]
+for seeds in sweeps:
+    specs = [make_spec(dying_build, 2, num_cores=16, seed=seed)
+             for seed in seeds]
+    try:
+        print(len(run_points(specs, jobs=2)), "results")
+    except SimulationError as exc:
+        print(getattr(exc, "point_spec", None), "|", exc)
+"""
+
+
+def test_dead_worker_fails_the_sweep():
+    """A sweep whose pool worker dies raises an error naming the points
+    that did not come back, instead of waiting for them forever; a lone
+    lost point is attached for the CLI's replay line. The sweeps run in a
+    session of their own, so that a hang is killed whole and fails the
+    test rather than hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", DYING_SWEEPS],
+                            cwd=REPO_ROOT, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a sweep whose pool worker died did not return")
+    assert proc.returncode == 0, err
+    ten, one, after = out.splitlines()
+    lost = make_spec(dying_build, 2, num_cores=16, seed=FAILING_SEED)
+    assert ten.startswith("None | a pool worker died")
+    assert describe_point(lost) in ten
+    assert one == f"{lost!r} | a pool worker died (killed by a signal or " \
+        f"out of memory) before 1 point(s) came back: {describe_point(lost)}"
+    assert after == "2 results"
+
+
 @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
 def test_failing_point_is_attached_to_its_exception(pool, monkeypatch):
     from repro.harness import parallel as par
 
     specs = _failing_sweep()
-    monkeypatch.setattr(par, "SERIAL_THRESHOLD", 0)
     if pool:
         monkeypatch.setattr(par, "_available_cpus", lambda: 4)
     with pytest.raises(SanitizerError) as info:
         run_points(specs, jobs=4 if pool else 1)
     assert info.value.point_spec == specs[1]
-    # Equal-cost specs fill the buckets in order and the dispatcher runs
-    # only the first, so the failing point ran in a worker and its
-    # exception was pickled back.
-    assert isinstance(info.value.__cause__, RemoteTraceback) == pool
+    # Every point of a pooled sweep runs in a worker, so the failing
+    # point's exception was pickled back with the worker's traceback.
+    if pool:
+        remote = str(info.value.__cause__)
+        assert "Traceback (most recent call last)" in remote
+        assert f"injected fault at seed {FAILING_SEED}" in remote
+    else:
+        assert info.value.__cause__ is None
 
 
 def test_replay_line_reraises_in_a_subprocess():
@@ -254,46 +347,6 @@ def test_cli_reports_errors_outside_points(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", raising(ValueError("bug")))
     with pytest.raises(ValueError, match="bug"):
         cli.main(["fig09", "--no-cache", "--jobs", "1"])
-
-
-def test_partition_specs_balances_and_covers():
-    from repro.harness.parallel import estimate_cost, partition_specs
-
-    specs = [_counter_spec(t, commtm=c, total_ops=100 * t)
-             for t in (1, 2, 3, 4) for c in (False, True)]
-    buckets = partition_specs(specs, 3)
-    flat = sorted(i for bucket in buckets for i in bucket)
-    assert flat == list(range(len(specs)))  # exact cover, no duplicates
-    loads = [sum(estimate_cost(specs[i]) for i in bucket)
-             for bucket in buckets]
-    # LPT guarantee: no bucket exceeds the ideal share by more than the
-    # largest single item.
-    ideal = sum(loads) / len(loads)
-    largest = max(estimate_cost(s) for s in specs)
-    assert max(loads) <= ideal + largest
-    # Degenerate shapes: more buckets than specs, and a single bucket.
-    assert partition_specs(specs[:2], 8) == [[1], [0]] \
-        or len(partition_specs(specs[:2], 8)) == 2
-    assert partition_specs(specs, 1) == [sorted(
-        range(len(specs)), key=lambda i: estimate_cost(specs[i]),
-        reverse=True)]
-
-
-def test_small_sweep_falls_back_to_serial(caplog, monkeypatch):
-    from repro.harness import parallel as par
-
-    def boom(jobs):  # the pool must not be touched below the threshold
-        raise AssertionError("pool used for a below-threshold sweep")
-
-    monkeypatch.setattr(par, "get_pool", boom)
-    monkeypatch.setattr(par, "_available_cpus", lambda: 4)
-    specs = [_counter_spec(t, commtm=c, total_ops=40)
-             for t in (1, 2) for c in (False, True)]
-    with caplog.at_level("INFO", logger="repro.harness"):
-        results = run_points(specs, jobs=4)  # 4 < default threshold of 10
-    assert len(results) == 4
-    assert any("below the serial threshold" in r.message
-               for r in caplog.records)
 
 
 def test_resolve_jobs(monkeypatch):
