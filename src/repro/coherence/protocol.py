@@ -577,13 +577,7 @@ class MemorySystem:
         self.stats.getx += 1
         committer = Requester(core=core, ts=None, now=requester.now)
         victims = [s for s in ent.sharers if s != core]
-        spec_victims = [
-            v for v in victims
-            if (e := self.caches[v].lookup(line_no)) is not None
-            and e.speculative
-        ]
-        self._resolve_victims(line_no, spec_victims, committer,
-                              Trigger.WRITE, res)
+        self._resolve_victims(line_no, victims, committer, Trigger.WRITE, res)
         res.cycles += self._fanout_cycles(line_no, victims)
         for victim in victims:
             self.caches[victim].drop(line_no)
@@ -748,12 +742,7 @@ class MemorySystem:
         if ent.owner is not None and ent.owner != core:
             victims.append(ent.owner)
         victims.extend(s for s in ent.sharers if s != core)
-        spec_victims = [
-            v for v in victims
-            if (e := self.caches[v].lookup(line_no)) is not None
-            and e.speculative
-        ]
-        nackers = self._resolve_victims(line_no, spec_victims, requester,
+        nackers = self._resolve_victims(line_no, victims, requester,
                                         Trigger.WRITE, res)
         if nackers:
             res.abort_requester = True
@@ -901,12 +890,7 @@ class MemorySystem:
             # Cases 1-2: no private copies (after invalidating S sharers):
             # the requester receives the actual data.
             victims = [s for s in ent.sharers if s != core]
-            spec_victims = [
-                v for v in victims
-                if (e := self.caches[v].lookup(line_no)) is not None
-                and e.speculative
-            ]
-            nackers = self._resolve_victims(line_no, spec_victims, requester,
+            nackers = self._resolve_victims(line_no, victims, requester,
                                             trigger, res)
             if nackers:
                 res.abort_requester = True
@@ -1053,12 +1037,7 @@ class MemorySystem:
         lines_before = self.stats.reduction_lines
 
         sharers = sorted(ent.u_sharers - {core})
-        spec_victims = [
-            v for v in sharers
-            if (e := self.caches[v].lookup(line_no)) is not None
-            and e.speculative
-        ]
-        nackers = self._resolve_victims(line_no, spec_victims, requester,
+        nackers = self._resolve_victims(line_no, sharers, requester,
                                         trigger, res)
         res.cycles += self._fanout_cycles(line_no, sharers)
 
@@ -1222,12 +1201,8 @@ class MemorySystem:
         self.stats.gathers_by_label[label.name] += 1
         cycles_before = res.cycles
         num_sharers = len(ent.u_sharers)
-        nackers = self._resolve_victims(
-            line_no,
-            [v for v in others
-             if (e := self.caches[v].lookup(line_no)) is not None
-             and e.speculative],
-            requester, Trigger.GATHER, res)
+        nackers = self._resolve_victims(line_no, others, requester,
+                                        Trigger.GATHER, res)
         res.cycles += self._fanout_cycles(line_no, others)
         # The directory's involvement ends here: it forwarded the gather to
         # the sharers (the line stays in U at everyone). Splits, donations

@@ -75,7 +75,6 @@ def point_report(result) -> dict:
             "backend": stats.host_backend,
             "fastpath_hit_rate": _rate(stats.fastpath_hit_rate, 4,
                                        none="disabled"),
-            "fastpath_gated": stats.host_fastpath_gated,
             "runahead_batches": stats.host_runahead_batches,
             "runahead_ops_per_batch": _rate(stats.runahead_ops_per_batch, 3),
         },

@@ -127,9 +127,6 @@ class SystemConfig:
     #: arithmetic).
     reduction_cycles_per_word: int = 2
 
-    #: Entries in the per-core buffer of lines waiting to be reduced.
-    reduction_buffer_entries: int = 2
-
     #: Conflict resolution policy: "timestamp" (paper default: older wins,
     #: younger aborts / requester NACKed) or "requester_wins".
     conflict_policy: str = "timestamp"

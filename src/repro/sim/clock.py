@@ -47,9 +47,6 @@ class CoreClocks:
             raise SimulationError(f"negative cycle charge: {cycles}")
         self.cycles[core] += cycles
 
-    def now(self, core: int) -> int:
-        return self.cycles[core]
-
     def finish(self, core: int) -> None:
         """Mark ``core``'s thread as completed."""
         self._done[core] = True

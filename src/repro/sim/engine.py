@@ -74,21 +74,14 @@ NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
 NO_RUNAHEAD_ENV = "REPRO_NO_RUNAHEAD"
 
 
-#: Adaptive fast-path gate. Attempting the private-hit fast path costs a
-#: failed lookup before the full protocol path on every miss, so on
-#: workloads that mostly miss (heavily shared lines under the baseline HTM)
-#: it is a net host-side loss. Once this many memory operations have
-#: attempted the fast path, an Engine whose observed hit rate is below
-#: FASTPATH_GATE_MIN_HIT_RATE rebinds the memory-op handlers to the full
-#: path for the rest of the run. Host-only decision: the full handlers are
-#: bit-identical to the fast ones (tests/test_fastpath_equivalence.py), so
-#: simulated results cannot change — only wall-clock does.
-FASTPATH_GATE_WARMUP = 512
-FASTPATH_GATE_MIN_HIT_RATE = 0.5
-
-
 def _obs_noop(*args) -> None:
     """Bound in place of the Observer's lifecycle hooks when obs is off."""
+    return None
+
+
+def _no_hit(*args) -> None:
+    """Bound in place of the protocol's private-hit probes when every
+    memory operation takes the full protocol path."""
     return None
 
 
@@ -173,15 +166,6 @@ class Engine:
         self._eager = self.config.conflict_detection != "lazy"
         self._tx_begin_cycles = self.config.tx_begin_cycles
         self._tx_commit_cycles = self.config.tx_commit_cycles
-        # Memory operations dispatch to the private-hit fast path by
-        # default; the ``_op_*_fast`` handlers fall back to the full
-        # handlers on anything but a stable private hit. The
-        # REPRO_NO_FASTPATH option swaps in the full handlers wholesale
-        # (zero per-op overhead in either mode).
-        self._fast_load = self.msys.fast_load
-        self._fast_store = self.msys.fast_store
-        self._fast_labeled_load = self.msys.fast_labeled_load
-        self._fast_labeled_store = self.msys.fast_labeled_store
         # Transaction-lifecycle hooks for the obs layer: bound no-ops when
         # no Observer is installed.
         obs = machine.obs
@@ -191,54 +175,53 @@ class Engine:
         self._obs_tx_commit = obs.tx_commit if obs is not None else _obs_noop
         self._obs_tx_abort = obs.tx_abort if obs is not None else _obs_noop
         self._obs_barrier = obs.barrier if obs is not None else _obs_noop
-        # Observing forces the full handlers: fast private hits never reach
-        # MemorySystem's public ops where the protocol-level hooks live.
-        # This is the same switch REPRO_NO_FASTPATH flips, proven
-        # bit-identical by tests/test_fastpath_equivalence.py — so enabling
-        # observability cannot change simulated results.
-        # Whether memory ops currently attempt the fast path (drives the
-        # host_fastpath_misses attempt counter) and whether the adaptive
-        # gate still has a decision to make (one-shot, at the end of the
-        # warmup window).
+        # Each memory-op handler probes the protocol's private-hit fast
+        # path first (MemorySystem.fast_load and friends). REPRO_NO_FASTPATH
+        # and an installed Observer bind the probes to ``_no_hit``, so
+        # every op takes the full protocol path: fast private hits never
+        # reach MemorySystem's public ops, where the protocol-level obs
+        # hooks live. The two paths are bit-identical
+        # (tests/test_fastpath_equivalence.py), so observing cannot change
+        # simulated results. ``_fastpath_attempting`` drives the
+        # host_fastpath_misses attempt counter.
         self._fastpath_attempting = machine.options.fastpath and obs is None
-        self._gate_pending = self._fastpath_attempting
+        msys = self.msys
+        if self._fastpath_attempting:
+            self._fast_load = msys.fast_load
+            self._fast_store = msys.fast_store
+            self._fast_labeled_load = msys.fast_labeled_load
+            self._fast_labeled_store = msys.fast_labeled_store
+        else:
+            self._fast_load = self._fast_store = _no_hit
+            self._fast_labeled_load = self._fast_labeled_store = _no_hit
+        # The baseline HTM (commtm_enabled=False) executes labeled ops
+        # conventionally, so its table routes them to the plain handlers.
+        commtm = self._commtm
         self._handlers = {
             Atomic: self._op_atomic,
             Work: self._op_work,
             Barrier: self._op_barrier,
+            Load: self._op_load,
+            Store: self._op_store,
+            LabeledLoad: self._op_labeled_load if commtm else self._op_load,
+            LabeledStore: (self._op_labeled_store if commtm
+                           else self._op_store),
+            LoadGather: self._op_load_gather if commtm else self._op_load,
         }
-        if self._fastpath_attempting:
-            self._handlers.update({
-                Load: self._op_load_fast,
-                Store: self._op_store_fast,
-                LabeledLoad: self._op_labeled_load_fast,
-                LabeledStore: self._op_labeled_store_fast,
-                LoadGather: self._op_load_gather_fast,
-            })
-        else:
-            self._handlers.update(self._full_memory_handlers())
         # When sanitizing, every memory-op handler is wrapped with one
-        # dirty-line checkpoint. The table is rebuilt per Engine, so the
+        # dirty-line checkpoint. The table is built once per Engine, so the
         # unsanitized hot path keeps its direct bindings.
         self._sanitizer = machine.sanitizer
         if self._sanitizer is not None:
-            self._sanitize_handlers(self._handlers)
+            self._sanitize_handlers()
 
-    def _full_memory_handlers(self) -> dict:
-        return {
-            Load: self._op_load,
-            Store: self._op_store,
-            LabeledLoad: self._op_labeled_load,
-            LabeledStore: self._op_labeled_store,
-            LoadGather: self._op_load_gather,
-        }
-
-    def _sanitize_handlers(self, handlers: dict) -> None:
-        """Wrap each memory-op handler in ``handlers`` with a sanitizer
-        checkpoint on the op's line, taken once the op (fast path or
-        full protocol path) is done. While the handler runs,
-        ``sanitizer.in_op`` stops MemorySystem's public ops from taking a
-        second checkpoint for the same op."""
+    def _sanitize_handlers(self) -> None:
+        """Wrap each memory-op handler with a sanitizer checkpoint on the
+        op's line, taken once the op (fast path or full protocol path) is
+        done. While the handler runs, ``sanitizer.in_op`` stops
+        MemorySystem's public ops from taking a second checkpoint for the
+        same op."""
+        handlers = self._handlers
         sanitizer = self._sanitizer
         cycles = self._cycles
         for op_cls in MEMORY_OPS:
@@ -490,178 +473,30 @@ class Engine:
                 self.clocks.reschedule(core)
 
     # ------------------------------------------------------------------
-    # Memory operations. One handler per op type (type-keyed dispatch);
-    # all share the _after_memory_op postlude. The baseline HTM
-    # (commtm_enabled=False) and restarted transactions with labels
-    # disabled execute labeled operations conventionally.
+    # Memory operations. One handler per op type (type-keyed dispatch).
+    # Each probes the coherence protocol's private-hit fast path first
+    # (see MemorySystem.fast_load and friends): a stable hit comes back
+    # as a bare (value, cycles) tuple or a latency, with no Requester, no
+    # AccessResult and no occupancy bookkeeping, and is charged directly.
+    # Anything else takes the full protocol path and the shared
+    # _after_memory_op postlude. A hit can still abort this core's own
+    # transaction through the L1 spec-eviction hook inside the LRU touch,
+    # so an aborted hit delivers no value (mirrors _after_memory_op).
     #
-    # The ``_op_*_fast`` variants try the coherence protocol's private-hit
-    # fast path first (see MemorySystem.fast_load and friends): a stable
-    # hit comes back as a bare (value, cycles) tuple — no Requester, no
-    # AccessResult, no occupancy bookkeeping — and anything else falls
-    # through to the full handler. A fast hit can still abort this core's
-    # own transaction through the L1 spec-eviction hook inside the LRU
-    # touch, so the postlude's aborted check is preserved inline.
-
-    # The charge+deliver postlude is written out inline in each fast
-    # handler (rather than shared through a helper): it is the equivalent
-    # of :meth:`_charge` with the transaction already in hand, and the
-    # handlers run once per memory operation. ``tx.aborted`` is re-read
-    # after the hit because the LRU touch can self-abort; an aborted hit
-    # never delivers a value (mirrors ``_after_memory_op``).
-
-    def _op_load_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        fast = self._fast_load(core, op.addr, tx is not None)
-        if fast is None:
-            self._op_load(runner, op)
-            return
-        cycles = fast[1]
-        self.stats.instructions += 1
-        if tx is None:
-            self._breakdown[core].non_tx += cycles
-            runner.pending_value = fast[0]
-        elif tx.aborted:
-            self._breakdown[core].tx_aborted += cycles
-            self.stats.wasted_by_cause[tx.abort_cause] += cycles
-        else:
-            self._breakdown[core].tx_committed += cycles
-            tx.cycles_this_attempt += cycles
-            runner.pending_value = fast[0]
-        self._cycles[core] += cycles
-
-    def _op_store_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if tx is None:
-            cycles = self._fast_store(core, op.addr, op.value, False)
-            if cycles is not None:
-                self.stats.instructions += 1
-                self._breakdown[core].non_tx += cycles
-                self._cycles[core] += cycles
-                return
-        elif self._eager:  # lazy tx stores buffer; full path
-            cycles = self._fast_store(core, op.addr, op.value, True)
-            if cycles is not None:
-                self.stats.instructions += 1
-                if tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                self._cycles[core] += cycles
-                return
-        self._op_store(runner, op)
-
-    def _op_labeled_load_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if self._commtm and not (tx is not None and tx.labels_disabled):
-            fast = self._fast_labeled_load(core, op.addr, op.label,
-                                           tx is not None)
-            if fast is not None:
-                cycles = fast[1]
-                stats = self.stats
-                stats.instructions += 1
-                stats.labeled_instructions += 1
-                stats.labeled_by_label[op.label.name] += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                    runner.pending_value = fast[0]
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                    runner.pending_value = fast[0]
-                self._cycles[core] += cycles
-                return
-        else:  # conventional route (baseline HTM / disabled labels)
-            fast = self._fast_load(core, op.addr, tx is not None)
-            if fast is not None:
-                cycles = fast[1]
-                self.stats.instructions += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                    runner.pending_value = fast[0]
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                    runner.pending_value = fast[0]
-                self._cycles[core] += cycles
-                return
-        self._op_labeled_load(runner, op)
-
-    def _op_labeled_store_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if self._commtm and not (tx is not None and tx.labels_disabled):
-            cycles = self._fast_labeled_store(core, op.addr, op.label,
-                                              op.value, tx is not None)
-            if cycles is not None:
-                stats = self.stats
-                stats.instructions += 1
-                stats.labeled_instructions += 1
-                stats.labeled_by_label[op.label.name] += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                self._cycles[core] += cycles
-                return
-        elif tx is None or self._eager:  # conventional eager store route
-            cycles = self._fast_store(core, op.addr, op.value,
-                                      tx is not None)
-            if cycles is not None:
-                self.stats.instructions += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                self._cycles[core] += cycles
-                return
-        self._op_labeled_store(runner, op)
-
-    def _op_load_gather_fast(self, runner: ThreadRunner, op) -> None:
-        core = runner.core
-        tx = self._tx_active[core]
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            fast = self._fast_load(core, op.addr, tx is not None)
-            if fast is not None:
-                cycles = fast[1]
-                self.stats.instructions += 1
-                if tx is None:
-                    self._breakdown[core].non_tx += cycles
-                    runner.pending_value = fast[0]
-                elif tx.aborted:
-                    self._breakdown[core].tx_aborted += cycles
-                    self.stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    self._breakdown[core].tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
-                    runner.pending_value = fast[0]
-                self._cycles[core] += cycles
-                return
-        self._op_load_gather(runner, op)
+    # Labeled ops run conventionally on the baseline HTM (routed to
+    # _op_load/_op_store when the table is built) and in a transaction
+    # restarted with labels disabled (handed over here, per op).
 
     def _op_load(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
         self.stats.instructions += 1
+        fast = self._fast_load(core, op.addr, tx is not None)
+        if fast is not None:
+            self._charge(core, fast[1])
+            if tx is None or not tx.aborted:
+                runner.pending_value = fast[0]
+            return
         res = self.msys.load(
             core, op.addr,
             Requester(core, tx.ts if tx is not None else None,
@@ -672,6 +507,11 @@ class Engine:
         core = runner.core
         tx = self._tx_active[core]
         self.stats.instructions += 1
+        if tx is None or self._eager:  # lazy tx stores buffer: full path
+            cycles = self._fast_store(core, op.addr, op.value, tx is not None)
+            if cycles is not None:
+                self._charge(core, cycles)
+                return
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
         res = self._conventional_store(core, op.addr, op.value, requester, tx)
@@ -680,64 +520,69 @@ class Engine:
     def _op_labeled_load(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
+        if tx is not None and tx.labels_disabled:
+            self._op_load(runner, op)
+            return
         stats = self.stats
         stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
+        fast = self._fast_labeled_load(core, op.addr, op.label,
+                                       tx is not None)
+        if fast is not None:
+            self._charge(core, fast[1])
+            if tx is None or not tx.aborted:
+                runner.pending_value = fast[0]
+            return
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            res = self.msys.load(core, op.addr, requester)
-        else:
-            stats.labeled_instructions += 1
-            stats.labeled_by_label[op.label.name] += 1
-            res = self.msys.labeled_load(core, op.addr, op.label, requester)
+        res = self.msys.labeled_load(core, op.addr, op.label, requester)
         self._after_memory_op(runner, core, res)
 
     def _op_labeled_store(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
+        if tx is not None and tx.labels_disabled:
+            self._op_store(runner, op)
+            return
         stats = self.stats
         stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
+        cycles = self._fast_labeled_store(core, op.addr, op.label, op.value,
+                                          tx is not None)
+        if cycles is not None:
+            self._charge(core, cycles)
+            return
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            res = self._conventional_store(core, op.addr, op.value,
-                                           requester, tx)
-        else:
-            stats.labeled_instructions += 1
-            stats.labeled_by_label[op.label.name] += 1
-            res = self.msys.labeled_store(core, op.addr, op.label,
-                                          op.value, requester)
+        res = self.msys.labeled_store(core, op.addr, op.label, op.value,
+                                      requester)
         self._after_memory_op(runner, core, res)
 
     def _op_load_gather(self, runner: ThreadRunner, op) -> None:
+        # No fast-path probe: a gather always asks the directory for the
+        # line's other U sharers.
         core = runner.core
         tx = self._tx_active[core]
+        if tx is not None and tx.labels_disabled:
+            self._op_load(runner, op)
+            return
         stats = self.stats
         stats.instructions += 1
+        stats.labeled_instructions += 1
+        stats.labeled_by_label[op.label.name] += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
-        if not self._commtm or (tx is not None and tx.labels_disabled):
-            res = self.msys.load(core, op.addr, requester)
-        else:
-            stats.labeled_instructions += 1
-            stats.labeled_by_label[op.label.name] += 1
-            res = self.msys.load_gather(core, op.addr, op.label, requester)
+        res = self.msys.load_gather(core, op.addr, op.label, requester)
         self._after_memory_op(runner, core, res)
 
     def _after_memory_op(self, runner: ThreadRunner, core: int, res) -> None:
-        stats = self.stats
         if self._fastpath_attempting:
-            # Only a genuine fast-path attempt counts as a miss; with the
-            # fast path disabled or gated off there is no attempt, and
+            # Every full-path op counts while the fast path is on (see
+            # Stats.host_fastpath_misses); with it off nothing counts, and
             # Stats.fastpath_hit_rate reports None instead of 0.0.
-            stats.host_fastpath_misses += 1
-            if self._gate_pending:
-                attempts = stats.host_fastpath_hits + stats.host_fastpath_misses
-                if attempts >= FASTPATH_GATE_WARMUP:
-                    self._gate_pending = False
-                    if (stats.host_fastpath_hits
-                            < attempts * FASTPATH_GATE_MIN_HIT_RATE):
-                        self._disable_fastpath()
+            self.stats.host_fastpath_misses += 1
         self._charge(core, res.cycles)
 
         tx = self._tx_active[core]
@@ -752,26 +597,6 @@ class Engine:
         if tx is not None and tx.aborted:
             return  # aborted as a victim mid-operation (self-abort path)
         runner.pending_value = res.value
-
-    def _disable_fastpath(self) -> None:
-        """Adaptive gate: rebind the memory-op handlers to the full protocol
-        path for the rest of this run (the hit rate stayed below threshold
-        through the warmup window, so the failed fast-path probe is a net
-        host-side cost per op). The table is mutated in place — the run
-        loops hold a local alias — and memoized subclass entries are
-        dropped so they re-resolve through the MRO. In a sanitized run the
-        full handlers get their checkpoint wrappers too.
-        Host-only: simulated results are bit-identical either way."""
-        self._fastpath_attempting = False
-        self.stats.host_fastpath_gated = True
-        handlers = self._handlers
-        full = self._full_memory_handlers()
-        if self._sanitizer is not None:
-            self._sanitize_handlers(full)
-        for cls in [c for c in handlers
-                    if c not in full and issubclass(c, MEMORY_OPS)]:
-            del handlers[cls]
-        handlers.update(full)
 
     def _conventional_store(self, core: int, addr: int, value, requester,
                             tx):

@@ -99,15 +99,13 @@ class Stats:
     #: Memory operations serviced by the coherence protocol's private-hit
     #: fast path (see ``MemorySystem.fast_load`` and friends).
     host_fastpath_hits: int = 0
-    #: Memory operations that *attempted* the fast path and fell through to
-    #: the full protocol path. Not counted when the fast path is disabled
-    #: (``REPRO_NO_FASTPATH``, obs mode) or adaptively gated off — so
-    #: ``hits + misses`` is the number of genuine attempts.
+    #: Memory operations serviced by the full protocol path while the fast
+    #: path was on: probes that missed, plus the ops that never probe
+    #: (gathers on CommTM, lazy transactional stores). Not counted when
+    #: the fast path is disabled (``REPRO_NO_FASTPATH``, obs mode), so
+    #: ``hits + misses`` is every memory operation run with the fast path
+    #: on.
     host_fastpath_misses: int = 0
-    #: True when the engine's adaptive gate turned the fast path off
-    #: mid-run because the observed hit rate stayed below threshold after
-    #: the warmup window (host-only decision; simulated stats unchanged).
-    host_fastpath_gated: bool = False
     #: Scheduling quanta executed by the run-ahead scheduler — each batch
     #: is one heap transaction covering ``host_runahead_ops /
     #: host_runahead_batches`` simulated steps on one core. Zero when

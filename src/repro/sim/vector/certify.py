@@ -1,6 +1,6 @@
 """Read-only miss-latency certifier, as a pure function of protocol state.
 
-This is the vector backend's K_PROTO oracle (see DESIGN.md §6.4),
+This is the vector backend's K_PROTO oracle (see DESIGN.md §6.3),
 extracted from the engine so it is a *pure* function of a
 :class:`~repro.coherence.protocol.MemorySystem` — no engine, no
 mutation.  Two consumers share the one definition:

@@ -175,7 +175,7 @@ _MAX_BURST = 4096
 # Adaptive backend gate. An epoch beats the run-ahead loop only where it
 # fuses whole commutative transactions into closed-form steps; an epoch
 # that fuses nothing costs more per op than the run-ahead loop (DESIGN.md
-# §6.4 has the measurements). So the gate asks whether the epochs fuse,
+# §6.3 has the measurements). So the gate asks whether the epochs fuse,
 # and rebinds the run to one uninterrupted strict (run-ahead) pass when
 # no transaction has fused by the _GATE_EARLY_ATTEMPTS-th epoch attempt,
 # or when fewer than one transaction per _GATE_OPS_PER_FUSED epoch ops

@@ -35,6 +35,7 @@ from repro.obs import (
     point_report,
 )
 from repro.params import small_config
+from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
 from repro.workloads.micro import (counter, linked_list, ordered_put,
                                    refcount, topk)
 
@@ -271,6 +272,10 @@ def test_per_label_table_covers_gathers(monkeypatch):
 
 
 def test_point_report_includes_obs_sections(monkeypatch):
+    # Pinned: the host section below reports the fast path and run-ahead
+    # batching, which the escape hatches turn off.
+    for env in (NO_FASTPATH_ENV, NO_RUNAHEAD_ENV):
+        monkeypatch.delenv(env, raising=False)
     res = _run(MICROS["counter"], commtm=False, observe=True,
                monkeypatch=monkeypatch)
     report = point_report(res)
@@ -282,7 +287,6 @@ def test_point_report_includes_obs_sections(monkeypatch):
     # Observed runs never attempt the coherence fast path, and the host
     # section spells the resulting None hit rate as "disabled".
     assert report["host"]["fastpath_hit_rate"] == "disabled"
-    assert report["host"]["fastpath_gated"] is False
     assert report["host"]["runahead_batches"] > 0
     assert report["host"]["runahead_ops_per_batch"] >= 1.0
     # Without obs the report still renders, minus the obs sections.

@@ -403,11 +403,17 @@ def test_sanitize_off_installs_nothing(monkeypatch):
     engine = Engine(machine, [_idle])
     assert machine.sanitizer is None and msys.sanitizer is None
     assert engine._sanitizer is None
-    assert engine._handlers[Load] == engine._op_load_fast
-    assert engine._handlers[Store] == engine._op_store_fast
-    assert engine._handlers[LabeledLoad] == engine._op_labeled_load_fast
-    assert engine._handlers[LabeledStore] == engine._op_labeled_store_fast
-    assert engine._handlers[LoadGather] == engine._op_load_gather_fast
+    assert engine._handlers[Load] == engine._op_load
+    assert engine._handlers[Store] == engine._op_store
+    assert engine._handlers[LabeledLoad] == engine._op_labeled_load
+    assert engine._handlers[LabeledStore] == engine._op_labeled_store
+    assert engine._handlers[LoadGather] == engine._op_load_gather
+    # The baseline HTM routes labeled ops to the conventional handlers
+    # when the table is built.
+    baseline = Engine(_machine(commtm=False, sanitize=None), [_idle])
+    assert baseline._handlers[LabeledLoad] == baseline._op_load
+    assert baseline._handlers[LoadGather] == baseline._op_load
+    assert baseline._handlers[LabeledStore] == baseline._op_store
     directory = msys.directory
     assert "entry" not in vars(directory) and "peek" not in vars(directory)
     assert directory.entry.__func__ is Directory.entry
@@ -430,14 +436,3 @@ def test_sanitize_on_wraps_every_hook():
     assert msys.directory.eviction_hook != msys._on_l3_eviction
     assert all(cache.eviction_hook.__qualname__.startswith(
         "_marks_victim") for cache in msys.caches)
-
-
-def test_gated_fastpath_keeps_checkpoints():
-    """The adaptive fast-path gate rebinds the full handlers; in a
-    sanitized run they come back wrapped."""
-    machine = _machine(sanitize=True)
-    engine = Engine(machine, [_idle])
-    engine._disable_fastpath()
-    for op_cls in (Load, Store, LabeledLoad, LabeledStore, LoadGather):
-        assert engine._handlers[op_cls].__qualname__.startswith(
-            "_sanitized_handler")

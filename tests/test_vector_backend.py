@@ -112,8 +112,8 @@ def test_interp_run_never_touches_vector_engine():
 
 def test_vector_engine_is_an_engine():
     # The strict phases are the interpreted scheduler itself; keeping
-    # the subclass relationship means handler-table surgery (sanitizer,
-    # fast-path gate) applies unmodified.
+    # the subclass relationship means the handler table, and the
+    # sanitizer's wrapping of it, apply unmodified.
     from repro.sim.vector.engine import VectorEngine
     assert issubclass(VectorEngine, Engine)
 

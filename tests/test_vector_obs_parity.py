@@ -101,10 +101,11 @@ def test_obs_off_vector_engine_installs_nothing(monkeypatch):
     from repro.core.machine import Machine
     from repro.params import small_config
     from repro.obs import OBS_ENV
+    from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
     from repro.sim.vector.engine import VectorEngine
 
-    monkeypatch.delenv(OBS_ENV, raising=False)
-    monkeypatch.delenv(SANITIZE_ENV, raising=False)
+    for env in (OBS_ENV, SANITIZE_ENV, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV):
+        monkeypatch.delenv(env, raising=False)
     machine = Machine(small_config(num_cores=8, seed=1, commtm_enabled=True))
     built = MICROS["counter"](machine, 4, total_ops=120)
     engine = VectorEngine(machine, built.bodies)

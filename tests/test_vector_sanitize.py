@@ -14,7 +14,9 @@ backend actually drove. Three compositions matter:
   obligation on the gated path, plus parity with the interpreted engine.
 
 The runs pin ``observe=False``: the observer is a per-op layer too, so an
-exported ``REPRO_OBS=1`` would turn the epochs and the gate off.
+exported ``REPRO_OBS=1`` would turn the epochs and the gate off. The
+tests that need epochs also clear the reference escape hatches
+(``REPRO_NO_FASTPATH``, ``REPRO_NO_RUNAHEAD``), which turn them off too.
 """
 
 from repro.analysis.invariants import check_invariants
@@ -23,6 +25,7 @@ from repro.core.machine import Machine
 from repro.datatypes import SharedCounter
 from repro.params import SystemConfig
 from repro.runtime.ops import BARRIER, Atomic
+from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
 
 
 def _config(seed=1):
@@ -68,6 +71,11 @@ def _fence_storm_run(backend, threads=8, iters=24):
     return machine, result, lines
 
 
+def _allow_epochs(monkeypatch):
+    for env in (SANITIZE_ENV, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV):
+        monkeypatch.delenv(env, raising=False)
+
+
 def _sweep(machine):
     """Post-run pass over the final coherence state through both
     consumers of the shared invariant definition."""
@@ -95,7 +103,8 @@ class TestSanitizerInstalled:
 
 
 class TestPostRunSweep:
-    def test_genuine_vector_run_passes_invariants(self):
+    def test_genuine_vector_run_passes_invariants(self, monkeypatch):
+        _allow_epochs(monkeypatch)
         machine, counter, result = _counter_run("vector")
         assert result.stats.host_vector_epochs > 0  # epochs really ran
         assert machine.read_word(counter.addr) == 96
@@ -117,14 +126,14 @@ class TestPostRunSweep:
 
 class TestAdaptiveGate:
     def test_fence_storm_trips_the_gate(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        _allow_epochs(monkeypatch)
         machine, result, _ = _fence_storm_run("vector")
         assert result.stats.host_vector_gated, \
             "fence storm did not trip the adaptive gate"
         _sweep(machine)
 
     def test_gated_run_is_bit_identical(self, monkeypatch):
-        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        _allow_epochs(monkeypatch)
         interp_m, interp, interp_lines = _fence_storm_run("interp")
         vector_m, vector, vector_lines = _fence_storm_run("vector")
         assert vector.stats.host_vector_gated
