@@ -31,10 +31,8 @@ class DirEntry:
     dirty: bool = False                  # L3 words differ from memory
 
     def check(self) -> None:
-        populated = sum(
-            1 for flag in (self.owner is not None, bool(self.sharers),
-                           bool(self.u_sharers)) if flag
-        )
+        populated = ((self.owner is not None) + bool(self.sharers)
+                     + bool(self.u_sharers))
         if populated > 1:
             raise ProtocolError(
                 f"line {self.line}: incompatible sharer sets "

@@ -4,7 +4,7 @@ the HTM layer, and the memory system."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 
@@ -78,7 +78,8 @@ class AccessResult:
     abort_cause: Optional[object] = None  # sim.stats.WastedCause
     #: Victim cores whose transactions were aborted by this access
     #: (already rolled back by the conflict manager; informational).
-    aborted_victims: List[int] = field(default_factory=list)
+    #: None until the first aborted victim.
+    aborted_victims: Optional[List[int]] = None
     #: Line whose home directory this access transacted with (None for
     #: pure private-cache hits); drives occupancy/queueing modelling.
     dir_line: Optional[int] = None

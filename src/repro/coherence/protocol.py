@@ -233,7 +233,12 @@ class MemorySystem:
         row = self.mesh.latency_table[
             self._tile_of_bank[line_no % self._l3_banks]]
         tile = self._tile_of_core
-        return 2 * max((row[tile[v]] for v in victims), default=0)
+        farthest = 0
+        for victim in victims:
+            latency = row[tile[victim]]
+            if latency > farthest:
+                farthest = latency
+        return 2 * farthest
 
     def _forward_cycles(self, src_core: int, dst_core: int) -> int:
         """Latency of one cache-to-cache data forward."""
@@ -308,7 +313,9 @@ class MemorySystem:
         nackers: Set[int] = set()
         for victim in victims:
             entry = self.caches[victim].lookup(line_no)
-            if entry is None or not entry.speculative:
+            # CacheLine.speculative, inlined: this runs once per sharer.
+            if entry is None or not (entry.spec_read or entry.spec_written
+                                     or entry.spec_labeled):
                 continue
             if victim == requester.core:
                 continue
@@ -320,6 +327,8 @@ class MemorySystem:
                 nackers.add(victim)
                 if self.obs is not None:
                     self.obs.nack(requester, victim, line_no, entry, trigger)
+            elif res.aborted_victims is None:
+                res.aborted_victims = [victim]
             else:
                 res.aborted_victims.append(victim)
         return nackers
@@ -738,10 +747,9 @@ class MemorySystem:
 
         # Invalidate the owner and/or S sharers.
         data: Optional[List[object]] = None
-        victims = []
+        victims = [s for s in ent.sharers if s != core]
         if ent.owner is not None and ent.owner != core:
-            victims.append(ent.owner)
-        victims.extend(s for s in ent.sharers if s != core)
+            victims.insert(0, ent.owner)
         nackers = self._resolve_victims(line_no, victims, requester,
                                         Trigger.WRITE, res)
         if nackers:
@@ -1468,8 +1476,8 @@ class MemorySystem:
     def peek_word(self, addr: int) -> object:
         """The globally-reduced (true) value at ``addr``, computed without
         protocol actions. For assertions and tests only."""
-        line_no = line_of(addr)
-        idx = word_index(addr)
+        line_no = addr // LINE_BYTES
+        idx = addr % LINE_BYTES // WORD_BYTES
         ent = self.directory.peek(line_no)
         if ent is None:
             return self.memory.read_word(addr)

@@ -16,12 +16,12 @@ else the machine's CPU count; capped at the CPUs this process may use)
 and reuse previously simulated points from the on-disk cache
 (``--cache-dir``, default ``~/.cache/repro-commtm``; disable with
 ``--no-cache``). Every sweep of two or more uncached points goes to the
-pool, whose first use in a run costs a few tenths of a second to
-start. Parallel and cached runs produce output identical to ``--jobs 1
---no-cache``. ``--profile`` runs the experiment under :mod:`cProfile`
-and prints the top 25 functions by cumulative time to stderr
-(``--profile-out FILE`` additionally dumps the raw stats for ``pstats``/
-``snakeviz``).
+pool, whose workers are forks of this process where the platform offers
+``fork``, so they start in milliseconds. Parallel and cached runs produce
+output identical to ``--jobs 1 --no-cache``. ``--profile`` runs the
+experiment under :mod:`cProfile` and prints the top 25 functions by
+cumulative time to stderr (``--profile-out FILE`` additionally dumps the
+raw stats for ``pstats``/``snakeviz``); pool workers run unprofiled.
 
 A simulator error ends the run with exit status 1. When a sweep point
 raised it (a failed ``verify()``, a sanitizer finding, the livelock

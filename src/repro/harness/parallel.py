@@ -22,12 +22,14 @@ Key design points:
   order the workers finish in; combined with the canonical dedupe the
   merge is a pure function of the spec list.
 * **The pool is persistent.** Workers are created once per host process
-  (``forkserver`` with the simulator preloaded, falling back to ``fork``,
-  then ``spawn``) and reused across sweeps, so repeated sweeps never pay
-  interpreter + import startup per task. Every worker runs a warmup
-  initializer that imports the simulator stack at creation, so even
-  ``spawn`` workers are hot before the first spec arrives;
-  :func:`warm_pool` lets callers pay the whole pool startup outside any
+  and reused across sweeps. Where the platform offers ``fork`` they are
+  forks of the dispatching process, which has already imported the
+  simulator and the sweep's builder modules, so a new pool returns its
+  first result milliseconds after it is created and a driver script needs
+  no ``if __name__ == "__main__":`` guard. Elsewhere they are ``spawn``
+  workers, which boot an interpreter, import the simulator with their
+  first task and replay ``__main__``, so a script there needs the guard.
+  :func:`warm_pool` lets callers pay the pool's start-up outside any
   timed region.
 * **Self-scheduled dispatch.** Every sweep of two or more uncached points
   goes to the pool when two or more CPUs are usable, heaviest estimate
@@ -35,10 +37,10 @@ Key design points:
   consecutive points. Each worker takes the next task from the pool's
   shared queue as soon as it finishes one, so a wrong estimate costs at
   most one task of imbalance. The dispatching process only waits.
-* **Run options travel with the tasks.** A forkserver worker keeps the
-  environment the server started with, so every task carries the
-  dispatching process's :data:`~repro.core.machine.OPTION_ENVS` and the
-  worker applies them before it builds the machine.
+* **Run options travel with the tasks.** A worker keeps the environment
+  the dispatcher had when the pool started, so every task carries the
+  dispatching process's :data:`~repro.core.machine.OPTION_ENVS` as they
+  are now, and the worker applies them before it builds the machine.
 * **A dead worker fails the sweep.** A worker killed outright (the OOM
   killer, a signal) breaks the pool; the sweep raises
   :class:`SimulationError` naming every point whose result had not come
@@ -54,6 +56,7 @@ import importlib
 import logging
 import os
 import shlex
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,12 +67,6 @@ log = logging.getLogger("repro.harness")
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
 JOBS_ENV = "REPRO_JOBS"
-
-#: Modules the forkserver imports *once* before any worker forks from it;
-#: workers then inherit the fully-imported simulator for free. The list is
-#: deliberately the harness entry point (which pulls in the whole
-#: ``repro`` package transitively) rather than an exhaustive enumeration.
-POOL_PRELOAD_MODULES = ["repro.harness.runner"]
 
 
 def build_path(build: Callable) -> str:
@@ -238,7 +235,8 @@ def _run_under(env: Tuple[Tuple[str, Optional[str]], ...],
     """:func:`_run_named` under the dispatching process's run options.
     ``env`` pairs each of :data:`~repro.core.machine.OPTION_ENVS` with its
     value there, None for unset; a worker applies it first, since it
-    otherwise keeps the environment its forkserver started with."""
+    otherwise keeps the environment the dispatcher had when the pool
+    started."""
     for name, value in env:
         if value is None:
             os.environ.pop(name, None)
@@ -279,23 +277,19 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 # One pool per host process, created on first parallel sweep and reused for
 # every later one (rebuilt only if a different ``jobs`` is requested or a
 # worker died).
-# ``forkserver`` + preload means worker startup is a bare fork of an
-# already-imported interpreter; cold spawn startup is paid at most once.
 
 _pool = None
 _pool_jobs = 0
 
 
 def _main_reimport_safe() -> bool:
-    """Can ``forkserver``/``spawn`` workers re-import ``__main__``?
+    """Can ``spawn`` workers re-import ``__main__``?
 
-    Both start methods replay the parent's ``__main__`` in the worker
+    A spawned worker replays the parent's ``__main__``
     (``multiprocessing.spawn.prepare``). That replay crashes — and the
     pool hangs — when the parent was fed from stdin or another
-    non-importable pseudo-file, so those parents must use ``fork``.
+    non-importable pseudo-file.
     """
-    import sys
-
     main = sys.modules.get("__main__")
     if main is None or getattr(main, "__spec__", None) is not None:
         return True  # ``python -m ...``: re-imported by module name
@@ -306,32 +300,26 @@ def _main_reimport_safe() -> bool:
 
 
 def _pool_context():
-    """Best multiprocessing context available on this platform."""
+    """``fork`` where the platform offers it, else ``spawn``.
+
+    A forked worker starts with everything the dispatcher has imported,
+    so it runs its first task without booting an interpreter. The fork
+    happens while the harness runs no thread: a fork-context
+    ``ProcessPoolExecutor`` forks all of its workers before it starts its
+    manager thread, the harness starts no thread of its own, and a pool
+    is rebuilt only after :func:`shutdown_pool` has joined the old one's
+    manager thread.
+    """
     import multiprocessing
 
-    methods = multiprocessing.get_all_start_methods()
-    reimport_ok = _main_reimport_safe()
-    if "forkserver" in methods and reimport_ok:
-        ctx = multiprocessing.get_context("forkserver")
-        ctx.set_forkserver_preload(list(POOL_PRELOAD_MODULES))
-        return ctx
-    if "fork" in methods:
+    if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
-    if not reimport_ok:
+    if not _main_reimport_safe():
         raise SimulationError(
             "parallel sweeps need an importable __main__ module on "
             "platforms without fork; run with jobs=1"
         )
     return multiprocessing.get_context("spawn")
-
-
-def _worker_warmup() -> None:
-    """Pool initializer: import the simulator stack in the worker at
-    creation time, so the first real spec never pays import cost. A no-op
-    under ``fork``/``forkserver`` (the modules arrive pre-imported); under
-    ``spawn`` this moves the cold import out of the first sweep."""
-    for module in POOL_PRELOAD_MODULES:
-        importlib.import_module(module)
 
 
 def get_pool(jobs: int):
@@ -342,8 +330,11 @@ def get_pool(jobs: int):
     if _pool is None:
         from concurrent.futures import ProcessPoolExecutor
 
+        # A forked worker inherits the dispatcher's profiler hook (the
+        # CLI's --profile); clearing it keeps workers at full speed.
         _pool = ProcessPoolExecutor(jobs, mp_context=_pool_context(),
-                                    initializer=_worker_warmup)
+                                    initializer=sys.setprofile,
+                                    initargs=(None,))
         _pool_jobs = jobs
     return _pool
 
@@ -487,7 +478,6 @@ def _run_pooled(specs: Sequence[PointSpec], workers: int) -> List:
 
 __all__ = [
     "JOBS_ENV",
-    "POOL_PRELOAD_MODULES",
     "PointSpec",
     "build_path",
     "resolve_build",

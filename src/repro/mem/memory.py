@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .address import WORDS_PER_LINE, check_word_aligned, line_of, word_index
+from .address import (LINE_BYTES, WORD_BYTES, WORDS_PER_LINE,
+                      check_word_aligned)
 
 
 class MainMemory:
@@ -26,16 +27,22 @@ class MainMemory:
             self._lines[line] = data
         return data
 
+    # The two word accessors inline line_of and word_index, and call
+    # check_word_aligned only to raise: workload set-up and verification
+    # call them once per word.
+
     def read_word(self, addr: int) -> object:
-        check_word_aligned(addr)
-        data = self._lines.get(line_of(addr))
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
+        data = self._lines.get(addr // LINE_BYTES)
         if data is None:
             return 0
-        return data[word_index(addr)]
+        return data[addr % LINE_BYTES // WORD_BYTES]
 
     def write_word(self, addr: int, value: object) -> None:
-        check_word_aligned(addr)
-        self._line(line_of(addr))[word_index(addr)] = value
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
+        self._line(addr // LINE_BYTES)[addr % LINE_BYTES // WORD_BYTES] = value
 
     def read_line(self, line: int) -> List[object]:
         """Return a copy of the line's 8 words."""

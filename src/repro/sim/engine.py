@@ -74,11 +74,6 @@ NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
 NO_RUNAHEAD_ENV = "REPRO_NO_RUNAHEAD"
 
 
-def _obs_noop(*args) -> None:
-    """Bound in place of the Observer's lifecycle hooks when obs is off."""
-    return None
-
-
 def _no_hit(*args) -> None:
     """Bound in place of the protocol's private-hit probes when every
     memory operation takes the full protocol path."""
@@ -166,15 +161,12 @@ class Engine:
         self._eager = self.config.conflict_detection != "lazy"
         self._tx_begin_cycles = self.config.tx_begin_cycles
         self._tx_commit_cycles = self.config.tx_commit_cycles
-        # Transaction-lifecycle hooks for the obs layer: bound no-ops when
-        # no Observer is installed.
+        # The obs layer's transaction-lifecycle and barrier hooks are
+        # called only when an Observer is installed.
         obs = machine.obs
         self._obs = obs
-        self._obs_tx_begin = obs.tx_begin if obs is not None else _obs_noop
-        self._obs_tx_retry = obs.tx_retry if obs is not None else _obs_noop
-        self._obs_tx_commit = obs.tx_commit if obs is not None else _obs_noop
-        self._obs_tx_abort = obs.tx_abort if obs is not None else _obs_noop
-        self._obs_barrier = obs.barrier if obs is not None else _obs_noop
+        # Looked up once: every abort draws its backoff from this stream.
+        self._backoff_rng = machine.rng.backoff()
         # Each memory-op handler probes the protocol's private-hit fast
         # path first (MemorySystem.fast_load and friends). REPRO_NO_FASTPATH
         # and an installed Observer bind the probes to ``_no_hit``, so
@@ -183,7 +175,7 @@ class Engine:
         # hooks live. The two paths are bit-identical
         # (tests/test_fastpath_equivalence.py), so observing cannot change
         # simulated results. ``_fastpath_attempting`` drives the
-        # host_fastpath_misses attempt counter.
+        # host_fastpath_misses counter.
         self._fastpath_attempting = machine.options.fastpath and obs is None
         msys = self.msys
         if self._fastpath_attempting:
@@ -403,7 +395,7 @@ class Engine:
         if self._tx_active[core] is None:
             tx = self.htm.begin(core, ts=op.ts)  # OrderedAtomic: order == priority
             if self._obs is not None:
-                self._obs_tx_begin(core, self._cycles[core], tx)
+                self._obs.tx_begin(core, self._cycles[core], tx)
             # Inline _charge: a freshly begun transaction cannot be aborted.
             cycles = self._tx_begin_cycles
             self._breakdown[core].tx_committed += cycles
@@ -450,7 +442,8 @@ class Engine:
                 f"Barrier inside a transaction on core {core}"
             )
         runner.blocked = True
-        self._obs_barrier(core, self._cycles[core])
+        if self._obs is not None:
+            self._obs.barrier(core, self._cycles[core])
         self._barrier_waiting.append(core)
         self._maybe_release_barrier(skip_reschedule=core)
 
@@ -497,6 +490,8 @@ class Engine:
             if tx is None or not tx.aborted:
                 runner.pending_value = fast[0]
             return
+        if self._fastpath_attempting:
+            self.stats.host_fastpath_misses += 1
         res = self.msys.load(
             core, op.addr,
             Requester(core, tx.ts if tx is not None else None,
@@ -512,6 +507,8 @@ class Engine:
             if cycles is not None:
                 self._charge(core, cycles)
                 return
+            if self._fastpath_attempting:
+                self.stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
         res = self._conventional_store(core, op.addr, op.value, requester, tx)
@@ -534,6 +531,8 @@ class Engine:
             if tx is None or not tx.aborted:
                 runner.pending_value = fast[0]
             return
+        if self._fastpath_attempting:
+            stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
         res = self.msys.labeled_load(core, op.addr, op.label, requester)
@@ -554,6 +553,8 @@ class Engine:
         if cycles is not None:
             self._charge(core, cycles)
             return
+        if self._fastpath_attempting:
+            stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               now=self._cycles[core])
         res = self.msys.labeled_store(core, op.addr, op.label, op.value,
@@ -578,11 +579,6 @@ class Engine:
         self._after_memory_op(runner, core, res)
 
     def _after_memory_op(self, runner: ThreadRunner, core: int, res) -> None:
-        if self._fastpath_attempting:
-            # Every full-path op counts while the fast path is on (see
-            # Stats.host_fastpath_misses); with it off nothing counts, and
-            # Stats.fastpath_hit_rate reports None instead of 0.0.
-            self.stats.host_fastpath_misses += 1
         self._charge(core, res.cycles)
 
         tx = self._tx_active[core]
@@ -647,7 +643,7 @@ class Engine:
             # The obs hook must precede commit: it reads the speculative
             # set sizes that commit_all() is about to clear.
             if self._obs is not None:
-                self._obs_tx_commit(core, self._cycles[core], tx)
+                self._obs.tx_commit(core, self._cycles[core], tx)
             self.htm.commit(core)
             # Inline stats.charge(in_tx=True) + clocks.advance: the commit
             # latency lands in the committed bucket after the tx detaches.
@@ -671,8 +667,7 @@ class Engine:
             raise TransactionError(
                 f"aborted tx on core {core} has no transaction frame"
             )
-        tx_frame = runner.frames.pop()
-        atomic = tx_frame.atomic
+        tx_frame = runner.frames[-1]  # the retry reuses the root frame
 
         if tx.attempts >= self.config.max_restarts:
             raise SimulationError(
@@ -680,20 +675,23 @@ class Engine:
                 f"livelock guard tripped"
             )
 
-        stall = backoff_cycles(self.machine.rng.backoff(), tx.attempts,
+        stall = backoff_cycles(self._backoff_rng, tx.attempts,
                                self.config.backoff_base,
                                self.config.backoff_max)
-        self._obs_tx_abort(core, self._cycles[core], tx, stall)
+        obs = self._obs
+        if obs is not None:
+            obs.tx_abort(core, self._cycles[core], tx, stall)
         # Backoff stall is abort-induced: account it as wasted.
         self._breakdown[core].tx_aborted += stall
         self.stats.wasted_by_cause[tx.abort_cause] += stall
         self.clocks.advance(core, stall)
 
         self.htm.begin_retry(core, tx)
-        self._obs_tx_retry(core, self._cycles[core], tx)
+        if obs is not None:
+            obs.tx_retry(core, self._cycles[core], tx)
         self._charge(core, self.config.tx_begin_cycles)
-        gen = atomic.make_generator(runner.ctx)
-        runner.frames.append(Frame(gen=gen, atomic=atomic, is_tx_root=True))
+        gen = tx_frame.atomic.make_generator(runner.ctx)
+        tx_frame.gen = gen
         runner.send = gen.send
         runner.pending_value = None
 

@@ -28,6 +28,12 @@ class WastedCause(enum.Enum):
     GATHER_AFTER_LABELED = "Gather after Labeled access"
     OTHER = "Others"
 
+    # Members are singletons, so identity hashing is exact, and it keeps
+    # the ``wasted_by_cause`` updates on the abort path out of the
+    # Python-level ``Enum.__hash__``. A pickled Counter rehashes its keys
+    # in the process that loads it.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class CoreCycleBreakdown:
@@ -99,12 +105,11 @@ class Stats:
     #: Memory operations serviced by the coherence protocol's private-hit
     #: fast path (see ``MemorySystem.fast_load`` and friends).
     host_fastpath_hits: int = 0
-    #: Memory operations serviced by the full protocol path while the fast
-    #: path was on: probes that missed, plus the ops that never probe
-    #: (gathers on CommTM, lazy transactional stores). Not counted when
-    #: the fast path is disabled (``REPRO_NO_FASTPATH``, obs mode), so
-    #: ``hits + misses`` is every memory operation run with the fast path
-    #: on.
+    #: Fast-path probes that returned no hit, so that the operation took
+    #: the full protocol path. Operations that never probe (gathers on
+    #: CommTM, lazy transactional stores) are not counted, and nothing is
+    #: counted when the fast path is disabled (``REPRO_NO_FASTPATH``, obs
+    #: mode), so ``hits + misses`` is the number of probes.
     host_fastpath_misses: int = 0
     #: Scheduling quanta executed by the run-ahead scheduler — each batch
     #: is one heap transaction covering ``host_runahead_ops /
@@ -210,14 +215,15 @@ class Stats:
 
     @property
     def fastpath_hit_rate(self):
-        """Fraction of fast-path *attempts* serviced by the private-hit fast
-        path (host-side instrumentation). ``None`` when no attempt was made
-        — fast path disabled via ``REPRO_NO_FASTPATH``, forced off by the
-        obs layer, or the run was too short to attempt one — which is a
-        different situation from "enabled but never hit" (0.0). Under the
-        vector backend the counters cover only the strict (per-op) phases —
-        epoch ops hit by construction and are not counted — so a ratio
-        would be misleading: the string ``"n/a (vector)"`` is returned
+        """Fraction of fast-path probes that hit (host-side
+        instrumentation); operations that never probe do not count.
+        ``None`` when no probe ran — fast path disabled via
+        ``REPRO_NO_FASTPATH``, forced off by the obs layer, or no
+        operation that probes — which is a different situation from
+        "enabled but never hit" (0.0). Under the vector backend the
+        counters cover only the strict (per-op) phases — epoch ops hit by
+        construction and are not counted — so a ratio would be
+        misleading: the string ``"n/a (vector)"`` is returned
         instead."""
         if self.host_backend == "vector":
             return "n/a (vector)"

@@ -123,6 +123,18 @@ def test_counter_commtm_is_hit_dominated(monkeypatch):
     assert res.stats.fastpath_hit_rate > 0.9
 
 
+def test_hit_rate_counts_only_probes(monkeypatch):
+    """Gathers never probe the fast path, so they are not its misses:
+    refcount CommTM's probes all hit, and its ten gathers leave the rate
+    at 1.0."""
+    res = _run(MICROS["refcount"], commtm=True, seed=1, no_fastpath=False,
+               monkeypatch=monkeypatch)
+    assert res.stats.gathers == 10
+    assert res.stats.host_fastpath_hits > 0
+    assert res.stats.host_fastpath_misses == 0
+    assert res.stats.fastpath_hit_rate == 1.0
+
+
 def test_handler_table_is_fixed_for_the_run(monkeypatch):
     """The handler table is built once per engine: a run whose probes
     mostly miss (the contended baseline counter) still probes every op,

@@ -102,6 +102,11 @@ class TestMainMemory:
             mem.read_word(5)
         with pytest.raises(MemoryError_):
             mem.write_word(5, 1)
+        # Aligned but negative: rejected too.
+        with pytest.raises(MemoryError_):
+            mem.read_word(-8)
+        with pytest.raises(MemoryError_):
+            mem.write_word(-8, 1)
 
     def test_touched_lines(self):
         mem = MainMemory()

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,9 +167,9 @@ def test_small_sweep_runs_on_the_pool(monkeypatch):
 
 
 def test_pool_workers_take_the_sweeps_run_options(monkeypatch):
-    """A forkserver worker keeps the environment the server started with,
-    yet every pooled point must run under the options the dispatching
-    process has now, whichever way they changed since the pool started."""
+    """A pool worker keeps the environment the dispatcher had when the
+    pool started, yet every pooled point must run under the options the
+    dispatching process has now, whichever way they changed since."""
     from repro.harness import parallel as par
     from repro.obs import OBS_ENV
 
@@ -180,6 +181,117 @@ def test_pool_workers_take_the_sweeps_run_options(monkeypatch):
     assert all("obs" in r.info for r in run_points(specs, jobs=2))
     monkeypatch.delenv(OBS_ENV)
     assert not any("obs" in r.info for r in run_points(specs, jobs=2))
+
+
+def _small_sweep():
+    return [_counter_spec(t, commtm=c, total_ops=40)
+            for t in (1, 2) for c in (False, True)]
+
+
+def _digest(results):
+    return [(r.cycles, r.stats.comparable()) for r in results]
+
+
+def _run_isolated(args, timeout=60):
+    """Run ``python *args`` from the repository root in a session of its
+    own, so that a hang is killed whole and fails the test rather than
+    hanging the suite; returns the completed process's (code, out, err)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, *args], cwd=REPO_ROOT, env=env,
+                            text=True, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"python {' '.join(args)} did not return")
+    return proc.returncode, out, err
+
+
+#: A driver script with no ``if __name__ == "__main__":`` guard that runs
+#: a pooled sweep at module level.
+UNGUARDED_SCRIPT = """
+from repro.harness import make_spec, parallel, run_points
+from repro.workloads.micro import counter
+
+parallel._available_cpus = lambda: 2
+specs = [make_spec(counter.build, t, num_cores=16, commtm=True, seed=1,
+                   total_ops=60) for t in (1, 2)]
+print([r.cycles for r in run_points(specs, jobs=2)])
+"""
+
+
+def test_unguarded_script_runs_a_pooled_sweep(tmp_path):
+    """Pool workers are forks of the dispatching process, so they never
+    replay ``__main__``: a script without the guard runs its sweep once
+    and prints what the serial sweep gives."""
+    script = tmp_path / "sweep.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    code, out, err = _run_isolated([str(script)])
+    assert code == 0, err
+    serial = run_points([_counter_spec(t) for t in (1, 2)], jobs=1)
+    assert out.strip() == str([r.cycles for r in serial])
+
+
+def test_pool_starts_with_no_thread_running(monkeypatch):
+    """A fresh pool forks its workers before any thread of the dispatcher
+    starts. From 3.12 CPython warns when a multi-threaded process forks,
+    and the warning is an error here."""
+    from repro.harness import parallel as par
+
+    monkeypatch.setattr(par, "_available_cpus", lambda: 4)
+    par.shutdown_pool()
+    specs = _small_sweep()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pooled = run_points(specs, jobs=2)
+    assert _digest(pooled) == _digest(run_points(specs, jobs=1))
+
+
+def unprofiled_build(machine, num_threads, total_ops=40):
+    """The counter micro, except that it fails in a process whose thread
+    runs under a profiler hook."""
+    if sys.getprofile() is not None:
+        raise SimulationError("the point ran under a profiler hook")
+    return counter.build(machine, num_threads, total_ops=total_ops)
+
+
+def test_pool_workers_drop_the_profiler_hook(monkeypatch):
+    """A worker forked while the dispatcher runs under a profiler (the
+    CLI's ``--profile``) does not simulate under it."""
+    from repro.harness import parallel as par
+
+    monkeypatch.setattr(par, "_available_cpus", lambda: 4)
+    specs = [make_spec(unprofiled_build, t, num_cores=16, seed=seed)
+             for t in (1, 2) for seed in (1, 2)]
+    par.shutdown_pool()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        pooled = run_points(specs, jobs=2)
+    finally:
+        sys.setprofile(None)
+    assert _digest(pooled) == _digest(run_points(specs, jobs=1))
+
+
+def test_spawn_fallback_matches_serial(monkeypatch):
+    """Where the platform offers no ``fork``, the pool spawns its workers,
+    and a sweep on them returns the serial results."""
+    import multiprocessing
+
+    from repro.harness import parallel as par
+
+    monkeypatch.setattr(par, "_available_cpus", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    specs = _small_sweep()
+    par.shutdown_pool()
+    try:
+        assert par._pool_context().get_start_method() == "spawn"
+        pooled = run_points(specs, jobs=2)
+    finally:
+        par.shutdown_pool()
+    assert _digest(pooled) == _digest(run_points(specs, jobs=1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +347,9 @@ for seeds in sweeps:
 def test_dead_worker_fails_the_sweep():
     """A sweep whose pool worker dies raises an error naming the points
     that did not come back, instead of waiting for them forever; a lone
-    lost point is attached for the CLI's replay line. The sweeps run in a
-    session of their own, so that a hang is killed whole and fails the
-    test rather than hanging the suite."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    proc = subprocess.Popen([sys.executable, "-c", DYING_SWEEPS],
-                            cwd=REPO_ROOT, env=env, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("a sweep whose pool worker died did not return")
-    assert proc.returncode == 0, err
+    lost point is attached for the CLI's replay line."""
+    code, out, err = _run_isolated(["-c", DYING_SWEEPS])
+    assert code == 0, err
     ten, one, after = out.splitlines()
     lost = make_spec(dying_build, 2, num_cores=16, seed=FAILING_SEED)
     assert ten.startswith("None | a pool worker died")
