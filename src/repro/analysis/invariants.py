@@ -189,6 +189,8 @@ def check_line(line_no: int, by_core: Dict[int, object], ent,
 def check_invariants(msys, pass_name: str = "invariants") -> List[Finding]:
     """Sweep every cache and the directory of ``msys`` for MESI+U
     invariant violations and return them all (empty list = clean).
+    ``msys`` is anything that holds the ``caches`` and the ``directory``:
+    a memory system, or the sanitizer checking one.
 
     :func:`check_line` over every line any cache or the directory holds,
     in line order. Reads cache and directory internals directly

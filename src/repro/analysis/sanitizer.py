@@ -57,10 +57,17 @@ directory's ``entry``/``peek`` and eviction hooks are wrapped here
 finds a sanitizer (``Engine._sanitize_handlers``). With sanitizing off
 nothing is installed; the hot paths keep only the ``sanitizer is None``
 test that ``MemorySystem._finish`` always made.
+
+**No reference cycles.** The sanitizer holds the caches and the
+directory it reads, not the memory system that holds it, and the
+``entry``/``peek`` wrappers call the directory through a weak proxy, so
+a sanitized machine is freed as soon as its last user drops it, like a
+plain one (``tests/test_lifetime.py``).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from ..errors import SanitizerError
@@ -79,10 +86,16 @@ class CoherenceSanitizer:
     :meth:`checkpoint` checks the dirty lines after one operation;
     :meth:`check` sweeps the whole machine. Both raise on the first
     violation and count as one checkpoint in ``checks_run``.
+
+    Built from a memory system, it keeps that system's ``caches`` and
+    ``directory`` (and so can stand in for it wherever only those two
+    are read, as :func:`~repro.analysis.invariants.check_invariants`
+    does), but not the memory system itself, which holds the sanitizer.
     """
 
     def __init__(self, msys):
-        self.msys = msys
+        self.caches = msys.caches
+        self.directory = msys.directory
         self.checks_run = 0
         self.violations = 0
         #: Lines whose copies or directory entry may have changed since
@@ -93,8 +106,8 @@ class CoherenceSanitizer:
         self.in_op = False
         #: Every cache's line map, indexed by core, bound once: the maps
         #: are mutated in place and never replaced.
-        self._maps = [cache._lines for cache in msys.caches]
-        self._entries = msys.directory._entries
+        self._maps = [cache._lines for cache in self.caches]
+        self._entries = self.directory._entries
         #: Violations found by the current checkpoint, as
         #: ``(check, line, message)``; almost always empty.
         self._found: list = []
@@ -149,7 +162,7 @@ class CoherenceSanitizer:
         ``"run start"``. Clears the dirty set: the sweep covers it."""
         self.checks_run += 1
         self.dirty.clear()
-        findings = check_invariants(self.msys, pass_name="sanitizer")
+        findings = check_invariants(self, pass_name="sanitizer")
         if findings:
             self._raise(findings[0],
                         None if where is None else f"{where} sweep")
@@ -190,19 +203,22 @@ def install(machine, cls=CoherenceSanitizer) -> CoherenceSanitizer:
     msys.sanitizer = sanitizer
     mark = sanitizer.dirty.add
     directory = msys.directory
-    directory.entry = _marks_line(mark, directory.entry)
-    directory.peek = _marks_line(mark, directory.peek)
+    owner = weakref.proxy(directory)
+    directory.entry = _marks_line(mark, type(directory).entry, owner)
+    directory.peek = _marks_line(mark, type(directory).peek, owner)
     directory.eviction_hook = _marks_victim(mark, directory.eviction_hook)
     for cache in msys.caches:
         cache.eviction_hook = _marks_victim(mark, cache.eviction_hook)
     return sanitizer
 
 
-def _marks_line(mark, lookup):
-    """``lookup`` (``Directory.entry`` or ``peek``), marking its line."""
+def _marks_line(mark, lookup, directory):
+    """``lookup`` (the class function ``Directory.entry`` or ``peek``)
+    on ``directory``, marking its line. ``directory`` is a weak proxy:
+    the wrapper is stored on the directory it calls."""
     def marked(line: int):
         mark(line)
-        return lookup(line)
+        return lookup(directory, line)
     return marked
 
 

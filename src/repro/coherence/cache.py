@@ -28,7 +28,9 @@ from ..params import CacheGeometry
 from .line import CacheLine
 from .states import State
 
-_I = State.I  # hot-path alias (lookup runs once per memory operation)
+# Hot-path aliases (lookup runs once per memory operation; see the enum
+# aliases in coherence.protocol).
+_I, _U = State.I, State.U
 
 
 class PrivateCache:
@@ -125,7 +127,7 @@ class PrivateCache:
                 self.spec_eviction_hook(self.core, "l2-capacity")
                 # The abort's rollback cleared spec bits; fall through.
             self.drop(victim_no)
-            if self.eviction_hook is not None and victim.state is not State.I:
+            if self.eviction_hook is not None and victim.state is not _I:
                 self.eviction_hook(victim)
 
     def drop(self, line: int) -> None:
@@ -233,5 +235,5 @@ class PrivateCache:
         for no, entry in self._lines.items():
             if entry.line != no:
                 raise ProtocolError(f"line number mismatch at {no}")
-            if entry.state is State.U and entry.label is None:
+            if entry.state is _U and entry.label is None:
                 raise ProtocolError(f"unlabeled U line {no}")

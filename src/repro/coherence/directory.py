@@ -17,6 +17,8 @@ from ..errors import ProtocolError
 from ..mem.memory import MainMemory
 from .states import State
 
+_M, _S, _U, _I = State.M, State.S, State.U, State.I  # enum aliases
+
 
 @dataclass(slots=True)
 class DirEntry:
@@ -57,12 +59,12 @@ class DirEntry:
 
     def private_state_of(self, core: int) -> State:
         if core == self.owner:
-            return State.M  # directory view: exclusive (E or M at the core)
+            return _M  # directory view: exclusive (E or M at the core)
         if core in self.sharers:
-            return State.S
+            return _S
         if core in self.u_sharers:
-            return State.U
-        return State.I
+            return _U
+        return _I
 
 
 class Directory:

@@ -15,6 +15,8 @@ from typing import List, Optional
 from ..errors import ProtocolError
 from .states import State
 
+_U = State.U  # enum alias: __post_init__ runs for every installed line
+
 
 @dataclass(slots=True)
 class CacheLine:
@@ -33,7 +35,7 @@ class CacheLine:
     spec_labeled: bool = False
 
     def __post_init__(self) -> None:
-        if self.state is State.U and self.label is None:
+        if self.state is _U and self.label is None:
             raise ProtocolError(f"U-state line {self.line} without a label")
 
     # --- speculation -------------------------------------------------------

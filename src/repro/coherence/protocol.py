@@ -27,6 +27,7 @@ NACKs the request (in which case the requester's transaction must abort).
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Dict, List, Optional, Set
 
 from ..errors import ProtocolError, ReductionError
@@ -42,10 +43,22 @@ from .messages import AccessKind, AccessResult, Requester, SYSTEM
 from .noc import Mesh
 from .states import State
 
-# Hot-path aliases: the per-access handlers below compare states with `is`
-# against these module locals instead of looking up enum attributes, and
-# inline the line/word arithmetic of mem.address.
-_M, _E, _S, _U = State.M, State.E, State.S, State.U
+# Hot-path aliases: the handlers below read enum members through these
+# module globals, never as ``State.M`` and the like, and test membership
+# with the precomputed ``readable``/``writable`` flags. Enum classes
+# define ``__getattr__``, so a member read through the class takes the
+# slow attribute hook: about 130 ns on CPython 3.11, against 11 ns for a
+# global. The fast-path handlers also inline mem.address's line and word
+# arithmetic.
+_M, _E, _S, _U, _I = State.M, State.E, State.S, State.U, State.I
+_K_LOAD, _K_STORE = AccessKind.LOAD, AccessKind.STORE
+_K_LABELED_LOAD = AccessKind.LABELED_LOAD
+_K_LABELED_STORE = AccessKind.LABELED_STORE
+_K_GATHER = AccessKind.GATHER
+_W_OTHER = WastedCause.OTHER
+_W_GATHER_AFTER_LABELED = WastedCause.GATHER_AFTER_LABELED
+_W_READ_AFTER_WRITE = WastedCause.READ_AFTER_WRITE
+_W_WRITE_AFTER_READ = WastedCause.WRITE_AFTER_READ
 
 
 class Trigger(enum.Enum):
@@ -66,6 +79,14 @@ class Trigger(enum.Enum):
 class Resolution(enum.Enum):
     ABORT_VICTIM = "abort_victim"
     NACK = "nack"
+
+
+# Member aliases, as above.
+_T_READ, _T_WRITE, _T_LABELED = Trigger.READ, Trigger.WRITE, Trigger.LABELED
+_T_REDUCTION_READ = Trigger.REDUCTION_READ
+_T_REDUCTION_WRITE = Trigger.REDUCTION_WRITE
+_T_GATHER, _T_EVICTION = Trigger.GATHER, Trigger.EVICTION
+_NACK = Resolution.NACK
 
 
 class ConflictManagerBase:
@@ -101,6 +122,12 @@ class NoTransactions(ConflictManagerBase):
         raise ProtocolError("no HTM layer attached")
 
 
+def _private_eviction_hook(owner, core: int):
+    """``core``'s private-cache eviction hook; ``owner`` is a weak proxy
+    of the memory system (see ``MemorySystem.__init__``)."""
+    return lambda victim: owner._on_private_eviction(core, victim)
+
+
 class MemorySystem:
     """Private caches + directory + protocol logic for one machine."""
 
@@ -112,15 +139,21 @@ class MemorySystem:
         self.stats = stats
         self.rng = rng
         self.mesh = mesh = Mesh(config.noc)
+        # The parts' hooks reach this memory system through a weak proxy:
+        # a part never holds a strong reference to its owner, so a built
+        # machine has no reference cycle, and reference counting frees it
+        # as soon as its last user drops it.
+        owner = weakref.proxy(self)
         self.caches: List[PrivateCache] = []
         for core in range(config.num_cores):
             cache = PrivateCache(core, config.l1, config.l2)
-            cache.eviction_hook = self._make_eviction_hook(core)
+            cache.eviction_hook = _private_eviction_hook(owner, core)
             self.caches.append(cache)
         self.directory = Directory(
             memory, num_lines=config.l3.num_lines, stats=stats
         )
-        self.directory.eviction_hook = self._on_l3_eviction
+        self.directory.eviction_hook = (
+            lambda victim: owner._on_l3_eviction(victim))
         self.conflicts: ConflictManagerBase = NoTransactions()
         #: Optional CoherenceSanitizer (set by the Machine facade when
         #: sanitizing; see repro.analysis.sanitizer). None keeps every
@@ -171,13 +204,11 @@ class MemorySystem:
 
     def attach_conflict_manager(self, manager: ConflictManagerBase) -> None:
         self.conflicts = manager
+        owner = weakref.proxy(self)
         hook = (lambda core, reason:
-                self.conflicts.abort_requester(core, WastedCause.OTHER))
+                owner.conflicts.abort_requester(core, _W_OTHER))
         for cache in self.caches:
             cache.spec_eviction_hook = hook
-
-    def _make_eviction_hook(self, core: int):
-        return lambda victim: self._on_private_eviction(core, victim)
 
     # ------------------------------------------------------------------
     # Latency helpers
@@ -268,7 +299,7 @@ class MemorySystem:
         def check_not_reducible(addr: int) -> None:
             line_no = line_of(addr)
             own = self.caches[core].lookup(line_no)
-            if own is not None and own.state is State.U:
+            if own is not None and own.state is _U:
                 raise ReductionError(
                     f"handler accessed local U-state line {line_no}"
                 )
@@ -322,7 +353,7 @@ class MemorySystem:
             outcome = self.conflicts.resolve(
                 victim, line_no, requester, trigger, entry
             )
-            if outcome is Resolution.NACK:
+            if outcome is _NACK:
                 self.stats.nacks_sent += 1
                 nackers.add(victim)
                 if self.obs is not None:
@@ -336,11 +367,11 @@ class MemorySystem:
     @staticmethod
     def _requester_cause(kind: AccessKind) -> WastedCause:
         """Fig. 18 attribution for a requester aborted by a NACK."""
-        if kind is AccessKind.GATHER:
-            return WastedCause.GATHER_AFTER_LABELED
-        if kind in (AccessKind.LOAD, AccessKind.LABELED_LOAD):
-            return WastedCause.READ_AFTER_WRITE
-        return WastedCause.WRITE_AFTER_READ
+        if kind is _K_GATHER:
+            return _W_GATHER_AFTER_LABELED
+        if kind is _K_LOAD or kind is _K_LABELED_LOAD:
+            return _W_READ_AFTER_WRITE
+        return _W_WRITE_AFTER_READ
 
     # ------------------------------------------------------------------
     # Private-hit fast path
@@ -542,12 +573,12 @@ class MemorySystem:
         line_no = line_of(addr)
         cache = self.caches[core]
         entry = cache.lookup(line_no)
-        if entry is not None and entry.state is State.U:
+        if entry is not None and entry.state is _U:
             # Same rules as eager mode for reducible data.
             return self._finish(
                 requester, self._store(core, addr, value, requester),
                 "lazy_store")
-        if entry is None or not entry.state.can_read:
+        if entry is None or not entry.state.readable:
             res = self._load(core, addr, requester)
             if res.abort_requester:
                 return self._finish(requester, res, "lazy_store")
@@ -575,10 +606,10 @@ class MemorySystem:
             raise ProtocolError(
                 f"publish of line {line_no} not present at core {core}"
             )
-        if entry.state in (State.M, State.E):
+        if entry.state.writable:
             res.cycles += self._private_lookup_cycles(cache.touch(line_no))
             return res
-        if entry.state is not State.S:
+        if entry.state is not _S:
             raise ProtocolError(
                 f"publish of line {line_no} in state {entry.state}"
             )
@@ -586,7 +617,7 @@ class MemorySystem:
         self.stats.getx += 1
         committer = Requester(core=core, ts=None, now=requester.now)
         victims = [s for s in ent.sharers if s != core]
-        self._resolve_victims(line_no, victims, committer, Trigger.WRITE, res)
+        self._resolve_victims(line_no, victims, committer, _T_WRITE, res)
         res.cycles += self._fanout_cycles(line_no, victims)
         for victim in victims:
             self.caches[victim].drop(line_no)
@@ -597,7 +628,7 @@ class MemorySystem:
         ent.sharers.discard(core)
         ent.owner = core
         ent.check()
-        entry.state = State.M
+        entry.state = _M
         entry.dirty = True
         return self._finish(requester, res, "publish_line")
 
@@ -620,7 +651,7 @@ class MemorySystem:
             res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
             return res
 
-        if entry is not None and entry.state is State.U:
+        if entry is not None and entry.state is _U:
             return self._noncommutative_own_u(core, addr, entry, requester,
                                               is_store=False, value=None)
 
@@ -639,8 +670,8 @@ class MemorySystem:
             return res
         elif ent.u_sharers:
             ok = self._reduce_at(core, line_no, ent, requester, res,
-                                 trigger=Trigger.REDUCTION_READ,
-                                 kind=AccessKind.LOAD)
+                                 trigger=_T_REDUCTION_READ,
+                                 kind=_K_LOAD)
             if not ok:
                 return res
             entry = self.caches[core].lookup(line_no)
@@ -650,10 +681,10 @@ class MemorySystem:
             res.value = entry.words[word_index(addr)]
             return res
 
-        state = State.E if ent.unshared else State.S
+        state = _E if ent.unshared else _S
         new = CacheLine(line=line_no, state=state, words=list(ent.words))
         cache.install(new)
-        if state is State.E:
+        if state is _E:
             ent.owner = core
         else:
             ent.sharers.add(core)
@@ -661,7 +692,7 @@ class MemorySystem:
         if requester.speculative:
             cache.mark_read(new)
         res.value = new.words[word_index(addr)]
-        if state is State.S:
+        if state is _S:
             # Read sharing pipelines at the directory: a GETS served from
             # the L3 stalls behind pending ownership changes but does not
             # reserve the line itself.
@@ -679,16 +710,16 @@ class MemorySystem:
             raise ProtocolError(f"directory owner {owner} lost line {line_no}")
         if owner_entry.spec_written or owner_entry.spec_labeled:
             nackers = self._resolve_victims(line_no, [owner], requester,
-                                            Trigger.READ, res)
+                                            _T_READ, res)
             if nackers:
                 res.abort_requester = True
-                res.abort_cause = self._requester_cause(AccessKind.LOAD)
+                res.abort_cause = self._requester_cause(_K_LOAD)
                 return False
         res.cycles += self._fanout_cycles(line_no, [owner])
         res.cycles += self._forward_latency(owner, core)
         self.stats.downgrades += 1
         data = list(owner_entry.words)
-        owner_entry.state = State.S
+        owner_entry.state = _S
         if owner_entry.dirty:
             ent.words = list(data)
             ent.dirty = True
@@ -697,7 +728,7 @@ class MemorySystem:
         ent.owner = None
         ent.sharers.update({owner, core})
         ent.check()
-        new = CacheLine(line=line_no, state=State.S, words=data)
+        new = CacheLine(line=line_no, state=_S, words=data)
         cache = self.caches[core]
         cache.install(new)
         if requester.speculative:
@@ -720,11 +751,11 @@ class MemorySystem:
                            else self._l12_latency)
             self._write_word(cache, entry, addr, value, requester,
                              labeled=False)
-            if entry.state is State.E:
-                entry.state = State.M  # silent upgrade
+            if entry.state is _E:
+                entry.state = _M  # silent upgrade
             return res
 
-        if entry is not None and entry.state is State.U:
+        if entry is not None and entry.state is _U:
             return self._noncommutative_own_u(core, addr, entry, requester,
                                               is_store=True, value=value)
 
@@ -735,8 +766,8 @@ class MemorySystem:
 
         if ent.u_sharers:
             ok = self._reduce_at(core, line_no, ent, requester, res,
-                                 trigger=Trigger.REDUCTION_WRITE,
-                                 kind=AccessKind.STORE)
+                                 trigger=_T_REDUCTION_WRITE,
+                                 kind=_K_STORE)
             if not ok:
                 return res
             merged = self.caches[core].lookup(line_no)
@@ -751,10 +782,10 @@ class MemorySystem:
         if ent.owner is not None and ent.owner != core:
             victims.insert(0, ent.owner)
         nackers = self._resolve_victims(line_no, victims, requester,
-                                        Trigger.WRITE, res)
+                                        _T_WRITE, res)
         if nackers:
             res.abort_requester = True
-            res.abort_cause = self._requester_cause(AccessKind.STORE)
+            res.abort_cause = self._requester_cause(_K_STORE)
             return res
         res.cycles += self._fanout_cycles(line_no, victims)
         for victim in victims:
@@ -763,7 +794,7 @@ class MemorySystem:
                 raise ProtocolError(
                     f"directory sharer {victim} lost line {line_no}"
                 )
-            if ventry.state in (State.M, State.E):
+            if ventry.state.writable:
                 res.cycles += self._forward_latency(victim, core)
                 data = list(ventry.words)
                 if ventry.dirty:
@@ -776,16 +807,16 @@ class MemorySystem:
         if self.obs is not None and victims:
             self.obs.invalidated(line_no, len(victims))
 
-        if entry is not None and entry.state is State.S:
+        if entry is not None and entry.state is _S:
             # Upgrade in place.
             data = entry.words
             new = entry
-            new.state = State.M
+            new.state = _M
             cache.touch(line_no)
         else:
             if data is None:
                 data = list(ent.words)
-            new = CacheLine(line=line_no, state=State.M, words=list(data))
+            new = CacheLine(line=line_no, state=_M, words=list(data))
             cache.install(new)
         ent.sharers.discard(core)
         ent.owner = core
@@ -802,8 +833,8 @@ class MemorySystem:
         entry.words = words = list(entry.words)
         words[addr % LINE_BYTES // WORD_BYTES] = value
         entry.dirty = True
-        if entry.state is State.E:
-            entry.state = State.M
+        if entry.state is _E:
+            entry.state = _M
 
     # ------------------------------------------------------------------
     # Labeled accesses (GETU; Sec. III-B3 cases 1-5)
@@ -845,11 +876,11 @@ class MemorySystem:
         res.cycles += self._private_lookup_cycles(False)
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.getu += 1
-        trigger = Trigger.LABELED
+        trigger = _T_LABELED
 
         if ent.u_sharers and ent.u_label is label:
             # Case 4: same label -> grant U, no data, identity init.
-            new = CacheLine(line=line_no, state=State.U, label=label,
+            new = CacheLine(line=line_no, state=_U, label=label,
                             words=label.identity_line())
             cache.install(new)
             ent.u_sharers.add(core)
@@ -858,10 +889,10 @@ class MemorySystem:
             # Case 3: different label -> reduce at requester, enter U with
             # the new label holding the full value.
             ok = self._reduce_at(core, line_no, ent, requester, res,
-                                 trigger=Trigger.REDUCTION_WRITE if is_store
-                                 else Trigger.REDUCTION_READ,
-                                 kind=AccessKind.LABELED_STORE if is_store
-                                 else AccessKind.LABELED_LOAD,
+                                 trigger=_T_REDUCTION_WRITE if is_store
+                                 else _T_REDUCTION_READ,
+                                 kind=_K_LABELED_STORE if is_store
+                                 else _K_LABELED_LOAD,
                                  into_label=label)
             if not ok:
                 return res
@@ -880,18 +911,18 @@ class MemorySystem:
                 if nackers:
                     res.abort_requester = True
                     res.abort_cause = self._requester_cause(
-                        AccessKind.LABELED_STORE if is_store
-                        else AccessKind.LABELED_LOAD)
+                        _K_LABELED_STORE if is_store
+                        else _K_LABELED_LOAD)
                     return res
             res.cycles += self._fanout_cycles(line_no, [owner])
             self.stats.downgrades += 1
-            owner_entry.state = State.U
+            owner_entry.state = _U
             owner_entry.label = label
             ent.owner = None
             ent.u_sharers.update({owner, core})
             ent.u_label = label
             ent.check()
-            new = CacheLine(line=line_no, state=State.U, label=label,
+            new = CacheLine(line=line_no, state=_U, label=label,
                             words=label.identity_line())
             cache.install(new)
         else:
@@ -903,8 +934,8 @@ class MemorySystem:
             if nackers:
                 res.abort_requester = True
                 res.abort_cause = self._requester_cause(
-                    AccessKind.LABELED_STORE if is_store
-                    else AccessKind.LABELED_LOAD)
+                    _K_LABELED_STORE if is_store
+                    else _K_LABELED_LOAD)
                 return res
             res.cycles += self._fanout_cycles(line_no, victims)
             for victim in victims:
@@ -913,10 +944,10 @@ class MemorySystem:
                 self.stats.invalidations += 1
             if self.obs is not None and victims:
                 self.obs.invalidated(line_no, len(victims))
-            if entry is not None and entry.state is State.S:
+            if entry is not None and entry.state is _S:
                 cache.drop(line_no)
                 self.directory.drop_sharer(ent, core)
-            new = CacheLine(line=line_no, state=State.U, label=label,
+            new = CacheLine(line=line_no, state=_U, label=label,
                             words=list(ent.words))
             cache.install(new)
             ent.u_sharers.add(core)
@@ -959,10 +990,10 @@ class MemorySystem:
             # Abort self; the conflict manager rolls the cache back, which
             # restores this entry's non-speculative value. The retry runs
             # labeled accesses as conventional ones (Sec. III-B4).
-            self.conflicts.abort_requester(core, WastedCause.OTHER,
+            self.conflicts.abort_requester(core, _W_OTHER,
                                            disable_labels=True)
             res.abort_requester = True
-            res.abort_cause = WastedCause.OTHER
+            res.abort_cause = _W_OTHER
             requester = SYSTEM  # the rest of the reduction is non-speculative
 
         ent = self._charge_dir_access(core, line_no, res)
@@ -976,20 +1007,20 @@ class MemorySystem:
             ent.u_sharers.clear()
             ent.u_label = None
             if into_label is not None:
-                entry.state = State.U
+                entry.state = _U
                 entry.label = into_label
                 ent.u_sharers.add(core)
                 ent.u_label = into_label
             else:
-                entry.state = State.M
+                entry.state = _M
                 entry.label = None
                 ent.owner = core
             ent.check()
             self.stats.getx += 1  # upgrade request between L2 and L3
         else:
-            kind = AccessKind.STORE if is_store else AccessKind.LOAD
-            trigger = (Trigger.REDUCTION_WRITE if is_store
-                       else Trigger.REDUCTION_READ)
+            kind = _K_STORE if is_store else _K_LOAD
+            trigger = (_T_REDUCTION_WRITE if is_store
+                       else _T_REDUCTION_READ)
             if is_store:
                 self.stats.getx += 1
             else:
@@ -1117,17 +1148,17 @@ class MemorySystem:
         if nackers:
             # NACKed reduction: keep the partial merge in U and abort.
             self._install_reduced(core, line_no, ent, merged, own,
-                                  as_state=State.U, label=label)
+                                  as_state=_U, label=label)
             res.abort_requester = True
             res.abort_cause = self._requester_cause(kind)
             return False
 
         if into_label is not None:
             self._install_reduced(core, line_no, ent, merged, own,
-                                  as_state=State.U, label=into_label)
+                                  as_state=_U, label=into_label)
         else:
             self._install_reduced(core, line_no, ent, merged, own,
-                                  as_state=State.M, label=None)
+                                  as_state=_M, label=None)
         return True
 
     def _install_reduced(self, core: int, line_no: int, ent: DirEntry,
@@ -1157,7 +1188,7 @@ class MemorySystem:
                           words=list(merged), dirty=True)
         cache.install(entry)
         ent.u_sharers.discard(core)
-        if as_state is State.M:
+        if as_state is _M:
             ent.owner = core
             if not ent.u_sharers:
                 ent.u_label = None
@@ -1182,7 +1213,7 @@ class MemorySystem:
         cache = self.caches[core]
         entry = cache.lookup(line_no)
 
-        if entry is None or entry.state is not State.U or entry.label is not label:
+        if entry is None or entry.state is not _U or entry.label is not label:
             # The paper issues gathers from U; acquire U first.
             inner = self._labeled_access(core, addr, label, requester,
                                          value=None, is_store=False)
@@ -1191,7 +1222,7 @@ class MemorySystem:
                 inner.cycles = res.cycles
                 return inner
             entry = cache.lookup(line_no)
-            if entry is None or entry.state is not State.U:
+            if entry is None or entry.state is not _U:
                 # Landed in M/E: the core already sees the full value.
                 res.value = inner.value
                 return res
@@ -1210,7 +1241,7 @@ class MemorySystem:
         cycles_before = res.cycles
         num_sharers = len(ent.u_sharers)
         nackers = self._resolve_victims(line_no, others, requester,
-                                        Trigger.GATHER, res)
+                                        _T_GATHER, res)
         res.cycles += self._fanout_cycles(line_no, others)
         # The directory's involvement ends here: it forwarded the gather to
         # the sharers (the line stays in U at everyone). Splits, donations
@@ -1268,7 +1299,7 @@ class MemorySystem:
 
         if nackers:
             res.abort_requester = True
-            res.abort_cause = WastedCause.GATHER_AFTER_LABELED
+            res.abort_cause = _W_GATHER_AFTER_LABELED
             res.overlap_cycles = res.cycles - cycles_at_dir_release
             return res
 
@@ -1359,7 +1390,7 @@ class MemorySystem:
             raise ProtocolError(
                 f"private eviction of line {line_no} absent from the L3"
             )
-        if victim.state in (State.M, State.E):
+        if victim.state.writable:
             if ent.owner != core:
                 raise ProtocolError(
                     f"evicting owner line {line_no} not owned by {core}"
@@ -1369,9 +1400,9 @@ class MemorySystem:
                 ent.words = victim.nonspec_words()
                 ent.dirty = True
                 self.stats.writebacks += 1
-        elif victim.state is State.S:
+        elif victim.state is _S:
             self.directory.drop_sharer(ent, core)  # no silent drops
-        elif victim.state is State.U:
+        elif victim.state is _U:
             self._evict_u_line(core, victim, ent)
         ent.check()
 
@@ -1399,7 +1430,7 @@ class MemorySystem:
             # "If the chosen core is performing a transaction that touches
             # this data, for simplicity, the transaction is aborted."
             self.conflicts.resolve(target, line_no, SYSTEM,
-                                   Trigger.EVICTION, tentry)
+                                   _T_EVICTION, tentry)
         dummy = AccessResult()
         hctx = self.handler_context(target, dummy)
         self._in_handler = True
@@ -1430,7 +1461,7 @@ class MemorySystem:
                     )
                 if sentry.speculative:
                     self.conflicts.resolve(sharer, line_no, SYSTEM,
-                                           Trigger.EVICTION, sentry)
+                                           _T_EVICTION, sentry)
                 data = sentry.nonspec_words()
                 if merged is None:
                     merged = data
@@ -1454,7 +1485,7 @@ class MemorySystem:
             if oentry is not None:
                 if oentry.speculative:
                     self.conflicts.resolve(owner, line_no, SYSTEM,
-                                           Trigger.EVICTION, oentry)
+                                           _T_EVICTION, oentry)
                 if oentry.dirty:
                     ent.words = oentry.nonspec_words()
                     ent.dirty = True
@@ -1464,7 +1495,7 @@ class MemorySystem:
             sentry = self.caches[sharer].lookup(line_no)
             if sentry is not None and sentry.speculative:
                 self.conflicts.resolve(sharer, line_no, SYSTEM,
-                                       Trigger.EVICTION, sentry)
+                                       _T_EVICTION, sentry)
             self.caches[sharer].drop(line_no)
             ent.sharers.discard(sharer)
         ent.check()
@@ -1500,7 +1531,7 @@ class MemorySystem:
 
     def state_of(self, core: int, addr: int) -> State:
         entry = self.caches[core].lookup(line_of(addr))
-        return entry.state if entry is not None else State.I
+        return entry.state if entry is not None else _I
 
     # ------------------------------------------------------------------
     # Snapshot/restore (model-checker hooks)

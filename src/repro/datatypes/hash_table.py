@@ -44,6 +44,9 @@ class ResizableHashTable:
         if num_buckets <= 0:
             raise ValueError("need at least one bucket")
         self._machine = machine
+        #: key -> stable_hash(key) for the non-integer keys this table has
+        #: placed. Owned by the table, so it dies with its machine.
+        self._hashes: dict = {}
         capacity = num_buckets * SLOTS_PER_BUCKET
         self.remaining = BoundedCounter(machine, label=label,
                                         initial=capacity,
@@ -56,9 +59,24 @@ class ResizableHashTable:
         base = self._machine.alloc.alloc_words(num_buckets)
         return base
 
-    @staticmethod
-    def _bucket_addr(base: int, num_buckets: int, key) -> int:
-        return base + (stable_hash(key) % num_buckets) * WORD_BYTES
+    def _bucket_addr(self, base: int, num_buckets: int, key) -> int:
+        """The bucket word of ``key`` in the table at ``base``.
+
+        ``stable_hash`` walks the ``str()`` of a non-integer key one
+        character at a time, and a run places the same few keys again and
+        again, so each such key is hashed once per table. Integer keys,
+        whose hash is one multiply, bypass the memo. Keys that compare
+        equal share an entry, so a table that mixed, say, ``1.0`` and
+        ``True`` as keys would place both where the first went; no
+        workload mixes key types."""
+        if key.__class__ is int:
+            h = stable_hash(key)
+        else:
+            hashes = self._hashes
+            h = hashes.get(key)
+            if h is None:
+                h = hashes[key] = stable_hash(key)
+        return base + (h % num_buckets) * WORD_BYTES
 
     # --- transactional operations -------------------------------------------
 

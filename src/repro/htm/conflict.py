@@ -27,6 +27,18 @@ from ..errors import ProtocolError
 from ..sim.stats import Stats, WastedCause
 from .transaction import Transaction
 
+# Enum aliases (see coherence.protocol): member reads through an enum
+# class take its slow ``__getattr__`` hook.
+_T_READ, _T_WRITE, _T_LABELED = Trigger.READ, Trigger.WRITE, Trigger.LABELED
+_T_REDUCTION_READ = Trigger.REDUCTION_READ
+_T_REDUCTION_WRITE = Trigger.REDUCTION_WRITE
+_T_GATHER, _T_EVICTION = Trigger.GATHER, Trigger.EVICTION
+_W_OTHER = WastedCause.OTHER
+_W_GATHER_AFTER_LABELED = WastedCause.GATHER_AFTER_LABELED
+_W_READ_AFTER_WRITE = WastedCause.READ_AFTER_WRITE
+_W_WRITE_AFTER_READ = WastedCause.WRITE_AFTER_READ
+_ABORT_VICTIM, _NACK = Resolution.ABORT_VICTIM, Resolution.NACK
+
 
 def victim_cause(trigger: Trigger, entry: CacheLine) -> WastedCause:
     """Fig. 18 attribution for a victim aborted by ``trigger``.
@@ -38,17 +50,18 @@ def victim_cause(trigger: Trigger, entry: CacheLine) -> WastedCause:
     "Gather after Labeled access"; evictions and everything else are
     "Others".
     """
-    if trigger is Trigger.GATHER:
-        return WastedCause.GATHER_AFTER_LABELED
-    if trigger is Trigger.EVICTION:
-        return WastedCause.OTHER
-    if trigger in (Trigger.WRITE, Trigger.LABELED, Trigger.REDUCTION_WRITE):
-        return WastedCause.READ_AFTER_WRITE
-    if trigger in (Trigger.READ, Trigger.REDUCTION_READ):
+    if trigger is _T_GATHER:
+        return _W_GATHER_AFTER_LABELED
+    if trigger is _T_EVICTION:
+        return _W_OTHER
+    if (trigger is _T_WRITE or trigger is _T_LABELED
+            or trigger is _T_REDUCTION_WRITE):
+        return _W_READ_AFTER_WRITE
+    if trigger is _T_READ or trigger is _T_REDUCTION_READ:
         if entry.spec_written or entry.spec_labeled:
-            return WastedCause.WRITE_AFTER_READ
-        return WastedCause.OTHER
-    return WastedCause.OTHER
+            return _W_WRITE_AFTER_READ
+        return _W_OTHER
+    return _W_OTHER
 
 
 class ConflictManager(ConflictManagerBase):
@@ -93,8 +106,8 @@ class ConflictManager(ConflictManagerBase):
                 self.obs.conflict(victim_core, line_no, requester, trigger,
                                   victim_entry, cause)
             self.abort(victim_core, cause)
-            return Resolution.ABORT_VICTIM
-        return Resolution.NACK
+            return _ABORT_VICTIM
+        return _NACK
 
     def abort_requester(self, core: int, cause: WastedCause,
                         disable_labels: bool = False) -> None:

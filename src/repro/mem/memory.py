@@ -8,7 +8,7 @@ tuples. Unwritten words read as 0, like zero-filled pages.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from .address import (LINE_BYTES, WORD_BYTES, WORDS_PER_LINE,
                       check_word_aligned)
@@ -43,6 +43,20 @@ class MainMemory:
         if addr < 0 or addr % WORD_BYTES:
             check_word_aligned(addr)
         self._line(addr // LINE_BYTES)[addr % LINE_BYTES // WORD_BYTES] = value
+
+    def write_words(self, addr: int, values: Sequence[object]) -> None:
+        """Write ``values`` to consecutive words from ``addr``, a line's
+        worth at a time: bulk set-up without a call per word."""
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
+        line, idx = divmod(addr // WORD_BYTES, WORDS_PER_LINE)
+        pos, end = 0, len(values)
+        while pos < end:
+            take = min(WORDS_PER_LINE - idx, end - pos)
+            self._line(line)[idx:idx + take] = values[pos:pos + take]
+            pos += take
+            line += 1
+            idx = 0
 
     def read_line(self, line: int) -> List[object]:
         """Return a copy of the line's 8 words."""

@@ -44,7 +44,11 @@ class Observer:
     """Collects structured telemetry for one machine run."""
 
     def __init__(self, machine, limit: int = DEFAULT_LIMIT):
-        self.machine = machine
+        # The caches and directory entries the hooks read, not the
+        # machine: the machine holds this observer, and a back-reference
+        # would make every observed machine a reference cycle.
+        self._caches = machine.msys.caches
+        self._entries = machine.msys.directory._entries
         self.recorder = TraceRecorder(limit=limit)
         #: Host-side wall-clock phase accountant (see repro.obs.hostprof).
         self.hostprof = HostProfiler()
@@ -64,7 +68,7 @@ class Observer:
     def _spec_sizes(self, core: int):
         """Speculative set sizes (lines) — call while the bits are set."""
         reads = writes = labeled = 0
-        for entry in self.machine.msys.caches[core].spec_lines():
+        for entry in self._caches[core].spec_lines():
             if entry.spec_read:
                 reads += 1
             if entry.spec_written:
@@ -75,8 +79,7 @@ class Observer:
 
     def _u_lines(self) -> int:
         """Lines with at least one U-state copy, machine-wide."""
-        return sum(1 for ent in self.machine.msys.directory._entries.values()
-                   if ent.u_sharers)
+        return sum(1 for ent in self._entries.values() if ent.u_sharers)
 
     def _sample_counters(self, ts: int) -> None:
         self.recorder.counter(ts, "u_lines", self._u_lines())

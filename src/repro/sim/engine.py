@@ -10,12 +10,16 @@ generator is discarded, the core stalls for randomized backoff, and a fresh
 generator is created — mirroring hardware restart exactly, because all
 shared-state effects go through speculative stores that rollback undoes.
 
-Dispatch is a type-keyed table (``op.__class__`` -> bound handler) rather
-than an isinstance ladder: every yielded op costs one dict lookup. Subclasses
-(e.g. ``OrderedAtomic``) resolve through the MRO once and are memoized into
-the table. Hot per-core state (the clock array, the active-transaction list,
-the cycle breakdown) is bound to locals on the engine at construction so the
-per-op path does plain list indexing instead of chained attribute loads.
+Dispatch is a type-keyed table (``op.__class__`` -> handler function,
+called as ``handler(engine, runner, op)``) rather than an isinstance
+ladder: every yielded op costs one dict lookup. The table holds the
+engine's class functions, not methods bound to the engine, so the engine
+holds no reference to itself and is freed as soon as its run returns.
+Subclasses (e.g. ``OrderedAtomic``) resolve through the MRO once and are
+memoized into the table. Hot per-core state (the clock array, the
+active-transaction list, the cycle breakdown) is bound to locals on the
+engine at construction so the per-op path does plain list indexing instead
+of chained attribute loads.
 All of this is pure host-side speed: simulated cycle counts are identical
 to the straightforward implementation.
 
@@ -85,12 +89,12 @@ def _sanitized_handler(handler, sanitizer, cycles):
     located by the op class, its core and the cycle it started at."""
     checkpoint = sanitizer.checkpoint
 
-    def sanitized(runner, op):
+    def sanitized(engine, runner, op):
         core = runner.core
         cycle = cycles[core]
         sanitizer.in_op = True
         try:
-            handler(runner, op)
+            handler(engine, runner, op)
         finally:
             sanitizer.in_op = False
         checkpoint(op.addr // LINE_BYTES, core, cycle, op.__class__)
@@ -188,17 +192,20 @@ class Engine:
             self._fast_labeled_load = self._fast_labeled_store = _no_hit
         # The baseline HTM (commtm_enabled=False) executes labeled ops
         # conventionally, so its table routes them to the plain handlers.
+        # Class functions, not bound methods: a table of methods bound to
+        # this engine would make it a reference cycle.
         commtm = self._commtm
+        cls = type(self)
         self._handlers = {
-            Atomic: self._op_atomic,
-            Work: self._op_work,
-            Barrier: self._op_barrier,
-            Load: self._op_load,
-            Store: self._op_store,
-            LabeledLoad: self._op_labeled_load if commtm else self._op_load,
-            LabeledStore: (self._op_labeled_store if commtm
-                           else self._op_store),
-            LoadGather: self._op_load_gather if commtm else self._op_load,
+            Atomic: cls._op_atomic,
+            Work: cls._op_work,
+            Barrier: cls._op_barrier,
+            Load: cls._op_load,
+            Store: cls._op_store,
+            LabeledLoad: cls._op_labeled_load if commtm else cls._op_load,
+            LabeledStore: (cls._op_labeled_store if commtm
+                           else cls._op_store),
+            LoadGather: cls._op_load_gather if commtm else cls._op_load,
         }
         # When sanitizing, every memory-op handler is wrapped with one
         # dirty-line checkpoint. The table is built once per Engine, so the
@@ -312,7 +319,7 @@ class Engine:
                                 handler = handlers[op.__class__]
                             except KeyError:
                                 handler = self._resolve_handler(op)
-                            handler(runner, op)
+                            handler(self, runner, op)
 
                     if runner.blocked or done[core]:
                         break
@@ -375,7 +382,7 @@ class Engine:
         handler = self._handlers.get(op.__class__)
         if handler is None:
             handler = self._resolve_handler(op)
-        handler(runner, op)
+        handler(self, runner, op)
 
     # ------------------------------------------------------------------
 

@@ -206,6 +206,16 @@ def _one_shot(runner, op, value):
     return send
 
 
+def _counting_kernel(stats):
+    """:func:`reduce_lines`, counting the folds it accepts in ``stats``."""
+    def kernel(label, rows):
+        out = reduce_lines(label, rows)
+        if out is not None:
+            stats.host_vector_kernel_reductions += 1
+        return out
+    return kernel
+
+
 class VectorEngine(Engine):
     """Engine backend ``"vector"``: wavefront epochs + strict fallback."""
 
@@ -234,8 +244,10 @@ class VectorEngine(Engine):
                                or self._tx_begin_cycles >= 1)
         # Batched reduction seam: word-wise reductions and gather merges
         # collect the sharer lines and fold them in one column pass
-        # (bit-identical words and charge; see kernels.reduce_lines).
-        msys.reduction_kernel = self._reduction_kernel
+        # (bit-identical words and charge; see kernels.reduce_lines). The
+        # kernel holds the stats, not this engine: a method bound to the
+        # engine would tie the memory system and the engine in a cycle.
+        msys.reduction_kernel = _counting_kernel(self.stats)
         #: Per core, the op an epoch pulled from the thread but has not
         #: executed (``_FINISHED`` for a caught StopIteration, whose value
         #: is in ``_pulled_value``). Empty between epochs: ``_requeue``
@@ -243,12 +255,6 @@ class VectorEngine(Engine):
         n = self.config.num_cores
         self._pulled: List[object] = [None] * n
         self._pulled_value: List[object] = [None] * n
-
-    def _reduction_kernel(self, label, rows):
-        out = reduce_lines(label, rows)
-        if out is not None:
-            self.stats.host_vector_kernel_reductions += 1
-        return out
 
     # ------------------------------------------------------------------
 

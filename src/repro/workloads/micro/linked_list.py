@@ -21,6 +21,9 @@ DEFAULT_OPS = 20_000
 #: Non-transactional per-iteration loop work (see refcount.THINK_CYCLES).
 THINK_CYCLES = 40
 
+#: A list node: its value word, then its next pointer.
+_NODE_BYTES = 2 * WORD_BYTES
+
 
 def build(machine, num_threads: int, total_ops: int = DEFAULT_OPS,
           enqueue_fraction: float = 1.0, use_gather: bool = True,
@@ -101,25 +104,30 @@ def _prefill(machine, lst, count: int, num_threads: int):
     Machine.seed_reducible); the baseline gets one chain in memory.
     """
     values = [(0xFFFF << 32) | i for i in range(count)]
-    nodes = []
-    for value in values:
-        node = machine.alloc.alloc_words(2)
-        machine.seed_word(node, value)
-        machine.seed_word(node + WORD_BYTES, 0)
-        nodes.append(node)
+    # One allocation for every node: a node is two words, which
+    # alloc_words(2) aligns to their 16 bytes, so one call per node would
+    # return these same addresses and leave the allocator where this one
+    # does.
+    base = machine.alloc.alloc(count * _NODE_BYTES, align=_NODE_BYTES)
+    nodes = range(base, base + count * _NODE_BYTES, _NODE_BYTES)
+    # Per-core chains interleave the nodes, core c holding nodes c, c + n,
+    # c + 2n, ... for n threads; the baseline chains them all in order.
+    distributed = machine.config.commtm_enabled and num_threads > 1
+    stride = num_threads if distributed else 1
+    words = []
+    for i, value in enumerate(values):
+        succ = i + stride
+        words.append(value)
+        words.append(nodes[succ] if succ < count else 0)  # next pointer
+    machine.memory.write_words(base, words)
 
-    if machine.config.commtm_enabled and num_threads > 1:
+    if distributed:
         descs = {}
         for core in range(num_threads):
             chain = nodes[core::num_threads]
-            if not chain:
-                continue
-            for a, b in zip(chain, chain[1:]):
-                machine.seed_word(a + WORD_BYTES, b)
-            descs[core] = (chain[0], chain[-1])
+            if chain:
+                descs[core] = (chain[0], chain[-1])
         machine.seed_reducible(lst.desc_addr, lst.label, descs)
     else:
-        for a, b in zip(nodes, nodes[1:]):
-            machine.seed_word(a + WORD_BYTES, b)
         machine.seed_word(lst.desc_addr, (nodes[0], nodes[-1]))
     return values

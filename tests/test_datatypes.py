@@ -13,6 +13,7 @@ from repro.datatypes import (
     SharedMin,
     TopKSet,
 )
+from repro.datatypes.hash_table import stable_hash
 from repro.mem.address import WORD_BYTES
 from repro.params import small_config
 
@@ -284,3 +285,39 @@ class TestHashTable:
 
         machine.run([body])
         assert results == [False]
+
+    @pytest.mark.parametrize("commtm", [True, False],
+                             ids=["commtm", "baseline"])
+    @pytest.mark.parametrize("app", ["genome", "vacation"])
+    def test_memoized_bucket_is_the_stable_hash_bucket(self, app, commtm,
+                                                       monkeypatch):
+        """Every key a genome or a vacation run places (its string
+        segments, its integer ids and its tuple bookings, host-side set-up
+        included) lands in the bucket ``stable_hash`` picks, and the
+        table's memo holds exactly ``stable_hash`` of each non-integer
+        key."""
+        from repro.harness.runner import run_workload
+
+        from .test_golden_stats import WORKLOADS
+
+        placed = []
+        memoized = ResizableHashTable._bucket_addr
+
+        def recording(table, base, num_buckets, key):
+            addr = memoized(table, base, num_buckets, key)
+            placed.append((table, base, num_buckets, key, addr))
+            return addr
+
+        monkeypatch.setattr(ResizableHashTable, "_bucket_addr", recording)
+        build, params = WORKLOADS[app]
+        run_workload(build, 8, num_cores=16, commtm=commtm, seed=1,
+                     **params)
+        keys = {key for _t, _b, _n, key, _a in placed}
+        assert len(placed) > len(keys) > 0  # keys recur: the memo pays
+        assert any(not isinstance(key, int) for key in keys)
+        for table, base, num_buckets, key, addr in placed:
+            assert addr == base + (stable_hash(key) % num_buckets) * WORD_BYTES
+            if not isinstance(key, int):
+                assert table._hashes[key] == stable_hash(key)
+        for table in {id(t): t for t, *_ in placed}.values():
+            assert all(h == stable_hash(k) for k, h in table._hashes.items())

@@ -21,7 +21,8 @@ model), in the commit that makes that change and says so::
 
     PYTHONPATH=src python tests/test_golden_stats.py
 
-prints a fresh ``GOLDEN`` table to paste over the one below.
+prints fresh ``GOLDEN`` and ``PREFILLED`` tables to paste over the ones
+below.
 """
 
 import hashlib
@@ -123,9 +124,42 @@ def test_pins_cover_the_matrix():
                            for m in MACHINES}
 
 
+#: Fig. 12b's registry point (50/50 mix over a 5,120-node prefill) at
+#: 240 ops on the Table I chip, at seed 1: (system, threads) -> (cycles,
+#: digest). The pins above never set ``prefill``; these hold the
+#: prefilled list's layout (per-core chains in U under CommTM, one chain
+#: in memory on the baseline) to the one it had when they were taken.
+PREFILLED = {
+    ('baseline', 1): (26505, '250cdee04133c2c7'),
+    ('baseline', 8): (49288, 'c89fbb33d76a97ba'),
+    ('commtm', 1): (26505, '9b7b0ba199d9818a'),
+    ('commtm', 8): (6415, '08cf3efac1b28d25'),
+}
+
+
+def _simulate_prefilled(system, threads):
+    result = run_workload(linked_list.build, threads, num_cores=128,
+                          commtm=SYSTEMS[system], seed=1, backend="interp",
+                          total_ops=240, enqueue_fraction=0.5,
+                          prefill=5_120)
+    payload = json.dumps([result.cycles, result.stats.comparable()],
+                         sort_keys=True, default=str)
+    return result.cycles, hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("system, threads", sorted(PREFILLED))
+def test_prefilled_linked_list_point(system, threads):
+    assert _simulate_prefilled(system, threads) == \
+        PREFILLED[(system, threads)]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for key in sorted((w, s, m) for w in WORKLOADS for s in SYSTEMS
                       for m in MACHINES):
         print(f"    {key!r}: {_simulate(*key)!r},")
+    print("}")
+    print("PREFILLED = {")
+    for key in sorted(PREFILLED):
+        print(f"    {key!r}: {_simulate_prefilled(*key)!r},")
     print("}")

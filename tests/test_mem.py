@@ -107,6 +107,18 @@ class TestMainMemory:
             mem.read_word(-8)
         with pytest.raises(MemoryError_):
             mem.write_word(-8, 1)
+        for addr in (5, -8):
+            with pytest.raises(MemoryError_):
+                mem.write_words(addr, [1])
+
+    def test_write_words_spans_lines(self):
+        mem = MainMemory()
+        mem.write_word(8, "kept")
+        values = list(range(1, 12))
+        mem.write_words(40, values)  # words 5..15: two lines, mid-line
+        assert mem.read_line(0) == [0, "kept", 0, 0, 0, 1, 2, 3]
+        assert mem.read_line(1) == [4, 5, 6, 7, 8, 9, 10, 11]
+        assert mem.touched_lines() == 2
 
     def test_touched_lines(self):
         mem = MainMemory()

@@ -183,10 +183,10 @@ def _traced_engine(machine, bodies):
     append = trace.append
 
     def wrap(handler):
-        def wrapped(runner, op):
+        def wrapped(engine, runner, op):
             append((runner.core, op.__class__.__name__,
                     getattr(op, "addr", None)))
-            return handler(runner, op)
+            return handler(engine, runner, op)
         return wrapped
 
     for op_cls, handler in list(engine._handlers.items()):

@@ -77,7 +77,9 @@ def projection(msys):
     """Every line's coherence projection — what the eleven checks read:
     each valid copy's state class (E and M are one class) and label per
     core, and the directory entry's owner, sharer sets and ``u_label``.
-    A line is absent from a map when it has no copy or no entry."""
+    A line is absent from a map when it has no copy or no entry.
+    ``msys`` is a memory system or a sanitizer, which holds the same
+    caches and directory."""
     copies = [{no: (State.M if cl.state is State.E else cl.state,
                     id(cl.label))
                for no, cl in cache._lines.items() if cl.state is not State.I}
@@ -105,24 +107,24 @@ class ShadowSanitizer(CoherenceSanitizer):
 
     def __init__(self, msys):
         super().__init__(msys)
-        self.prev = projection(msys)
+        self.prev = projection(self)
         self.missed = set()
         self.checkpoints = 0
 
     def check_dirty(self, core, cycle, op):
         checked = set(self.dirty)
         super().check_dirty(core, cycle, op)
-        now = projection(self.msys)
+        now = projection(self)
         changed = changed_lines(self.prev, now)
         self.missed |= changed - checked
         if changed:
-            assert check_invariants(self.msys) == []
+            assert check_invariants(self) == []
         self.prev = now
         self.checkpoints += 1
 
     def check(self, where=None):
         super().check(where)
-        self.prev = projection(self.msys)
+        self.prev = projection(self)
 
 
 def _machine(commtm=True, sanitize=False, **config):
@@ -209,7 +211,7 @@ class FullSweepSanitizer(CoherenceSanitizer):
     def check_dirty(self, core, cycle, op):
         self.dirty.clear()
         self.checks_run += 1
-        findings = check_invariants(self.msys, pass_name="sanitizer")
+        findings = check_invariants(self, pass_name="sanitizer")
         if findings:
             self._raise(findings[0], f"after {op} on core {core}")
 
@@ -395,6 +397,19 @@ def test_one_checkpoint_per_memory_op():
 # Nothing runs when sanitizing is off
 # ---------------------------------------------------------------------------
 
+def _captured(wrapper, name):
+    """The variable ``name`` that the closure ``wrapper`` captured."""
+    cells = dict(zip(wrapper.__code__.co_freevars, wrapper.__closure__))
+    return cells[name].cell_contents
+
+
+def _protocol_hook(hook):
+    """Is ``hook`` one of the protocol's own eviction hooks? They are
+    closures defined in repro.coherence.protocol that reach the memory
+    system through a weak proxy, so no bound method can stand for them."""
+    return hook.__module__ == MemorySystem.__module__
+
+
 def test_sanitize_off_installs_nothing(monkeypatch):
     for env in (SANITIZE_ENV, NO_FASTPATH_ENV):
         monkeypatch.delenv(env, raising=False)
@@ -403,36 +418,43 @@ def test_sanitize_off_installs_nothing(monkeypatch):
     engine = Engine(machine, [_idle])
     assert machine.sanitizer is None and msys.sanitizer is None
     assert engine._sanitizer is None
-    assert engine._handlers[Load] == engine._op_load
-    assert engine._handlers[Store] == engine._op_store
-    assert engine._handlers[LabeledLoad] == engine._op_labeled_load
-    assert engine._handlers[LabeledStore] == engine._op_labeled_store
-    assert engine._handlers[LoadGather] == engine._op_load_gather
+    # The table holds the engine's own handler functions, unwrapped.
+    assert engine._handlers[Load] is Engine._op_load
+    assert engine._handlers[Store] is Engine._op_store
+    assert engine._handlers[LabeledLoad] is Engine._op_labeled_load
+    assert engine._handlers[LabeledStore] is Engine._op_labeled_store
+    assert engine._handlers[LoadGather] is Engine._op_load_gather
     # The baseline HTM routes labeled ops to the conventional handlers
     # when the table is built.
     baseline = Engine(_machine(commtm=False, sanitize=None), [_idle])
-    assert baseline._handlers[LabeledLoad] == baseline._op_load
-    assert baseline._handlers[LoadGather] == baseline._op_load
-    assert baseline._handlers[LabeledStore] == baseline._op_store
+    assert baseline._handlers[LabeledLoad] is Engine._op_load
+    assert baseline._handlers[LoadGather] is Engine._op_load
+    assert baseline._handlers[LabeledStore] is Engine._op_store
     directory = msys.directory
     assert "entry" not in vars(directory) and "peek" not in vars(directory)
     assert directory.entry.__func__ is Directory.entry
     assert directory.peek.__func__ is Directory.peek
-    assert directory.eviction_hook == msys._on_l3_eviction
-    for cache in msys.caches:
-        assert cache.eviction_hook.__qualname__.startswith(
-            "MemorySystem._make_eviction_hook")
+    # The protocol's own eviction hooks, installed unwrapped.
+    assert _protocol_hook(directory.eviction_hook)
+    assert all(_protocol_hook(cache.eviction_hook) for cache in msys.caches)
 
 
 def test_sanitize_on_wraps_every_hook():
     machine = _machine(sanitize=True)
     msys = machine.msys
     engine = Engine(machine, [_idle])
+    # Each hook is wrapped exactly once, around the unsanitized original.
     for op_cls in (Load, Store, LabeledLoad, LabeledStore, LoadGather):
-        assert engine._handlers[op_cls].__qualname__.startswith(
-            "_sanitized_handler")
-    assert "entry" in vars(msys.directory)
-    assert "peek" in vars(msys.directory)
-    assert msys.directory.eviction_hook != msys._on_l3_eviction
-    assert all(cache.eviction_hook.__qualname__.startswith(
-        "_marks_victim") for cache in msys.caches)
+        handler = engine._handlers[op_cls]
+        assert handler.__qualname__.startswith("_sanitized_handler")
+        assert _captured(handler, "handler").__qualname__.startswith(
+            "Engine._op_")
+    directory = msys.directory
+    for name in ("entry", "peek"):
+        wrapper = vars(directory)[name]
+        assert wrapper.__qualname__.startswith("_marks_line")
+        assert _captured(wrapper, "lookup") is getattr(Directory, name)
+    for hook in (directory.eviction_hook,
+                 *(cache.eviction_hook for cache in msys.caches)):
+        assert hook.__qualname__.startswith("_marks_victim")
+        assert _protocol_hook(_captured(hook, "hook"))
