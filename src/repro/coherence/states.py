@@ -24,30 +24,6 @@ class State(enum.Enum):
     U = "U"
     I = "I"  # noqa: E741 - standard MESI naming
 
-    @property
-    def can_read(self) -> bool:
-        """Can this state satisfy a conventional load locally?"""
-        return self.readable
-
-    @property
-    def can_write(self) -> bool:
-        """Can this state satisfy a conventional store locally?
-        (E upgrades silently, so it counts.)"""
-        return self.writable
-
-    @property
-    def is_exclusive(self) -> bool:
-        return self.writable
-
-    def can_satisfy_labeled(self, line_label: object, req_label: object) -> bool:
-        """Can a line in this state satisfy a labeled access with
-        ``req_label``? M/E satisfy everything; U only matching labels."""
-        if self.writable:
-            return True
-        if self is State.U:
-            return line_label == req_label
-        return False
-
 
 # Per-member membership flags, precomputed once: the protocol's per-access
 # handlers (and its private-hit fast path) read these as plain attribute

@@ -126,7 +126,6 @@ class Machine:
     """One simulated multicore chip (Table I system + CommTM extensions)."""
 
     def __init__(self, config: Optional[SystemConfig] = None,
-                 virtualize_labels: bool = False,
                  sanitize: Optional[bool] = None,
                  observe: Optional[bool] = None,
                  backend: Optional[str] = None):
@@ -143,7 +142,7 @@ class Machine:
         self.memory = MainMemory()
         self.alloc = Allocator()
         self.labels = LabelRegistry(self.config.num_labels,
-                                    virtualize=virtualize_labels)
+                                    virtualize=self.config.virtualize_labels)
         self.msys = MemorySystem(self.config, self.memory, self.labels,
                                  self.stats, self.rng)
         # Opt-in coherence-invariant checking (repro.analysis.sanitizer).

@@ -13,8 +13,7 @@ from .cache import ResultCache, default_cache_dir, fingerprint
 from .confidence import CiResult, confidence_interval, run_until_confident
 from .parallel import (PointSpec, build_path, make_spec, resolve_build,
                        resolve_jobs, run_point, run_points)
-from .runner import (ExperimentResult, collect_points, run_built,
-                     run_workload, speedup_curve)
+from .runner import ExperimentResult, run_built, run_workload, speedup_curve
 
 __all__ = [
     "ResultSink",
@@ -31,7 +30,6 @@ __all__ = [
     "run_built",
     "run_workload",
     "speedup_curve",
-    "collect_points",
     "PointSpec",
     "build_path",
     "make_spec",

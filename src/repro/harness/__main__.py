@@ -5,11 +5,18 @@ Usage::
     python -m repro.harness --list
     python -m repro.harness fig09
     python -m repro.harness fig16-kmeans --threads 1,8,32 --scale 0.5
+    python -m repro.harness ablation-gather
     python -m repro.harness fig09 --jobs 4          # parallel sweep
     python -m repro.harness fig09 --no-cache        # force re-simulation
     python -m repro.harness fig09 --profile         # where does time go?
     python -m repro.harness fig09 --trace-out t.json \\
         --report-json r.json                        # structured artifacts
+
+Each experiment runs at its own thread ladder (the paper's 1/8/32/128 for
+Figs. 9-16, 8/32/128 for Figs. 17-19, one or a few thread counts for the
+tables, ablations and sensitivity sweeps); ``--threads`` replaces it.
+``--scale`` multiplies every workload's size: operation counts and the
+applications' inputs (ssca2's log2 size stays as given).
 
 Sweeps fan out over ``--jobs`` worker processes (default: ``REPRO_JOBS``,
 else the machine's CPU count; capped at the CPUs this process may use)
@@ -45,7 +52,7 @@ import sys
 from ..errors import ReproError, SimulationError
 from . import artifacts
 from .cache import ResultCache
-from .experiments import list_experiments, run_experiment
+from .experiments import REGISTRY, list_experiments, run_experiment
 from .parallel import describe_point, replay_command, resolve_jobs
 
 
@@ -58,10 +65,11 @@ def main(argv=None) -> int:
                         help="experiment name (see --list)")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
-    parser.add_argument("--threads", default="1,8,32,128",
-                        help="comma-separated thread ladder")
+    parser.add_argument("--threads", default=None,
+                        help="comma-separated thread ladder (default: "
+                             "the experiment's own)")
     parser.add_argument("--scale", type=float, default=1.0,
-                        help="operation-count multiplier")
+                        help="workload-size multiplier")
     parser.add_argument("--jobs", "-j", type=int, default=None,
                         help="worker processes for sweeps, at most one "
                              "per usable CPU (default: $REPRO_JOBS, else "
@@ -146,7 +154,8 @@ def main(argv=None) -> int:
         args.no_cache = True
         sink = artifacts.install_sink()
 
-    threads = [int(x) for x in args.threads.split(",") if x]
+    threads = None if args.threads is None else \
+        [int(x) for x in args.threads.split(",") if x]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     try:
         jobs = resolve_jobs(args.jobs)
@@ -195,6 +204,8 @@ def main(argv=None) -> int:
     print(report)
     if sink is not None:
         try:
+            if threads is None:
+                threads = list(REGISTRY[args.experiment].threads)
             written = artifacts.write_outputs(
                 args.experiment, sink.results, trace_out=args.trace_out,
                 report_json=args.report_json, threads=threads,

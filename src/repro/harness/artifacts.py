@@ -1,14 +1,14 @@
 """Observability artifacts for harness runs.
 
-The experiment registry's closures return rendered text, not result
-objects — good for humans, useless for machines. This module gives the CLI
-a side channel: :func:`install_sink` arms a module-level collector,
-:func:`notify` is called by the sweep layer (:func:`~repro.harness.
-parallel.run_points` and the closure fallback in ``runner._run_calls``)
-with every batch of :class:`~repro.harness.runner.ExperimentResult`\\ s it
-produces, and :func:`write_outputs` turns the collected points into the
-``--trace-out`` (Perfetto trace) and ``--report-json`` (run report) files
-after the experiment's report has printed.
+``run_experiment`` returns rendered text, not result objects — good for
+humans, useless for machines. This module gives the CLI a side channel:
+:func:`install_sink` arms a module-level collector, :func:`notify` is
+called by the sweep layer (:func:`~repro.harness.parallel.run_points`,
+which every sweep goes through) with every batch of
+:class:`~repro.harness.runner.ExperimentResult`\\ s it produces, and
+:func:`write_outputs` turns the collected points into the ``--trace-out``
+(Perfetto trace) and ``--report-json`` (run report) files after the
+experiment's report has printed.
 
 The sink is process-local. Sweep workers never install one — results come
 back to the parent through the pool (obs payloads ride along in

@@ -1,119 +1,191 @@
-"""Experiment registry: every table and figure, runnable by name.
+"""Experiment registry: the paper's evaluation, runnable by name.
 
-``python -m repro.harness fig09`` regenerates one experiment;
-``python -m repro.harness --list`` enumerates them. The pytest-benchmark
-suite in ``benchmarks/`` wraps the same definitions with shape assertions;
-this module is the direct, human-driven entry point.
+Every figure of Secs. VI-VII, Tables I and II, and the ablations and
+sensitivity sweeps of the design choices of Secs. III-IV is one entry.
+``python -m repro.harness fig09`` regenerates one and
+``python -m repro.harness --list`` enumerates them. An entry is data:
+
+* ``threads``: its default thread ladder, which ``--threads`` overrides;
+* ``draw(threads, scale, jobs, cache)``: simulates its points and returns
+  the curves or rows it drew;
+* ``render(drawn)``: its report;
+* ``checks(drawn)``: the paper's shape claims, as ``(claim, holds)``
+  pairs.
+
+``benchmarks/test_paper.py`` draws every entry at its default ladder and
+full size, writes its report to ``benchmarks/results/<name>.txt`` and
+asserts every check.
+
+Each entry draws all of its points in one batch, through ``speedup_curve``
+or ``make_spec`` and ``run_points``, so it gets the worker pool, the
+result cache and a failed point's replay line. Draws look those names up
+in this module when they run, so a caller that replaces them here (the
+repo benchmark seeds and traces its passes that way) sees every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
-from ..sim.stats import WastedCause
+from ..params import NocConfig, SystemConfig
+from ..sim.stats import Stats, WastedCause
 from ..workloads.micro import counter, linked_list, ordered_put, refcount, topk
 from ..workloads.apps import boruvka, genome, kmeans, ssca2, vacation
 from .parallel import make_spec, run_points
 from .runner import speedup_curve
-from .report import render_speedup_chart, render_stacked_bars
+from .report import render_speedup_chart, render_stacked_bars, render_table
+
+Checks = List[Tuple[str, bool]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Experiment:
     name: str
     description: str
-    #: (threads, scale, jobs, cache) -> report
-    run: Callable[..., str]
-
-
-def _speedup_experiment(build, title, systems=None, **params):
-    def run(threads: List[int], scale: float, jobs=None, cache=None) -> str:
-        kwargs = dict(params)
-        if "total_ops" in kwargs:
-            kwargs["total_ops"] = max(1, int(kwargs["total_ops"] * scale))
-        curves = speedup_curve(build, threads, num_cores=128,
-                               systems=systems, jobs=jobs, cache=cache,
-                               **kwargs)
-        return render_speedup_chart(curves, title)
-    return run
-
-
-def _app_speedup(build, title, **params):
-    # Same protocol as the microbenchmark figures: speedup_curve shares
-    # the 1-thread baseline run between the denominator and the swept
-    # Baseline series instead of simulating it twice.
-    def run(threads: List[int], scale: float, jobs=None, cache=None) -> str:
-        curves = speedup_curve(build, threads, num_cores=128, jobs=jobs,
-                               cache=cache, **params)
-        return render_speedup_chart(curves, title)
-    return run
-
-
-#: Stacked-bar column sets per breakdown kind. Fixed up front (not derived
-#: from the first simulated row) so an empty thread ladder still renders.
-_BREAKDOWN_COLUMNS = {
-    "cycles": ("non_tx", "tx_committed", "tx_aborted"),
-    "wasted": tuple(cause.value for cause in WastedCause),
-    "gets": ("GETS", "GETX", "GETU"),
-}
-
-
-def _breakdown_experiment(build, title, kind, **params):
-    def run(threads: List[int], scale: float, jobs=None, cache=None) -> str:
-        columns = _BREAKDOWN_COLUMNS[kind]
-        specs, labels = [], []
-        for t in threads:
-            for commtm in (False, True):
-                labels.append(f"{'CommTM' if commtm else 'Base'}@{t}")
-                specs.append(make_spec(build, t, num_cores=128,
-                                       commtm=commtm, **params))
-        results = run_points(specs, jobs=jobs, cache=cache)
-        rows = {}
-        for label, result in zip(labels, results):
-            if kind == "cycles":
-                rows[label] = result.stats.cycle_breakdown_totals()
-            elif kind == "wasted":
-                rows[label] = result.stats.wasted_breakdown()
-            else:
-                rows[label] = result.stats.get_breakdown()
-        return render_stacked_bars(rows, columns, title)
-    return run
+    #: Default thread ladder.
+    threads: Tuple[int, ...]
+    #: (threads, scale, jobs, cache) -> what it drew
+    draw: Callable[..., object]
+    #: drawn -> report
+    render: Callable[[object], str]
+    #: drawn -> [(claim, holds)]
+    checks: Callable[[object], Checks]
 
 
 REGISTRY: Dict[str, Experiment] = {}
 
 
-def _register(name: str, description: str, run: Callable) -> None:
-    REGISTRY[name] = Experiment(name, description, run)
+def _register(name, description, threads, draw, render, checks) -> None:
+    REGISTRY[name] = Experiment(name, description, tuple(threads), draw,
+                                render, checks)
 
 
-_register("fig09", "counter increments speedup",
-          _speedup_experiment(counter.build, "Fig. 9 — counter",
-                              total_ops=10_000))
-_register("fig10", "reference counting speedup (gather ablated)",
-          _speedup_experiment(
-              refcount.build, "Fig. 10 — refcount",
-              systems={
-                  "CommTM w/ gather": {"commtm": True},
-                  "CommTM w/o gather": {"commtm": True, "use_gather": False},
-                  "Baseline": {"commtm": False},
-              },
-              total_ops=16_000))
-_register("fig12a", "linked list, 100% enqueues",
-          _speedup_experiment(linked_list.build, "Fig. 12a — enqueues",
-                              total_ops=2_000, enqueue_fraction=1.0))
-_register("fig12b", "linked list, 50/50 mix",
-          _speedup_experiment(linked_list.build, "Fig. 12b — mixed",
-                              total_ops=2_000, enqueue_fraction=0.5,
-                              prefill=5_120))
-_register("fig13", "ordered puts",
-          _speedup_experiment(ordered_put.build, "Fig. 13 — ordered puts",
-                              total_ops=10_000))
-_register("fig14", "top-K insertion",
-          _speedup_experiment(topk.build, "Fig. 14 — top-K",
-                              total_ops=10_000, k=100))
+#: The paper's thread ladder for Figs. 9-16 (it plots 1-128 continuously).
+LADDER = (1, 8, 32, 128)
+#: Figs. 17-19 show 8, 32 and 128 threads.
+BREAKDOWN_LADDER = (8, 32, 128)
 
+#: Builder parameters that size a workload; ``scale`` multiplies them.
+#: ssca2's ``scale`` is a log2 size and stays as given.
+_SIZES = ("total_ops", "num_nodes", "num_points", "num_segments",
+          "num_tasks")
+
+
+def _scaled(params: dict, scale: float) -> dict:
+    return {k: max(1, int(v * scale)) if k in _SIZES else v
+            for k, v in params.items()}
+
+
+def _sweep(points):
+    """A ``draw`` over ``points(threads, scale) -> {key: spec}``: every
+    rung's points in one batch, drawn as ``{threads: {key: result}}``."""
+    def draw(threads, scale, jobs=None, cache=None):
+        batch = {t: points(t, scale) for t in threads}
+        results = iter(run_points(
+            [spec for row in batch.values() for spec in row.values()],
+            jobs=jobs, cache=cache))
+        return {t: {key: next(results) for key in row}
+                for t, row in batch.items()}
+    return draw
+
+
+def _top(drawn: dict) -> dict:
+    """The top rung of a :func:`_sweep` draw."""
+    return drawn[max(drawn)]
+
+
+def _systems(build, t: int, **kwargs) -> dict:
+    """The paper's two systems at one point."""
+    return {system: make_spec(build, t, commtm=system == "CommTM", **kwargs)
+            for system in ("Baseline", "CommTM")}
+
+
+# --- Secs. VI-VII: speedup curves --------------------------------------------
+
+def _speedup(name, description, build, title, checks, systems=None,
+             **params):
+    """A speedup figure; ``checks(curves, top)`` reads the ladder's top."""
+    def draw(threads, scale, jobs=None, cache=None):
+        return speedup_curve(build, threads, num_cores=128, systems=systems,
+                             jobs=jobs, cache=cache,
+                             **_scaled(params, scale))
+    _register(name, description, LADDER, draw,
+              lambda curves: render_speedup_chart(curves, title),
+              lambda curves: checks(curves,
+                                    max(next(iter(curves.values())))))
+
+
+# Fig. 9. Paper: CommTM achieves linear scalability; the baseline HTM
+# serializes all transactions (flat at or below 1x). The paper runs 10M
+# increments; ours are scaled (EXPERIMENTS.md), and speedups are cost
+# ratios that saturate early.
+_speedup("fig09", "counter increments speedup", counter.build,
+         "Fig. 9 — counter increments",
+         lambda c, top: [
+             ("CommTM > 0.6*top", c["CommTM"][top] > 0.6 * top),
+             ("Baseline < 2", c["Baseline"][top] < 2.0)],
+         total_ops=10_000)
+# Fig. 10. Paper: CommTM with gather requests scales to 39x at 128
+# threads (sub-linear from gather/split frequency); without gathers,
+# frequent reductions serialize; the baseline is flat.
+_speedup("fig10", "reference counting speedup (gather ablated)",
+         refcount.build, "Fig. 10 — reference counting",
+         lambda c, top: [
+             ("w/ gather > 2x w/o gather",
+              c["CommTM w/ gather"][top] > 2 * c["CommTM w/o gather"][top]),
+             ("w/ gather > 3x Baseline",
+              c["CommTM w/ gather"][top] > 3 * c["Baseline"][top]),
+             ("Baseline < 3", c["Baseline"][top] < 3.0)],
+         systems={
+             "CommTM w/ gather": {"commtm": True},
+             "CommTM w/o gather": {"commtm": True, "use_gather": False},
+             "Baseline": {"commtm": False},
+         },
+         total_ops=16_000)
+# Fig. 12a, 100% enqueues: CommTM near-linear, baseline flat.
+_speedup("fig12a", "linked list, 100% enqueues", linked_list.build,
+         "Fig. 12a — linked list, 100% enqueues",
+         lambda c, top: [
+             ("CommTM > 0.5*top", c["CommTM"][top] > 0.5 * top),
+             ("Baseline < 2", c["Baseline"][top] < 2.0)],
+         total_ops=2_000, enqueue_fraction=1.0)
+# Fig. 12b, 50% enqueues / 50% dequeues: CommTM ~55x at 128 threads
+# (gather-limited). The list starts with 40 elements per thread of the
+# ladder's top, 5,120 at every ladder and scale: the paper's 10M-op random
+# walk keeps lists long, and short scaled runs must not start at the
+# empty-list singularity.
+_speedup("fig12b", "linked list, 50/50 mix", linked_list.build,
+         "Fig. 12b — linked list, 50% enqueues / 50% dequeues",
+         lambda c, top: [
+             ("CommTM > 5x Baseline",
+              c["CommTM"][top] > 5 * c["Baseline"][top]),
+             ("Baseline < 2", c["Baseline"][top] < 2.0)],
+         total_ops=2_000, enqueue_fraction=0.5, prefill=5_120)
+# Fig. 13. Paper: CommTM scales near-linearly; the baseline partially
+# scales (to 31x at 128 threads: only smaller keys cause conflicting
+# writes), leaving a 3.8x gap.
+_speedup("fig13", "ordered puts", ordered_put.build,
+         "Fig. 13 — ordered puts",
+         lambda c, top: [
+             ("CommTM > 0.6*top", c["CommTM"][top] > 0.6 * top),
+             ("Baseline > 1", c["Baseline"][top] > 1.0),
+             ("CommTM > 3x Baseline",
+              c["CommTM"][top] > 3 * c["Baseline"][top])],
+         total_ops=10_000)
+# Fig. 14. Paper: 10M elements into a top-1000 set; the baseline
+# serializes on superfluous read-write dependencies, CommTM scales to 124x
+# at 128 threads. Ours: scaled op count and K (the merge is O(K), and
+# behaviour is K-independent once K << inserts).
+_speedup("fig14", "top-K insertion", topk.build,
+         "Fig. 14 — top-K insertion (K=100)",
+         lambda c, top: [
+             ("CommTM > 0.5*top", c["CommTM"][top] > 0.5 * top),
+             ("Baseline < 3", c["Baseline"][top] < 3.0)],
+         total_ops=10_000, k=100)
+
+#: Sec. VII's applications at our scaled inputs (EXPERIMENTS.md lists the
+#: paper's).
 _APP_PARAMS = {
     "boruvka": (boruvka.build, dict(num_nodes=192)),
     "kmeans": (kmeans.build, dict(num_points=512, clusters=8, iterations=3)),
@@ -122,29 +194,389 @@ _APP_PARAMS = {
     "vacation": (vacation.build, dict(num_tasks=1536, relations=128)),
 }
 
-for _app, (_build, _params) in _APP_PARAMS.items():
-    _register(f"fig16-{_app}", f"{_app} speedup",
-              _app_speedup(_build, f"Fig. 16 — {_app}", **_params))
-    _register(f"fig17-{_app}", f"{_app} cycle breakdown",
-              _breakdown_experiment(_build, f"Fig. 17 — {_app}", "cycles",
-                                    **_params))
-    _register(f"fig18-{_app}", f"{_app} wasted-cycle breakdown",
-              _breakdown_experiment(_build, f"Fig. 18 — {_app}", "wasted",
-                                    **_params))
 
+def _fig16_checks(app: str):
+    def checks(c, top):
+        gap = c["CommTM"][top] / c["Baseline"][top]
+        if app == "ssca2":
+            # ssca2 barely uses commutative updates: the gap must be tiny
+            # in either direction.
+            out = [("gap in (0.9, 2)", 0.9 < gap < 2.0)]
+        else:
+            # CommTM wins; the size of the win is app-dependent.
+            out = [("CommTM >= Baseline", gap >= 1.0)]
+        if app in ("kmeans", "genome"):
+            out.append(("gap > 1.5", gap > 1.5))
+        return out
+    return checks
+
+
+# --- Sec. VII: breakdowns ------------------------------------------------------
+
+def _breakdown(name, description, app, title, columns, view, checks):
+    """A stacked-bar figure of ``view(stats)`` for both systems at each
+    rung; ``checks(baseline, commtm)`` reads the ladder's top."""
+    build, params = _APP_PARAMS[app]
+
+    def render(drawn):
+        rows = {f"{system}@{t}": view(result.stats)
+                for t, row in drawn.items() for system, result in row.items()}
+        return render_stacked_bars(rows, columns, title)
+
+    def check(drawn):
+        top = _top(drawn)
+        return checks(view(top["Baseline"].stats), view(top["CommTM"].stats))
+
+    _register(name, description, BREAKDOWN_LADDER,
+              _sweep(lambda t, scale: _systems(build, t, num_cores=128,
+                                               **_scaled(params, scale))),
+              render, check)
+
+
+def _fig18_checks(base, comm):
+    total = sum(base.values())
+    raw = base[WastedCause.READ_AFTER_WRITE.value]
+    return [("Baseline waste mostly RaW", total == 0 or raw >= 0.5 * total),
+            ("CommTM wastes less", sum(comm.values()) <= total)]
+
+
+for _app, (_build, _params) in _APP_PARAMS.items():
+    # Fig. 16. Paper, at 128 threads: CommTM outperforms the baseline by
+    # 35% on boruvka, 3.4x on kmeans, 0.2% on ssca2, 3.0x on genome and
+    # 45% on vacation, the gap widening as threads grow.
+    _speedup(f"fig16-{_app}", f"{_app} speedup", _build, f"Fig. 16 — {_app}",
+             _fig16_checks(_app), **_params)
+    # Fig. 17: core cycles (non-transactional, committed, aborted),
+    # normalized to the baseline at 8 threads. Paper: CommTM removes most
+    # wasted (aborted) cycles, e.g. 25x fewer on kmeans and all of
+    # boruvka's at 128 threads, and reduces non-transactional cycles on
+    # high-reuse apps through U-state buffering.
+    _breakdown(f"fig17-{_app}", f"{_app} cycle breakdown", _app,
+               f"Fig. 17 — {_app}",
+               ("non_tx", "tx_committed", "tx_aborted"),
+               Stats.cycle_breakdown_totals,
+               lambda base, comm: [
+                   ("CommTM aborted <= Baseline",
+                    comm["tx_aborted"] <= base["tx_aborted"])])
+    # Fig. 18: wasted (aborted-transaction) cycles by conflict cause.
+    # Paper: in the baseline they are almost always read-after-write
+    # dependency violations; CommTM eliminates the superfluous ones on
+    # apps with ample commutativity (boruvka, kmeans), and its remaining
+    # waste includes gather-after-labeled-access conflicts.
+    _breakdown(f"fig18-{_app}", f"{_app} wasted-cycle breakdown", _app,
+               f"Fig. 18 — {_app}",
+               tuple(cause.value for cause in WastedCause),
+               Stats.wasted_breakdown, _fig18_checks)
+
+# Fig. 19: GET requests between the private L2s and the L3. Paper: at 128
+# threads CommTM reduces them by 13% on boruvka and 45% on kmeans, since
+# U-state lines buffer and coalesce commutative updates in the private
+# caches.
 for _app in ("boruvka", "kmeans"):
-    _build, _params = _APP_PARAMS[_app]
-    _register(f"fig19-{_app}", f"{_app} GET-request breakdown",
-              _breakdown_experiment(_build, f"Fig. 19 — {_app}", "gets",
-                                    **_params))
+    _breakdown(f"fig19-{_app}", f"{_app} GET-request breakdown", _app,
+               f"Fig. 19 — {_app} GET requests between L2s and L3",
+               ("GETS", "GETX", "GETU"), Stats.get_breakdown,
+               lambda base, comm: [
+                   ("CommTM fewer L3 GETs",
+                    sum(comm.values()) < sum(base.values())),
+                   ("no GETU in Baseline", base["GETU"] == 0),
+                   ("GETU in CommTM", comm["GETU"] > 0)])
+
+
+# --- Tables I and II -------------------------------------------------------------
+
+# Table I: the simulated system, from SystemConfig's defaults.
+_register("table1", "simulated system configuration", (),
+          lambda threads, scale, jobs=None, cache=None:
+              SystemConfig().describe(),
+          lambda text: text,
+          lambda text: [("128 cores", "128 cores" in text),
+                        ("64 MB shared L3", "64 MB shared" in text)])
+
+#: Table II per app: whether it uses gathers, and its commutative
+#: operations.
+_TABLE2 = {
+    "boruvka": (False, "min-weight edges (OPUT); component union (MIN); "
+                       "edge marking (MAX); MST weight (ADD)"),
+    "kmeans": (False, "cluster centroid updates (ADD)"),
+    "ssca2": (False, "global graph metadata (ADD, MAX)"),
+    "genome": (True, "remaining-space counter of resizable hash table "
+                     "(bounded ADD, gathers)"),
+    "vacation": (True, "remaining-space counters of resizable hash tables "
+                       "(bounded ADD, gathers)"),
+}
+
+
+def _labeled_fractions(drawn) -> Checks:
+    # ssca2's labeled fraction is by far the smallest (paper: 5.9e-7).
+    frac = {app: r.stats.labeled_fraction for app, r in _top(drawn).items()}
+    return [("ssca2 smallest", frac["ssca2"] == min(frac.values())),
+            ("kmeans largest", frac["kmeans"] == max(frac.values()))]
+
+
+# Table II, with the labeled-instruction fractions Sec. VII reports,
+# measured on Fig. 16's CommTM points.
+_register(
+    "table2", "benchmark characteristics and labeled fractions", (8,),
+    _sweep(lambda t, scale: {
+        app: make_spec(build, t, num_cores=128, commtm=True,
+                       **_scaled(params, scale))
+        for app, (build, params) in _APP_PARAMS.items()}),
+    lambda drawn: render_table(
+        ["threads", "app", "gather?", "labeled frac",
+         "commutative operations"],
+        [[t, app, "yes" if _TABLE2[app][0] else "no",
+          f"{r.stats.labeled_fraction:.2e}", _TABLE2[app][1]]
+         for t, row in drawn.items() for app, r in row.items()],
+        "Table II — benchmark characteristics", "lllrl"),
+    _labeled_fractions)
+
+
+# --- Secs. III-IV: ablations ---------------------------------------------------
+
+# Conflict resolution (Sec. III-B3). The paper's timestamp policy (older
+# transaction wins, NACKs) frees the eager-lazy baseline from the classic
+# performance pathologies. Requester-wins admits mutual-kill livelock
+# patterns that randomized backoff must absorb, typically wasting more
+# work under contention. Both complete the same committed work; which is
+# faster depends on the workload.
+_register(
+    "ablation-conflict-policy",
+    "baseline counter, timestamp vs requester-wins", (16,),
+    _sweep(lambda t, scale: {
+        policy: make_spec(counter.build, t, commtm=False,
+                          base_config=SystemConfig(conflict_policy=policy),
+                          **_scaled(dict(total_ops=2_000), scale))
+        for policy in ("timestamp", "requester_wins")}),
+    lambda drawn: render_table(
+        ["threads", "policy", "cycles", "aborts", "NACKs"],
+        [[t, policy, r.cycles, r.stats.aborts, r.stats.nacks_sent]
+         for t, row in drawn.items() for policy, r in row.items()],
+        "Conflict-policy ablation — baseline counter", "llrrr"),
+    lambda drawn: [
+        ("timestamp NACKs", _top(drawn)["timestamp"].stats.nacks_sent > 0),
+        ("requester-wins never NACKs",
+         _top(drawn)["requester_wins"].stats.nacks_sent == 0)])
+
+# Eager vs lazy conflict detection (Sec. III-D). The paper presents CommTM
+# on an eager-lazy HTM, but it "applies to HTMs with lazy (commit-time)
+# conflict detection, such as TCC or Bulk". Labeled operations are
+# conflict-free either way, while the baseline trades NACK-abort retries
+# (eager) for doomed-transaction completion plus commit-time kills (lazy).
+_DETECTION_CASES = {"counter": counter.build, "oput": ordered_put.build}
+
+
+def _detection_checks(drawn) -> Checks:
+    row = _top(drawn)
+    return [("CommTM never aborts, eager or lazy",
+             row["counter", "CommTM", "eager"].stats.aborts == 0
+             and row["counter", "CommTM", "lazy"].stats.aborts == 0),
+            ("lazy never NACKs",
+             row["counter", "Baseline", "lazy"].stats.nacks_sent == 0),
+            ("eager Baseline NACKs",
+             row["counter", "Baseline", "eager"].stats.nacks_sent > 0)]
+
+
+_register(
+    "ablation-conflict-detection", "eager vs lazy conflict detection", (32,),
+    _sweep(lambda t, scale: {
+        (name, system, detection): make_spec(
+            build, t, commtm=system == "CommTM",
+            base_config=SystemConfig(conflict_detection=detection),
+            **_scaled(dict(total_ops=3_000), scale))
+        for name, build in _DETECTION_CASES.items()
+        for system in ("CommTM", "Baseline")
+        for detection in ("eager", "lazy")}),
+    lambda drawn: render_table(
+        ["threads", "workload", "system", "detection", "cycles", "aborts",
+         "NACKs"],
+        [[t, *key, r.cycles, r.stats.aborts, r.stats.nacks_sent]
+         for t, row in drawn.items() for key, r in row.items()],
+        "Conflict-detection ablation", "llllrrr"),
+    _detection_checks)
+
+
+# Gathers on and off (Sec. IV). Fig. 10 ablates them for reference
+# counting; this extends the ablation to the other gather users: mixed
+# linked-list dequeues, and genome's and vacation's remaining-space
+# counters (Table II's "gather?" column). Gathers must pay off where the
+# paper uses them.
+def _gather_points(t: int, scale: float) -> dict:
+    cases = {
+        "refcount": (refcount.build, dict(total_ops=8_000)),
+        "list_mixed": (linked_list.build,
+                       dict(total_ops=2_000, enqueue_fraction=0.5,
+                            prefill=40 * t)),
+        "genome": (genome.build, dict(num_segments=1024, gene_length=1024,
+                                      initial_buckets=32)),
+        "vacation": (vacation.build, dict(num_tasks=768, relations=128)),
+    }
+    return {(name, use): make_spec(build, t, use_gather=use,
+                                   **_scaled(params, scale))
+            for name, (build, params) in cases.items()
+            for use in (True, False)}
+
+
+def _gather_rows(drawn):
+    for t, row in drawn.items():
+        for (name, use), with_g in row.items():
+            if use:
+                without = row[name, False]
+                yield [t, name, with_g.cycles, without.cycles,
+                       f"{without.cycles / with_g.cycles:.2f}",
+                       with_g.stats.gathers, without.stats.reductions]
+
+
+_register(
+    "ablation-gather", "gather requests on vs off", (64,),
+    _sweep(_gather_points),
+    lambda drawn: render_table(
+        ["threads", "workload", "cycles w/", "cycles w/o", "speedup",
+         "gathers", "reductions w/o"],
+        list(_gather_rows(drawn)), "Gather ablation", "llrrrrr"),
+    lambda drawn: [("refcount: gathers win",
+                    _top(drawn)["refcount", False].cycles
+                    > _top(drawn)["refcount", True].cycles)])
+
+# Hardware label budget and virtualization (Sec. III-D). boruvka needs four
+# labels. With fewer hardware labels, virtualization maps several program
+# labels onto one id; sharing is safe here because the four operation
+# types never touch the same words. The run must stay correct and the
+# performance effect small: label ids only gate U-state compatibility, so
+# shared ids cause spurious same-label coexistence, never wrong
+# reductions, because reduction handlers are resolved by Label object.
+_LABEL_BUDGETS = {"8 labels": (8, False), "4 labels": (4, False),
+                  "2 labels (virtualized)": (2, True)}
+_register(
+    "ablation-labels", "boruvka under smaller label budgets", (32,),
+    _sweep(lambda t, scale: {
+        name: make_spec(boruvka.build, t,
+                        base_config=SystemConfig(num_labels=n,
+                                                 virtualize_labels=v),
+                        **_scaled(dict(num_nodes=128), scale))
+        for name, (n, v) in _LABEL_BUDGETS.items()}),
+    lambda drawn: render_table(
+        ["threads", "config", "cycles"],
+        [[t, name, r.cycles] for t, row in drawn.items()
+         for name, r in row.items()],
+        "Label-budget ablation — boruvka", "llr"),
+    lambda drawn: [("cycles within 2x",
+                    max(r.cycles for r in _top(drawn).values())
+                    < 2 * min(r.cycles for r in _top(drawn).values()))])
+
+# Reduction-handler cost (Sec. III-B4). The shadow thread merges one
+# forwarded line at a time; its per-word cost sets how expensive
+# reductions and gather merges are. Update-heavy workloads that rarely
+# reduce (counter) should be insensitive; reduction-heavy ones (refcount
+# without gathers) should degrade as the handler slows.
+_COSTS = (1, 2, 8, 32)
+
+
+def _cost_points(t: int, scale: float) -> dict:
+    points = {}
+    for cost in _COSTS:
+        config = SystemConfig(reduction_cycles_per_word=cost)
+        points[cost, "counter"] = make_spec(
+            counter.build, t, base_config=config,
+            **_scaled(dict(total_ops=4_000), scale))
+        points[cost, "refcount"] = make_spec(
+            refcount.build, t, base_config=config, use_gather=False,
+            **_scaled(dict(total_ops=6_000), scale))
+    return points
+
+
+def _cost_checks(drawn) -> Checks:
+    row = _top(drawn)
+    counter_cycles = [row[cost, "counter"].cycles for cost in _COSTS]
+    return [("counter insensitive",
+             max(counter_cycles) < 1.3 * min(counter_cycles)),
+            ("refcount w/o gather sensitive",
+             row[_COSTS[-1], "refcount"].cycles
+             > row[_COSTS[0], "refcount"].cycles)]
+
+
+_register(
+    "ablation-reduction-cost", "reduction-handler cost per word", (32,),
+    _sweep(_cost_points),
+    lambda drawn: render_table(
+        ["threads", "cycles/word", "counter", "refcount w/o gather"],
+        [[t, cost, row[cost, "counter"].cycles, row[cost, "refcount"].cycles]
+         for t, row in drawn.items() for cost in _COSTS],
+        "Reduction-cost ablation", "llrr"),
+    _cost_checks)
+
+
+# --- sensitivity to the machine ---------------------------------------------------
+
+def _advantage(commtm, baseline) -> str:
+    """CommTM's advantage at one point: baseline over CommTM cycles."""
+    return f"{baseline.cycles / commtm.cycles:.1f}"
+
+
+# Machine parameters that the paper's fixed Table I machine cannot show.
+# Core count: CommTM's advantage on the contended counter grows with the
+# number of contending cores, as the baseline's serialization deepens
+# while labeled updates stay local. Each rung is a machine with one core
+# per thread.
+def _core_checks(drawn) -> Checks:
+    gain = {t: row["Baseline"].cycles / row["CommTM"].cycles
+            for t, row in drawn.items()}
+    return [("advantage grows with cores", gain[max(gain)] > gain[min(gain)])]
+
+
+_register(
+    "sensitivity-core-count", "counter, CommTM's advantage vs core count",
+    (16, 32, 64, 128),
+    _sweep(lambda t, scale: _systems(
+        counter.build, t, num_cores=t,
+        **_scaled(dict(total_ops=2_000), scale))),
+    lambda drawn: render_table(
+        ["cores", "CommTM", "Baseline", "advantage"],
+        [[t, row["CommTM"].cycles, row["Baseline"].cycles,
+          _advantage(row["CommTM"], row["Baseline"])]
+         for t, row in drawn.items()],
+        "Core-count sensitivity — counter, all cores threaded"),
+    _core_checks)
+
+# NoC latency: slower interconnects hurt the communication-bound baseline
+# much more than CommTM, whose steady-state labeled operations generate no
+# traffic at all.
+_ROUTER_CYCLES = (1, 2, 6, 12)
+
+
+def _noc_checks(drawn) -> Checks:
+    row = _top(drawn)
+    slow, fast = _ROUTER_CYCLES[-1], _ROUTER_CYCLES[0]
+    return [("Baseline degrades more",
+             row[slow, "Baseline"].cycles / row[fast, "Baseline"].cycles
+             > row[slow, "CommTM"].cycles / row[fast, "CommTM"].cycles)]
+
+
+_register(
+    "sensitivity-noc-latency", "counter, CommTM's advantage vs router delay",
+    (32,),
+    _sweep(lambda t, scale: {
+        (rc, system): spec for rc in _ROUTER_CYCLES
+        for system, spec in _systems(
+            counter.build, t,
+            base_config=SystemConfig(noc=NocConfig(router_cycles=rc)),
+            **_scaled(dict(total_ops=2_000), scale)).items()}),
+    lambda drawn: render_table(
+        ["threads", "router cy", "CommTM", "Baseline", "advantage"],
+        [[t, rc, row[rc, "CommTM"].cycles, row[rc, "Baseline"].cycles,
+          _advantage(row[rc, "CommTM"], row[rc, "Baseline"])]
+         for t, row in drawn.items() for rc in _ROUTER_CYCLES],
+        "NoC-latency sensitivity — counter", "llrrr"),
+    _noc_checks)
 
 
 def run_experiment(name: str, threads: List[int] = None,
                    scale: float = 1.0, jobs: int = None,
                    cache=None) -> str:
-    """Run one registered experiment.
+    """Run one registered experiment and return its report.
 
-    ``jobs`` (worker processes) and ``cache`` (a
+    ``threads`` defaults to the entry's ladder; ``scale`` multiplies its
+    workloads' sizes. ``jobs`` (worker processes) and ``cache`` (a
     :class:`~repro.harness.cache.ResultCache`) are forwarded to the sweep
     layer: ``jobs`` defaults to ``REPRO_JOBS``, else the CPU count, and
     ``cache`` to none.
@@ -152,9 +584,11 @@ def run_experiment(name: str, threads: List[int] = None,
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise KeyError(f"unknown experiment {name!r}; known: {known}")
-    threads = threads if threads is not None else [1, 8, 32, 128]
-    return REGISTRY[name].run(threads, scale, jobs=jobs, cache=cache)
+    exp = REGISTRY[name]
+    threads = list(exp.threads if threads is None else threads)
+    return exp.render(exp.draw(threads, scale, jobs, cache))
 
 
 def list_experiments() -> List[str]:
-    return [f"{e.name:<16} {e.description}" for e in REGISTRY.values()]
+    width = max(map(len, REGISTRY))
+    return [f"{e.name:<{width}}  {e.description}" for e in REGISTRY.values()]

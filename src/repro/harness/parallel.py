@@ -73,8 +73,9 @@ def build_path(build: Callable) -> str:
     """``"module:qualname"`` path of a module-level workload builder.
 
     Raises :class:`SimulationError` for lambdas, closures, or anything else
-    that does not round-trip through :func:`resolve_build` — those can still
-    be run, just not through the parallel/cached layer.
+    that does not round-trip through :func:`resolve_build`: a sweep cannot
+    run them, though :func:`~repro.harness.runner.run_workload` can run
+    one point of any builder.
     """
     module = getattr(build, "__module__", None)
     qualname = getattr(build, "__qualname__", None)

@@ -1,8 +1,9 @@
 """Plain-text rendering of experiment results.
 
 The paper's figures are speedup curves and stacked-bar breakdowns; these
-helpers render both as ASCII so every experiment's output is readable in a
-terminal and diffable in version control.
+helpers render both as ASCII, each followed by its values as a table, so
+every experiment's output is readable in a terminal and diffable in
+version control.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ MARKERS = "o*x+#@%&"
 def render_speedup_chart(curves: Dict[str, Dict[int, float]],
                          title: str = "", height: int = 16,
                          width: int = 60) -> str:
-    """Render speedup-vs-threads curves as an ASCII chart.
+    """Render speedup-vs-threads curves as an ASCII chart, followed by
+    the speedups as a table.
 
     The x axis is thread count (linear in rank, labelled with the actual
     counts); the y axis is speedup, scaled to the maximum observed.
@@ -59,13 +61,20 @@ def render_speedup_chart(curves: Dict[str, Dict[int, float]],
         for i, name in enumerate(curves)
     )
     lines.append("legend: " + legend)
+    lines.append(render_table(
+        ["threads", *threads],
+        [[name, *(f"{series[t]:.2f}" for t in threads)]
+         for name, series in curves.items()]))
     return "\n".join(lines)
 
 
 def render_stacked_bars(rows: Dict[str, Dict[str, float]],
                         columns: Sequence[str], title: str = "",
                         width: int = 50) -> str:
-    """Render per-config stacked bars (Fig. 17/18/19 style).
+    """Render per-config stacked bars (Fig. 17/18/19 style), followed by
+    the column values normalized to the total of the first row that has
+    one (in a breakdown, the ladder's first baseline row with any cycles
+    or requests).
 
     Each row is one configuration; segment lengths are proportional to the
     column values, all scaled to the largest row total.
@@ -92,6 +101,31 @@ def render_stacked_bars(rows: Dict[str, Dict[str, float]],
         f"{seg_chars[i % len(seg_chars)]} {c}" for i, c in enumerate(columns)
     )
     lines.append("legend: " + legend)
+    base = next((name for name, total in totals.items() if total), None)
+    if base is not None:
+        lines.append(render_table(
+            ["config", *columns],
+            [[name, *(f"{values.get(c, 0) / totals[base]:.3f}"
+                      for c in columns)]
+             for name, values in rows.items()], f"normalized to {base}:"))
+    return "\n".join(lines)
+
+
+def render_table(header: Sequence[object], rows: Sequence[Sequence[object]],
+                 title: str = "", align: str = "") -> str:
+    """Render rows of cells (each printed with ``str``) as columns two
+    spaces apart, under ``title`` when one is given.
+
+    ``align`` holds an ``l`` (left) or ``r`` (right) per column; by
+    default the first column is left-aligned and the others right-aligned.
+    """
+    align = align or "l" + "r" * (len(header) - 1)
+    table = [[str(cell) for cell in row] for row in (header, *rows)]
+    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+    lines = [title] if title else []
+    lines += ["  ".join(cell.ljust(w) if a == "l" else cell.rjust(w)
+                        for cell, w, a in zip(row, widths, align)).rstrip()
+              for row in table]
     return "\n".join(lines)
 
 

@@ -6,25 +6,26 @@ of the *baseline* HTM, at thread counts 1-128 on the Table I system.
 run fixes the denominator, then each (system, thread-count) point is a
 fresh machine running the same workload builder.
 
-Sweeps (:func:`speedup_curve`, :func:`collect_points`) accept ``jobs`` and
-``cache`` and route through :mod:`repro.harness.parallel`: points are
-described as picklable specs, deduplicated, optionally loaded from the
-on-disk :class:`~repro.harness.cache.ResultCache`, and fanned over a
-process pool. The merge is deterministic — serial and parallel runs of the
-same sweep produce identical reports.
+:func:`speedup_curve` accepts ``jobs`` and ``cache`` and routes through
+:mod:`repro.harness.parallel`: points are described as picklable specs,
+deduplicated, optionally loaded from the on-disk
+:class:`~repro.harness.cache.ResultCache`, and fanned over a process pool.
+The merge is deterministic — serial and parallel runs of the same sweep
+produce identical reports. Its builder must therefore be addressable as
+``module:qualname``: a lambda or closure raises ``build_path``'s
+:class:`~repro.errors.SimulationError` (:func:`run_workload` runs one
+point of any builder).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from ..core.machine import Machine, MachineResult
-from ..errors import SimulationError
 from ..params import SystemConfig
 from ..sim.stats import Stats
-from . import artifacts
 from .parallel import make_spec, run_points
 
 
@@ -111,30 +112,6 @@ def run_workload(build: Callable, num_threads: int, *,
     return run_built(machine, built, verify=verify)
 
 
-def _run_calls(build: Callable, calls: List[dict], jobs, cache) \
-        -> List[ExperimentResult]:
-    """Run many ``run_workload``-style calls (dicts of its keyword
-    arguments, ``num_threads`` included) through the parallel layer.
-
-    Builders that cannot be addressed as ``module:qualname`` (closures,
-    lambdas) fall back to in-process serial execution — still deduplicating
-    identical calls, so e.g. the reference run is never repeated.
-    """
-    try:
-        specs = [make_spec(build, **call) for call in calls]
-    except SimulationError:
-        memo: Dict[str, ExperimentResult] = {}
-        results = []
-        for call in calls:
-            key = repr(sorted(call.items(), key=lambda kv: kv[0]))
-            if key not in memo:
-                memo[key] = run_workload(build, **call)
-            results.append(memo[key])
-        artifacts.notify(results)
-        return results
-    return run_points(specs, jobs=jobs, cache=cache)
-
-
 def speedup_curve(build: Callable, thread_counts: Iterable[int], *,
                   num_cores: int = 128, systems: Dict[str, dict] = None,
                   seed: int = 1, base_config: Optional[SystemConfig] = None,
@@ -160,17 +137,17 @@ def speedup_curve(build: Callable, thread_counts: Iterable[int], *,
     common = dict(num_cores=num_cores, seed=seed, base_config=base_config,
                   verify=verify)
 
-    calls = [dict(common, num_threads=1, commtm=False, gather=None,
-                  **params)]
+    specs = [make_spec(build, 1, commtm=False, gather=None, **common,
+                       **params)]
     for flags in systems.values():
         merged = {**flags, **params}
         commtm = merged.pop("commtm", None)
         gather = merged.pop("gather", None)
-        for threads in thread_counts:
-            calls.append(dict(common, num_threads=threads, commtm=commtm,
-                              gather=gather, **merged))
+        specs += [make_spec(build, threads, commtm=commtm, gather=gather,
+                            **common, **merged)
+                  for threads in thread_counts]
 
-    results = _run_calls(build, calls, jobs, cache)
+    results = run_points(specs, jobs=jobs, cache=cache)
     base_cycles = results[0].cycles
 
     curves: Dict[str, Dict[int, float]] = {}
@@ -180,19 +157,3 @@ def speedup_curve(build: Callable, thread_counts: Iterable[int], *,
         for threads in thread_counts:
             curves[series][threads] = base_cycles / next(it).cycles
     return curves
-
-
-def collect_points(build: Callable, thread_counts: Iterable[int], *,
-                   num_cores: int = 128, commtm: Optional[bool] = None,
-                   gather: Optional[bool] = None, seed: int = 1,
-                   base_config: Optional[SystemConfig] = None,
-                   verify: bool = True, jobs: Optional[int] = None,
-                   cache=None, **params) -> List[ExperimentResult]:
-    """Full :class:`ExperimentResult` per thread count (for breakdowns)."""
-    calls = [
-        dict(num_threads=threads, num_cores=num_cores, commtm=commtm,
-             gather=gather, seed=seed, base_config=base_config,
-             verify=verify, **params)
-        for threads in thread_counts
-    ]
-    return _run_calls(build, calls, jobs, cache)

@@ -108,6 +108,11 @@ class SystemConfig:
     #: Number of hardware labels CommTM supports (Sec. III-A suggests 8).
     num_labels: int = 8
 
+    #: When True, registering more labels than ``num_labels`` shares
+    #: hardware ids round-robin (Sec. III-D label virtualization) instead
+    #: of raising; shared ids change which U lines may coexist.
+    virtualize_labels: bool = False
+
     #: When False, labeled operations execute as conventional loads/stores
     #: and gathers as conventional loads: this *is* the baseline eager-lazy
     #: HTM the paper compares against (same workload code, no U state).

@@ -18,9 +18,8 @@ from repro.params import CacheGeometry, NocConfig, SystemConfig, small_config
 ADD = add_label()
 
 #: Every NoC the repo builds: Table I's 4x4, small_config's 2x2, the model
-#: checker's 1x1, the router latencies of the NoC-latency sensitivity sweep
-#: (benchmarks/test_sensitivity_machine.py; its 2 is Table I's), and one
-#: non-square mesh.
+#: checker's 1x1, the router latencies of the ``sensitivity-noc-latency``
+#: experiment (its 2 is Table I's), and one non-square mesh.
 NOCS = [
     NocConfig(),
     small_config().noc,
@@ -32,24 +31,18 @@ NOCS = [
 
 class TestStates:
     def test_can_read(self):
-        assert State.M.can_read and State.E.can_read and State.S.can_read
-        assert not State.U.can_read and not State.I.can_read
+        assert State.M.readable and State.E.readable and State.S.readable
+        assert not State.U.readable and not State.I.readable
 
     def test_can_write(self):
-        assert State.M.can_write and State.E.can_write
-        assert not State.S.can_write
-        assert not State.U.can_write
+        assert State.M.writable and State.E.writable
+        assert not State.S.writable
+        assert not State.U.writable
 
     def test_exclusive(self):
-        assert State.M.is_exclusive and State.E.is_exclusive
-        assert not State.S.is_exclusive
-
-    def test_labeled_satisfaction(self):
-        assert State.M.can_satisfy_labeled(None, ADD)
-        assert State.U.can_satisfy_labeled(ADD, ADD)
-        assert not State.U.can_satisfy_labeled(ADD, "OTHER")
-        assert not State.S.can_satisfy_labeled(None, ADD)
-        assert not State.I.can_satisfy_labeled(None, ADD)
+        # M and E are the exclusive states: the only ones a store hits in.
+        assert {state for state in State if state.writable} == \
+            {State.M, State.E}
 
 
 class TestMesh:

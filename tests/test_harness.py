@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.harness import run_workload, speedup_curve
-from repro.harness.runner import collect_points
 from repro.params import small_config
 from repro.workloads.micro import counter
 
@@ -54,11 +54,12 @@ def test_speedup_curve_custom_systems():
     assert list(curves) == ["only"]
 
 
-def test_collect_points():
-    points = collect_points(counter.build, [1, 2], num_cores=16,
-                            total_ops=60)
-    assert [p.num_threads for p in points] == [1, 2]
-    assert all(p.stats.commits == 60 for p in points)
+def test_speedup_curve_needs_an_addressable_builder():
+    # A sweep's points are specs naming their builder as module:qualname,
+    # so a lambda cannot be swept (run_workload runs one point of it).
+    with pytest.raises(SimulationError, match="not addressable"):
+        speedup_curve(lambda machine, n: counter.build(machine, n, 40),
+                      [1, 2], num_cores=16)
 
 
 def test_verification_can_be_disabled():

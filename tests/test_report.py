@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.cache import ResultCache
 from repro.harness.report import render_speedup_chart, render_stacked_bars
 from repro.harness.experiments import REGISTRY, list_experiments, run_experiment
 
@@ -34,6 +35,14 @@ class TestSpeedupChart:
         out = render_speedup_chart({"X": {4: 2.0}})
         assert "4" in out
 
+    def test_ends_with_the_speedups(self):
+        out = render_speedup_chart(self.CURVES)
+        assert out.splitlines()[-3:] == [
+            "threads      1     8     32",
+            "CommTM    1.00  7.90  30.00",
+            "Baseline  1.00  0.50   0.30",
+        ]
+
 
 class TestStackedBars:
     ROWS = {
@@ -55,6 +64,19 @@ class TestStackedBars:
         base_line = next(l for l in out.splitlines() if "Base@8" in l)
         commtm_line = next(l for l in out.splitlines() if "CommTM@8" in l)
         assert base_line.count("#") > commtm_line.count("#")
+
+    def test_ends_with_values_normalized_to_the_first_row(self):
+        out = render_stacked_bars(self.ROWS, ["a", "b"])
+        assert out.splitlines()[-4:] == [
+            "normalized to Base@8:",
+            "config        a      b",
+            "Base@8    0.667  0.333",
+            "CommTM@8  0.133  0.067",
+        ]
+
+    def test_skips_rows_with_nothing_to_normalize_to(self):
+        rows = {"Base@1": {"a": 0, "b": 0}, **self.ROWS}
+        assert "normalized to Base@8:" in render_stacked_bars(rows, ["a", "b"])
 
     def test_empty(self):
         assert render_stacked_bars({}, ["a"], "t") == "t"
@@ -85,6 +107,15 @@ class TestRegistry:
         out = run_experiment("fig09", threads=[1, 2], scale=0.02)
         assert "Fig. 9" in out
         assert "CommTM" in out
+
+    def test_scale_sizes_app_inputs(self, tmp_path):
+        # --scale multiplies an app's input size as it does op counts.
+        cache = ResultCache(tmp_path)
+        stored = []
+        cache.put = lambda spec, result: stored.append(spec)
+        run_experiment("fig16-kmeans", threads=[1], scale=0.25, jobs=1,
+                       cache=cache)
+        assert {dict(spec.params)["num_points"] for spec in stored} == {128}
 
 
 class TestCli:

@@ -3,7 +3,9 @@ systems at several thread counts."""
 
 import pytest
 
+from repro import Machine
 from repro.harness import run_workload
+from repro.params import small_config
 from repro.workloads.apps import boruvka, genome, kmeans, ssca2, vacation
 
 APPS = [
@@ -26,17 +28,21 @@ def test_app_verifies(name, build, kw, threads, commtm):
     assert result.stats.commits > 0
 
 
-def test_boruvka_uses_all_four_labels():
-    result = run_workload(boruvka.build, 4, num_cores=16, num_nodes=48)
-    machine = result.stats  # noqa: F841
-    # Labels registered on the machine: OPUT, MIN, MAX, ADD.
-    # (Checked via the machine the harness returns in info-less runs by
-    # rebuilding here.)
-    from repro import Machine
-    from repro.params import small_config
-    m = Machine(small_config(num_cores=16))
-    boruvka.build(m, 4, num_nodes=48)
-    assert set(m.labels.names()) >= {"OPUT", "MIN", "MAX", "ADD"}
+#: Each app's commutative operations' labels (Table II).
+TABLE2_LABELS = {
+    "boruvka": {"OPUT", "MIN", "MAX", "ADD"},
+    "kmeans": {"ADD"},
+    "ssca2": {"ADD", "MAX"},
+    "genome": {"ADD"},
+    "vacation": {"ADD"},
+}
+
+
+@pytest.mark.parametrize("name,build,kw", APPS, ids=[a[0] for a in APPS])
+def test_app_registers_table2_labels(name, build, kw):
+    machine = Machine(small_config(num_cores=16))
+    build(machine, 4, **kw)
+    assert set(machine.labels.names()) == TABLE2_LABELS[name]
 
 
 def test_boruvka_deterministic_inputs():
