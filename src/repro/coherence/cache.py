@@ -111,15 +111,17 @@ class PrivateCache:
 
     def install(self, entry: CacheLine) -> None:
         """Insert or replace a line, evicting LRU victims if over capacity."""
-        self._lines[entry.line] = entry
-        self._lines.move_to_end(entry.line)
-        self.touch(entry.line)
-        self._enforce_l2_capacity()
+        lines = self._lines
+        line = entry.line
+        lines[line] = entry
+        lines.move_to_end(line)
+        self.touch(line)
+        # Capacity can only be exceeded here; test it before calling out.
+        if 0 < self._l2_capacity < len(lines):
+            self._enforce_l2_capacity()
 
     def _enforce_l2_capacity(self) -> None:
         capacity = self._l2_capacity
-        if capacity <= 0:
-            return
         while len(self._lines) > capacity:
             victim_no = next(iter(self._lines))
             victim = self._lines[victim_no]

@@ -74,6 +74,8 @@ class Directory:
         self.memory = memory
         self.num_lines = num_lines  # 0 disables capacity modelling
         self.stats = stats
+        #: The L3's lines in LRU order. The protocol's miss path tests an
+        #: access for an L3 miss as ``line not in directory._entries``.
         self._entries: "OrderedDict[int, DirEntry]" = OrderedDict()
         #: Set by the memory system: called with the victim DirEntry when L3
         #: capacity forces an eviction (must invalidate private copies).
@@ -88,7 +90,7 @@ class Directory:
             return ent
         if self.stats is not None:
             self.stats.l3_misses += 1
-        ent = DirEntry(line=line, words=self.memory.read_line(line))
+        ent = DirEntry(line, self.memory.read_line(line))
         self._entries[line] = ent
         self._enforce_capacity()
         return ent
@@ -96,10 +98,6 @@ class Directory:
     def peek(self, line: int) -> Optional[DirEntry]:
         """Entry if cached in L3, without allocation or LRU update."""
         return self._entries.get(line)
-
-    def was_miss(self, line: int) -> bool:
-        """Would accessing ``line`` miss in the L3 right now?"""
-        return line not in self._entries
 
     def _enforce_capacity(self) -> None:
         if self.num_lines <= 0:

@@ -61,17 +61,12 @@ class CacheLine:
         if self.clean_words is not None:
             self.words = self.clean_words
             self.clean_words = None
-        self.clear_spec_bits()
+        self.spec_read = self.spec_written = self.spec_labeled = False
 
     def commit(self) -> None:
         """Make speculative updates non-speculative (commit)."""
         self.clean_words = None
-        self.clear_spec_bits()
-
-    def clear_spec_bits(self) -> None:
-        self.spec_read = False
-        self.spec_written = False
-        self.spec_labeled = False
+        self.spec_read = self.spec_written = self.spec_labeled = False
 
     def nonspec_words(self) -> List[object]:
         """The line's non-speculative value (what rollback would leave)."""

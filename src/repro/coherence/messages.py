@@ -36,8 +36,12 @@ class Requester:
     skips occupancy modelling.
 
     A plain slotted class rather than a (frozen) dataclass: one is built
-    per memory operation, and the dataclass ``object.__setattr__`` path
-    shows up in profiles. Treat instances as immutable.
+    per directory transaction, and the dataclass ``object.__setattr__``
+    path shows up in profiles. The engine and the protocol build it
+    positionally, ``Requester(core, ts, now)``: on CPython 3.11 a class
+    call with a keyword argument first builds a kwargs dict, which makes
+    it about 1.7x as costly (DESIGN.md §6, item 7). Treat instances as
+    immutable; a request is speculative iff ``ts is not None``.
     """
 
     __slots__ = ("core", "ts", "now")
@@ -47,10 +51,6 @@ class Requester:
         self.core = core
         self.ts = ts
         self.now = now
-
-    @property
-    def speculative(self) -> bool:
-        return self.ts is not None
 
     def __repr__(self) -> str:
         return f"Requester(core={self.core}, ts={self.ts}, now={self.now})"

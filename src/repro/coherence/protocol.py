@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import enum
 import weakref
-from typing import Dict, List, Optional, Set
+from typing import AbstractSet, Dict, List, Optional
 
 from ..errors import ProtocolError, ReductionError
-from ..mem.address import line_of, word_index, check_word_aligned
+from ..mem.address import line_of, check_word_aligned
 from ..mem.memory import MainMemory
 from ..params import LINE_BYTES, SystemConfig, WORD_BYTES, WORDS_PER_LINE
 from ..sim.stats import Stats, WastedCause
@@ -87,6 +87,9 @@ _T_REDUCTION_READ = Trigger.REDUCTION_READ
 _T_REDUCTION_WRITE = Trigger.REDUCTION_WRITE
 _T_GATHER, _T_EVICTION = Trigger.GATHER, Trigger.EVICTION
 _NACK = Resolution.NACK
+#: What _resolve_victims returns when no victim NACKed: the set is
+#: allocated at the first NACK.
+_NO_NACKERS: AbstractSet[int] = frozenset()
 
 
 class ConflictManagerBase:
@@ -211,19 +214,16 @@ class MemorySystem:
             cache.spec_eviction_hook = hook
 
     # ------------------------------------------------------------------
-    # Latency helpers
+    # Latency helpers. The private lookup latency is read inline: the
+    # L1's, or L1 + L2's (always on a miss), by the LRU touch's outcome.
     # ------------------------------------------------------------------
-
-    def _private_lookup_cycles(self, l1_hit: bool) -> int:
-        if l1_hit:
-            return self._l1_latency
-        return self._l12_latency
 
     def _charge_dir_access(self, core: int, line_no: int,
                            res: AccessResult) -> DirEntry:
         """Charge a directory transaction and return the entry."""
-        was_miss = self.directory.was_miss(line_no)
-        ent = self.directory.entry(line_no)
+        directory = self.directory
+        was_miss = line_no not in directory._entries
+        ent = directory.entry(line_no)
         bank = line_no % self._l3_banks
         res.cycles += self._dir_rt[core][bank] + self.config.l3.latency
         self.stats.noc_hops += self._dir_hops2[core][bank]
@@ -232,31 +232,10 @@ class MemorySystem:
         res.dir_line = line_no
         return ent
 
-    def _apply_occupancy(self, requester: Requester,
-                         res: AccessResult) -> AccessResult:
-        """Serialize directory transactions on the same line.
-
-        If the op transacted with a line's home directory, it stalls until
-        the line's previous transaction finishes, and holds the line for
-        its own duration. Private-cache hits never stall — the heart of
-        CommTM's concurrency benefit.
-        """
-        if res.dir_line is None or requester.now is None:
-            # Private-cache hits (the common case) never transact with a
-            # directory and never stall.
-            return res
-        start = requester.now
-        busy_until = self._line_busy.get(res.dir_line, 0)
-        stall = busy_until - start
-        if stall > 0:
-            res.cycles += stall
-        occupying = res.cycles - res.overlap_cycles
-        self._line_busy[res.dir_line] = max(busy_until, start + occupying)
-        return res
-
     # The two NoC charges below are pure table reads, shared with the
     # vector backend's certifier (sim/vector/certify.py), so a prediction
-    # and the handler it predicts use one definition of NoC cost.
+    # and the handler it predicts read one table of NoC cost; the
+    # handlers' _forward_latency reads the same table inline.
 
     def _fanout_cycles(self, line_no: int, victims) -> int:
         """Invalidations fan out in parallel from the line's bank: the
@@ -277,12 +256,14 @@ class MemorySystem:
         return self.mesh.latency_table[tile[src_core]][tile[dst_core]]
 
     def _forward_latency(self, src_core: int, dst_core: int) -> int:
-        """Latency of one cache-to-cache data forward; records traffic."""
+        """Latency of one cache-to-cache data forward (the table read of
+        ``_forward_cycles``); records traffic."""
         tile = self._tile_of_core
-        self.stats.forwards += 1
-        self.stats.noc_hops += self.mesh.hop_table[tile[src_core]][
-            tile[dst_core]]
-        return self._forward_cycles(src_core, dst_core)
+        src, dst = tile[src_core], tile[dst_core]
+        stats = self.stats
+        stats.forwards += 1
+        stats.noc_hops += self.mesh.hop_table[src][dst]
+        return self.mesh.latency_table[src][dst]
 
     # ------------------------------------------------------------------
     # Handler context (reduction / splitter memory access)
@@ -334,14 +315,15 @@ class MemorySystem:
     # ------------------------------------------------------------------
 
     def _resolve_victims(self, line_no: int, victims, requester: Requester,
-                         trigger: Trigger, res: AccessResult) -> Set[int]:
+                         trigger: Trigger,
+                         res: AccessResult) -> AbstractSet[int]:
         """Run conflict resolution against each speculative victim.
 
         Returns the set of victims that NACKed (and therefore keep their
         copies). Victims that abort are rolled back synchronously by the
         conflict manager, leaving their lines non-speculative.
         """
-        nackers: Set[int] = set()
+        nackers = _NO_NACKERS
         for victim in victims:
             entry = self.caches[victim].lookup(line_no)
             # CacheLine.speculative, inlined: this runs once per sharer.
@@ -355,7 +337,10 @@ class MemorySystem:
             )
             if outcome is _NACK:
                 self.stats.nacks_sent += 1
-                nackers.add(victim)
+                if nackers is _NO_NACKERS:
+                    nackers = {victim}
+                else:
+                    nackers.add(victim)
                 if self.obs is not None:
                     self.obs.nack(requester, victim, line_no, entry, trigger)
             elif res.aborted_victims is None:
@@ -490,8 +475,25 @@ class MemorySystem:
 
     def _finish(self, requester: Requester, res: AccessResult,
                 op: str) -> AccessResult:
-        """Occupancy postlude + sanitizer checkpoint for public op ``op``."""
-        res = self._apply_occupancy(requester, res)
+        """Occupancy postlude + sanitizer checkpoint for public op ``op``.
+
+        Directory transactions on the same line serialize: an op that
+        transacted with a line's home directory stalls until the line's
+        previous transaction finishes, and holds the line for its own
+        duration. Private-cache hits never stall (the heart of CommTM's
+        concurrency benefit), nor do flush and verification accesses,
+        whose requester carries no ``now``.
+        """
+        line = res.dir_line
+        start = requester.now
+        if line is not None and start is not None:
+            line_busy = self._line_busy
+            busy_until = line_busy.get(line, 0)
+            stall = busy_until - start
+            if stall > 0:
+                res.cycles += stall
+            end = start + res.cycles - res.overlap_cycles
+            line_busy[line] = end if end > busy_until else busy_until
         if self.sanitizer is not None:
             self.sanitizer.protocol_checkpoint(requester.core, requester.now,
                                                op)
@@ -505,8 +507,12 @@ class MemorySystem:
         if requester.now is not None:
             self.obs.touch(line_of(addr), label)
 
+    # The public ops call check_word_aligned only to raise (as MainMemory
+    # does): the test is inline.
+
     def load(self, core: int, addr: int, requester: Requester) -> AccessResult:
-        check_word_aligned(addr)
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
         if self.obs is not None:
             self._touch_metrics(addr, requester)
         return self._finish(requester, self._load(core, addr, requester),
@@ -514,7 +520,8 @@ class MemorySystem:
 
     def store(self, core: int, addr: int, value: object,
               requester: Requester) -> AccessResult:
-        check_word_aligned(addr)
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
         if self.obs is not None:
             self._touch_metrics(addr, requester)
         return self._finish(
@@ -522,7 +529,8 @@ class MemorySystem:
 
     def labeled_load(self, core: int, addr: int, label: Label,
                      requester: Requester) -> AccessResult:
-        check_word_aligned(addr)
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
         if self.obs is not None:
             self._touch_metrics(addr, requester, label)
         return self._finish(
@@ -533,7 +541,8 @@ class MemorySystem:
 
     def labeled_store(self, core: int, addr: int, label: Label,
                       value: object, requester: Requester) -> AccessResult:
-        check_word_aligned(addr)
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
         if self.obs is not None:
             self._touch_metrics(addr, requester, label)
         return self._finish(
@@ -544,7 +553,8 @@ class MemorySystem:
 
     def load_gather(self, core: int, addr: int, label: Label,
                     requester: Requester) -> AccessResult:
-        check_word_aligned(addr)
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
         if self.obs is not None:
             self._touch_metrics(addr, requester, label)
         return self._finish(
@@ -565,8 +575,9 @@ class MemorySystem:
         commit. Exclusive (M/E) hits behave as in eager mode — there is
         nothing to defer when no other copy exists.
         """
-        check_word_aligned(addr)
-        if not requester.speculative:
+        if addr < 0 or addr % WORD_BYTES:
+            check_word_aligned(addr)
+        if requester.ts is None:
             raise ProtocolError("lazy_store outside a transaction")
         if self.obs is not None:
             self._touch_metrics(addr, requester)
@@ -585,7 +596,8 @@ class MemorySystem:
             entry = cache.lookup(line_no)
         else:
             res = AccessResult()
-            res.cycles += self._private_lookup_cycles(cache.touch(line_no))
+            res.cycles += (self._l1_latency if cache.touch(line_no)
+                           else self._l12_latency)
         # The buffered write touches neither the result nor the line's
         # occupancy, so the postlude may follow it.
         self._write_word(cache, entry, addr, value, requester,
@@ -607,7 +619,8 @@ class MemorySystem:
                 f"publish of line {line_no} not present at core {core}"
             )
         if entry.state.writable:
-            res.cycles += self._private_lookup_cycles(cache.touch(line_no))
+            res.cycles += (self._l1_latency if cache.touch(line_no)
+                           else self._l12_latency)
             return res
         if entry.state is not _S:
             raise ProtocolError(
@@ -615,7 +628,7 @@ class MemorySystem:
             )
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.getx += 1
-        committer = Requester(core=core, ts=None, now=requester.now)
+        committer = Requester(core, None, requester.now)
         victims = [s for s in ent.sharers if s != core]
         self._resolve_victims(line_no, victims, committer, _T_WRITE, res)
         res.cycles += self._fanout_cycles(line_no, victims)
@@ -656,7 +669,7 @@ class MemorySystem:
                                               is_store=False, value=None)
 
         # Miss: GETS.
-        res.cycles += self._private_lookup_cycles(False)
+        res.cycles += self._l12_latency
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.gets += 1
 
@@ -666,7 +679,7 @@ class MemorySystem:
             if not done:
                 return res  # NACKed; requester aborts
             entry = cache.lookup(line_no)
-            res.value = entry.words[word_index(addr)]
+            res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
             return res
         elif ent.u_sharers:
             ok = self._reduce_at(core, line_no, ent, requester, res,
@@ -676,22 +689,23 @@ class MemorySystem:
                 return res
             entry = self.caches[core].lookup(line_no)
             cache.touch(line_no)
-            if requester.speculative:
+            if requester.ts is not None:
                 cache.mark_read(entry)
-            res.value = entry.words[word_index(addr)]
+            res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
             return res
 
-        state = _E if ent.unshared else _S
-        new = CacheLine(line=line_no, state=state, words=list(ent.words))
+        # DirEntry.unshared, inlined: no U sharers on this branch.
+        state = _E if ent.owner is None and not ent.sharers else _S
+        new = CacheLine(line_no, state, None, list(ent.words))
         cache.install(new)
         if state is _E:
             ent.owner = core
         else:
             ent.sharers.add(core)
         ent.check()
-        if requester.speculative:
+        if requester.ts is not None:
             cache.mark_read(new)
-        res.value = new.words[word_index(addr)]
+        res.value = new.words[addr % LINE_BYTES // WORD_BYTES]
         if state is _S:
             # Read sharing pipelines at the directory: a GETS served from
             # the L3 stalls behind pending ownership changes but does not
@@ -713,7 +727,7 @@ class MemorySystem:
                                             _T_READ, res)
             if nackers:
                 res.abort_requester = True
-                res.abort_cause = self._requester_cause(_K_LOAD)
+                res.abort_cause = _W_READ_AFTER_WRITE  # a NACKed load
                 return False
         res.cycles += self._fanout_cycles(line_no, [owner])
         res.cycles += self._forward_latency(owner, core)
@@ -728,10 +742,10 @@ class MemorySystem:
         ent.owner = None
         ent.sharers.update({owner, core})
         ent.check()
-        new = CacheLine(line=line_no, state=_S, words=data)
+        new = CacheLine(line_no, _S, None, data)
         cache = self.caches[core]
         cache.install(new)
-        if requester.speculative:
+        if requester.ts is not None:
             cache.mark_read(new)
         return True
 
@@ -760,7 +774,7 @@ class MemorySystem:
                                               is_store=True, value=value)
 
         # Miss or S-upgrade: GETX.
-        res.cycles += self._private_lookup_cycles(False)
+        res.cycles += self._l12_latency
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.getx += 1
 
@@ -776,16 +790,20 @@ class MemorySystem:
                              labeled=False)
             return res
 
-        # Invalidate the owner and/or S sharers.
+        # Invalidate the owner and/or S sharers. (No comprehension on this
+        # path: see DESIGN.md §6, item 7.)
         data: Optional[List[object]] = None
-        victims = [s for s in ent.sharers if s != core]
+        sharers = ent.sharers
+        victims = list(sharers)
+        if core in sharers:
+            victims.remove(core)
         if ent.owner is not None and ent.owner != core:
             victims.insert(0, ent.owner)
         nackers = self._resolve_victims(line_no, victims, requester,
                                         _T_WRITE, res)
         if nackers:
             res.abort_requester = True
-            res.abort_cause = self._requester_cause(_K_STORE)
+            res.abort_cause = _W_WRITE_AFTER_READ  # a NACKed store
             return res
         res.cycles += self._fanout_cycles(line_no, victims)
         for victim in victims:
@@ -816,7 +834,7 @@ class MemorySystem:
         else:
             if data is None:
                 data = list(ent.words)
-            new = CacheLine(line=line_no, state=_M, words=list(data))
+            new = CacheLine(line_no, _M, None, list(data))
             cache.install(new)
         ent.sharers.discard(core)
         ent.owner = core
@@ -873,15 +891,14 @@ class MemorySystem:
                     is_store=is_store, value=value, into_label=label)
 
         # Miss (I or S): GETU.
-        res.cycles += self._private_lookup_cycles(False)
+        res.cycles += self._l12_latency
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.getu += 1
         trigger = _T_LABELED
 
         if ent.u_sharers and ent.u_label is label:
             # Case 4: same label -> grant U, no data, identity init.
-            new = CacheLine(line=line_no, state=_U, label=label,
-                            words=label.identity_line())
+            new = CacheLine(line_no, _U, label, label.identity_line())
             cache.install(new)
             ent.u_sharers.add(core)
             ent.check()
@@ -910,9 +927,8 @@ class MemorySystem:
                                                 trigger, res)
                 if nackers:
                     res.abort_requester = True
-                    res.abort_cause = self._requester_cause(
-                        _K_LABELED_STORE if is_store
-                        else _K_LABELED_LOAD)
+                    res.abort_cause = (_W_WRITE_AFTER_READ if is_store
+                                       else _W_READ_AFTER_WRITE)
                     return res
             res.cycles += self._fanout_cycles(line_no, [owner])
             self.stats.downgrades += 1
@@ -922,20 +938,21 @@ class MemorySystem:
             ent.u_sharers.update({owner, core})
             ent.u_label = label
             ent.check()
-            new = CacheLine(line=line_no, state=_U, label=label,
-                            words=label.identity_line())
+            new = CacheLine(line_no, _U, label, label.identity_line())
             cache.install(new)
         else:
             # Cases 1-2: no private copies (after invalidating S sharers):
             # the requester receives the actual data.
-            victims = [s for s in ent.sharers if s != core]
+            sharers = ent.sharers
+            victims = list(sharers)
+            if core in sharers:
+                victims.remove(core)
             nackers = self._resolve_victims(line_no, victims, requester,
                                             trigger, res)
             if nackers:
                 res.abort_requester = True
-                res.abort_cause = self._requester_cause(
-                    _K_LABELED_STORE if is_store
-                    else _K_LABELED_LOAD)
+                res.abort_cause = (_W_WRITE_AFTER_READ if is_store
+                                   else _W_READ_AFTER_WRITE)
                 return res
             res.cycles += self._fanout_cycles(line_no, victims)
             for victim in victims:
@@ -947,8 +964,7 @@ class MemorySystem:
             if entry is not None and entry.state is _S:
                 cache.drop(line_no)
                 self.directory.drop_sharer(ent, core)
-            new = CacheLine(line=line_no, state=_U, label=label,
-                            words=list(ent.words))
+            new = CacheLine(line_no, _U, label, list(ent.words))
             cache.install(new)
             ent.u_sharers.add(core)
             ent.u_label = label
@@ -961,9 +977,9 @@ class MemorySystem:
             self._write_word(cache, final, addr, value, requester,
                              labeled=True)
         else:
-            if requester.speculative:
+            if requester.ts is not None:
                 cache.mark_labeled(final)
-            res.value = final.words[word_index(addr)]
+            res.value = final.words[addr % LINE_BYTES // WORD_BYTES]
         return res
 
     # ------------------------------------------------------------------
@@ -984,9 +1000,10 @@ class MemorySystem:
         res = AccessResult()
         line_no = line_of(addr)
         cache = self.caches[core]
-        res.cycles += self._private_lookup_cycles(cache.touch(line_no))
+        res.cycles += (self._l1_latency if cache.touch(line_no)
+                       else self._l12_latency)
 
-        if requester.speculative and entry.spec_modified:
+        if requester.ts is not None and entry.spec_modified:
             # Abort self; the conflict manager rolls the cache back, which
             # restores this entry's non-speculative value. The retry runs
             # labeled accesses as conventional ones (Sec. III-B4).
@@ -1038,12 +1055,12 @@ class MemorySystem:
             self._write_word(cache, final, addr, value, requester,
                              labeled=into_label is not None)
         else:
-            if requester.speculative:
+            if requester.ts is not None:
                 if into_label is not None:
                     cache.mark_labeled(final)
                 else:
                     cache.mark_read(final)
-            res.value = final.words[word_index(addr)]
+            res.value = final.words[addr % LINE_BYTES // WORD_BYTES]
         return res
 
     # ------------------------------------------------------------------
@@ -1184,8 +1201,7 @@ class MemorySystem:
                 "speculatively-modified own U line reached _install_reduced; "
                 "the caller must abort the requester first"
             )
-        entry = CacheLine(line=line_no, state=as_state, label=label,
-                          words=list(merged), dirty=True)
+        entry = CacheLine(line_no, as_state, label, list(merged), None, True)
         cache.install(entry)
         ent.u_sharers.discard(core)
         if as_state is _M:
@@ -1230,10 +1246,11 @@ class MemorySystem:
         ent = self._charge_dir_access(core, line_no, res)
         others = sorted(ent.u_sharers - {core})
         if not others:
-            res.cycles += self._private_lookup_cycles(cache.touch(line_no))
-            if requester.speculative:
+            res.cycles += (self._l1_latency if cache.touch(line_no)
+                           else self._l12_latency)
+            if requester.ts is not None:
                 cache.mark_labeled(entry)
-            res.value = entry.words[word_index(addr)]
+            res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
             return res
 
         self.stats.gathers += 1
@@ -1303,10 +1320,11 @@ class MemorySystem:
             res.overlap_cycles = res.cycles - cycles_at_dir_release
             return res
 
-        res.cycles += self._private_lookup_cycles(cache.touch(line_no))
-        if requester.speculative:
+        res.cycles += (self._l1_latency if cache.touch(line_no)
+                       else self._l12_latency)
+        if requester.ts is not None:
             cache.mark_labeled(entry)
-        res.value = entry.words[word_index(addr)]
+        res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
         res.overlap_cycles = res.cycles - cycles_at_dir_release
         return res
 

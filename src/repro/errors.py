@@ -61,3 +61,8 @@ class TransactionError(ReproError):
 class SimulationError(ReproError):
     """Engine-level failure: deadlock (no runnable thread), livelock guard
     exceeded, or a thread raised inside its coroutine."""
+
+
+class RequestError(SimulationError):
+    """A run the harness cannot honour (a thread ladder, scale or thread
+    count out of range), refused before anything is simulated."""

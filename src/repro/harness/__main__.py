@@ -30,10 +30,15 @@ experiment under :mod:`cProfile` and prints the top 25 functions by
 cumulative time to stderr (``--profile-out FILE`` additionally dumps the
 raw stats for ``pstats``/``snakeviz``); pool workers run unprofiled.
 
-A simulator error ends the run with exit status 1. When a sweep point
-raised it (a failed ``verify()``, a sanitizer finding, the livelock
-guard), the error is followed by the point (builder, threads, seed,
-backend) and a ``replay:`` command that re-runs that point alone.
+A request the harness cannot honour (a ``--threads`` that is not a list
+of positive integers, a thread count above the chip's cores, a
+``--scale`` that is not a finite positive number) is refused with a
+one-line error and exit status 2, before anything is simulated; so is an
+unknown experiment. A simulator error ends the run with exit status 1.
+When a sweep point raised it (a failed ``verify()``, a sanitizer
+finding, the livelock guard), the error is followed by the point
+(builder, threads, seed, backend) and a ``replay:`` command that re-runs
+that point alone.
 
 ``--trace-out`` and ``--report-json`` export the structured observability
 artifacts: a Perfetto trace, and the versioned run report with
@@ -49,7 +54,7 @@ import logging
 import os
 import sys
 
-from ..errors import ReproError, SimulationError
+from ..errors import ReproError, RequestError, SimulationError
 from . import artifacts
 from .cache import ResultCache
 from .experiments import REGISTRY, list_experiments, run_experiment
@@ -154,8 +159,13 @@ def main(argv=None) -> int:
         args.no_cache = True
         sink = artifacts.install_sink()
 
-    threads = None if args.threads is None else \
-        [int(x) for x in args.threads.split(",") if x]
+    try:
+        threads = None if args.threads is None else \
+            [int(x) for x in args.threads.split(",") if x]
+    except ValueError:
+        print(f"error: --threads {args.threads!r} is not a comma-separated "
+              f"list of integers", file=sys.stderr)
+        return 2
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     try:
         jobs = resolve_jobs(args.jobs)
@@ -181,6 +191,9 @@ def main(argv=None) -> int:
         spec = getattr(exc, "point_spec", None)
         if isinstance(exc, KeyError) and spec is None:
             print(exc.args[0], file=sys.stderr)  # unknown experiment
+            return 2
+        if isinstance(exc, RequestError):
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         if spec is None and not isinstance(exc, ReproError):
             raise

@@ -25,9 +25,11 @@ repo benchmark seeds and traces its passes that way) sees every point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from ..errors import RequestError
 from ..params import NocConfig, SystemConfig
 from ..sim.stats import Stats, WastedCause
 from ..workloads.micro import counter, linked_list, ordered_put, refcount, topk
@@ -580,12 +582,27 @@ def run_experiment(name: str, threads: List[int] = None,
     :class:`~repro.harness.cache.ResultCache`) are forwarded to the sweep
     layer: ``jobs`` defaults to ``REPRO_JOBS``, else the CPU count, and
     ``cache`` to none.
+
+    A ladder of anything but positive integers, or a scale that is not a
+    finite positive number, raises :class:`~repro.errors.RequestError`
+    before anything is simulated, as does a thread count above a point's
+    cores (:func:`~repro.harness.parallel.make_spec`). An empty ladder
+    simulates nothing and renders the entry without rows: a figure's bare
+    title, a table's title and header.
     """
     if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise KeyError(f"unknown experiment {name!r}; known: {known}")
     exp = REGISTRY[name]
     threads = list(exp.threads if threads is None else threads)
+    for t in threads:
+        if not isinstance(t, int) or t < 1:
+            raise RequestError(
+                f"thread counts must be positive integers, not {t!r}")
+    if not (isinstance(scale, (int, float)) and math.isfinite(scale)
+            and scale > 0):
+        raise RequestError(
+            f"scale must be a finite positive number, not {scale!r}")
     return exp.render(exp.draw(threads, scale, jobs, cache))
 
 

@@ -60,7 +60,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
+from ..errors import RequestError, SimulationError
 from ..params import SystemConfig
 
 log = logging.getLogger("repro.harness")
@@ -157,9 +157,18 @@ def make_spec(build: Callable, num_threads: int, *,
     default), so the spec — and with it the dedupe key and the
     result-cache fingerprint — always names the engine that will actually
     run the point.
+
+    A point runs 1 to ``num_cores`` threads (the base config's cores when
+    one is given); any other count raises :class:`RequestError` here,
+    before a sweep that holds the point simulates anything.
     """
     from ..core.machine import resolve_backend
 
+    cores = num_cores if base_config is None else base_config.num_cores
+    if not 1 <= num_threads <= cores:
+        raise RequestError(
+            f"{num_threads} threads on a {cores}-core machine: a point "
+            f"runs 1 to {cores} threads")
     return PointSpec(
         build=build_path(build),
         num_threads=num_threads,

@@ -23,9 +23,9 @@ def render_speedup_chart(curves: Dict[str, Dict[int, float]],
     The x axis is thread count (linear in rank, labelled with the actual
     counts); the y axis is speedup, scaled to the maximum observed.
     """
-    if not curves:
+    threads = sorted(next(iter(curves.values()), {}))
+    if not threads:
         return title
-    threads = sorted(next(iter(curves.values())).keys())
     max_speedup = max(max(series.values()) for series in curves.values())
     max_speedup = max(max_speedup, 1.0)
 

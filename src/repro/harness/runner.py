@@ -126,6 +126,7 @@ def speedup_curve(build: Callable, thread_counts: Iterable[int], *,
     The reference run and every (series, thread-count) point go through one
     deduplicated batch: when the baseline series itself contains the
     1-thread point, it is simulated once and reused as the denominator.
+    An empty ``thread_counts`` simulates nothing, not even the reference.
     ``jobs``/``cache`` control parallelism and on-disk caching.
     """
     if systems is None:
@@ -134,6 +135,8 @@ def speedup_curve(build: Callable, thread_counts: Iterable[int], *,
             "Baseline": {"commtm": False},
         }
     thread_counts = list(thread_counts)
+    if not thread_counts:
+        return {series: {} for series in systems}
     common = dict(num_cores=num_cores, seed=seed, base_config=base_config,
                   verify=verify)
 

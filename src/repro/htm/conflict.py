@@ -71,17 +71,11 @@ class ConflictManager(ConflictManagerBase):
         self.caches = caches
         self.stats = stats
         self.policy = policy
+        #: Each core's active transaction, maintained by HtmRuntime
+        #: through its alias of this list.
         self.active: List[Optional[Transaction]] = [None] * len(caches)
         #: Optional Observer (set by the Machine facade; see repro.obs).
         self.obs = None
-
-    # --- transaction registry (maintained by HtmRuntime) -------------------
-
-    def set_active(self, core: int, tx: Optional[Transaction]) -> None:
-        self.active[core] = tx
-
-    def active_tx(self, core: int) -> Optional[Transaction]:
-        return self.active[core]
 
     # --- ConflictManagerBase -------------------------------------------------
 
@@ -134,4 +128,5 @@ class ConflictManager(ConflictManagerBase):
         self.caches[core].rollback_all()
         self.stats.reclassify_aborted(core, tx.cycles_this_attempt, cause)
         self.stats.aborts += 1
-        tx.mark_aborted(cause)
+        tx.aborted = True
+        tx.abort_cause = cause

@@ -24,9 +24,9 @@ class HtmRuntime:
         self.caches = caches
         self.stats = stats
         self._next_ts = 0
-        # Direct alias of the conflict manager's active-transaction slots:
-        # begin/commit sit on the engine's per-transaction hot path, and
-        # the registry is a plain list either way.
+        # Direct alias of the conflict manager's active-transaction slots,
+        # the one registry of active transactions: begin, commit and the
+        # abort cycle read and write it as a plain list.
         self._active = conflicts.active
 
     def active(self, core: int) -> Optional[Transaction]:
@@ -49,7 +49,7 @@ class HtmRuntime:
             self._next_ts += 1
         elif ts >= 0:
             raise TransactionError("explicit timestamps must be negative")
-        tx = Transaction(core=core, ts=ts)
+        tx = Transaction(core, ts)
         self._active[core] = tx
         return tx
 
@@ -58,7 +58,7 @@ class HtmRuntime:
         if not tx.aborted:
             raise TransactionError(f"retrying a live transaction on {core}")
         tx.reset_for_retry()
-        self.conflicts.set_active(core, tx)
+        self._active[core] = tx
         return tx
 
     def commit(self, core: int) -> None:
@@ -76,8 +76,8 @@ class HtmRuntime:
     def finish_abort(self, core: int) -> Transaction:
         """Acknowledge an abort: detach the transaction (already rolled back
         by the conflict manager) so the engine can back off and retry."""
-        tx = self.conflicts.active_tx(core)
+        tx = self._active[core]
         if tx is None or not tx.aborted:
             raise TransactionError(f"finish_abort with no aborted tx on {core}")
-        self.conflicts.set_active(core, None)
+        self._active[core] = None
         return tx

@@ -34,10 +34,6 @@ class Transaction:
     #: as wasted on abort (Fig. 17/18 accounting).
     cycles_this_attempt: int = 0
 
-    def mark_aborted(self, cause: WastedCause) -> None:
-        self.aborted = True
-        self.abort_cause = cause
-
     def reset_for_retry(self) -> None:
         self.attempts += 1
         self.aborted = False

@@ -21,6 +21,7 @@ import heapq
 from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
+from .rng import randbelow
 
 
 class CoreClocks:
@@ -34,7 +35,8 @@ class CoreClocks:
         if jitter is not None and max_jitter > 0:
             # Small initial skew injects the paper's non-determinism without
             # changing total work.
-            self.cycles = [jitter.randrange(max_jitter) for _ in range(num_cores)]
+            self.cycles = [randbelow(jitter, max_jitter)
+                           for _ in range(num_cores)]
         self._heap: List[Tuple[int, int]] = [
             (self.cycles[c], c) for c in range(num_cores)
         ]

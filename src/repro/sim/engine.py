@@ -44,7 +44,7 @@ from typing import Callable, List, Optional
 
 from ..coherence.messages import Requester
 from ..errors import SimulationError, TransactionError
-from ..mem.address import LINE_BYTES, line_of
+from ..mem.address import LINE_BYTES
 from ..htm.backoff import backoff_cycles
 from ..runtime.ops import (
     MEMORY_OPS,
@@ -400,7 +400,7 @@ class Engine:
     def _op_atomic(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         if self._tx_active[core] is None:
-            tx = self.htm.begin(core, ts=op.ts)  # OrderedAtomic: order == priority
+            tx = self.htm.begin(core, op.ts)  # OrderedAtomic: order == priority
             if self._obs is not None:
                 self._obs.tx_begin(core, self._cycles[core], tx)
             # Inline _charge: a freshly begun transaction cannot be aborted.
@@ -502,23 +502,35 @@ class Engine:
         res = self.msys.load(
             core, op.addr,
             Requester(core, tx.ts if tx is not None else None,
-                      now=self._cycles[core]))
+                      self._cycles[core]))
         self._after_memory_op(runner, core, res)
 
     def _op_store(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
         self.stats.instructions += 1
-        if tx is None or self._eager:  # lazy tx stores buffer: full path
+        if tx is None or self._eager:
             cycles = self._fast_store(core, op.addr, op.value, tx is not None)
             if cycles is not None:
                 self._charge(core, cycles)
                 return
             if self._fastpath_attempting:
                 self.stats.host_fastpath_misses += 1
-        requester = Requester(core, tx.ts if tx is not None else None,
-                              now=self._cycles[core])
-        res = self._conventional_store(core, op.addr, op.value, requester, tx)
+            res = self.msys.store(
+                core, op.addr, op.value,
+                Requester(core, tx.ts if tx is not None else None,
+                          self._cycles[core]))
+        else:
+            # Lazy conflict detection: a transactional store buffers in
+            # the local copy, and its line is recorded for commit-time
+            # publication.
+            res = self.msys.lazy_store(core, op.addr, op.value,
+                                       Requester(core, tx.ts,
+                                                 self._cycles[core]))
+            if not res.abort_requester:
+                if tx.lazy_written is None:
+                    tx.lazy_written = set()
+                tx.lazy_written.add(op.addr // LINE_BYTES)
         self._after_memory_op(runner, core, res)
 
     def _op_labeled_load(self, runner: ThreadRunner, op) -> None:
@@ -541,7 +553,7 @@ class Engine:
         if self._fastpath_attempting:
             stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
-                              now=self._cycles[core])
+                              self._cycles[core])
         res = self.msys.labeled_load(core, op.addr, op.label, requester)
         self._after_memory_op(runner, core, res)
 
@@ -563,7 +575,7 @@ class Engine:
         if self._fastpath_attempting:
             stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
-                              now=self._cycles[core])
+                              self._cycles[core])
         res = self.msys.labeled_store(core, op.addr, op.label, op.value,
                                       requester)
         self._after_memory_op(runner, core, res)
@@ -581,14 +593,28 @@ class Engine:
         stats.labeled_instructions += 1
         stats.labeled_by_label[op.label.name] += 1
         requester = Requester(core, tx.ts if tx is not None else None,
-                              now=self._cycles[core])
+                              self._cycles[core])
         res = self.msys.load_gather(core, op.addr, op.label, requester)
         self._after_memory_op(runner, core, res)
 
     def _after_memory_op(self, runner: ThreadRunner, core: int, res) -> None:
-        self._charge(core, res.cycles)
-
+        # Inline _charge: every op that leaves the private caches ends here.
+        cycles = res.cycles
+        if cycles < 0:
+            raise SimulationError(f"negative cycle charge: {cycles}")
         tx = self._tx_active[core]
+        entry = self._breakdown[core]
+        if tx is None:
+            entry.non_tx += cycles
+        elif tx.aborted:
+            # The op that doomed the tx: its cycles are wasted directly.
+            entry.tx_aborted += cycles
+            self.stats.wasted_by_cause[tx.abort_cause] += cycles
+        else:
+            entry.tx_committed += cycles
+            tx.cycles_this_attempt += cycles
+        self._cycles[core] += cycles
+
         if res.abort_requester:
             if tx is None:
                 raise SimulationError(
@@ -600,20 +626,6 @@ class Engine:
         if tx is not None and tx.aborted:
             return  # aborted as a victim mid-operation (self-abort path)
         runner.pending_value = res.value
-
-    def _conventional_store(self, core: int, addr: int, value, requester,
-                            tx):
-        """Route a conventional store per the conflict-detection scheme:
-        eager acquires ownership immediately; lazy buffers and records the
-        line for commit-time publication."""
-        if tx is not None and self.config.conflict_detection == "lazy":
-            res = self.msys.lazy_store(core, addr, value, requester)
-            if not res.abort_requester:
-                if tx.lazy_written is None:
-                    tx.lazy_written = set()
-                tx.lazy_written.add(line_of(addr))
-            return res
-        return self.msys.store(core, addr, value, requester)
 
     # ------------------------------------------------------------------
 
@@ -636,7 +648,7 @@ class Engine:
             if tx.lazy_written:
                 # Lazy conflict detection: publish the write set, aborting
                 # conflicting transactions (commits always win).
-                requester = Requester(core, tx.ts, now=self._cycles[core])
+                requester = Requester(core, tx.ts, self._cycles[core])
                 for line_no in sorted(tx.lazy_written):
                     pres = self.msys.publish_line(core, line_no, requester)
                     self._charge(core, pres.cycles)
@@ -668,36 +680,47 @@ class Engine:
     def _restart_tx(self, runner: ThreadRunner, tx) -> None:
         core = runner.core
         self.htm.finish_abort(core)
-        while runner.frames and not runner.frames[-1].is_tx_root:
-            runner.frames.pop()
-        if not runner.frames:
+        frames = runner.frames
+        while frames and not frames[-1].is_tx_root:
+            frames.pop()
+        if not frames:
             raise TransactionError(
                 f"aborted tx on core {core} has no transaction frame"
             )
-        tx_frame = runner.frames[-1]  # the retry reuses the root frame
+        tx_frame = frames[-1]  # the retry reuses the root frame
 
-        if tx.attempts >= self.config.max_restarts:
+        config = self.config
+        if tx.attempts >= config.max_restarts:
             raise SimulationError(
                 f"transaction on core {core} aborted {tx.attempts} times; "
                 f"livelock guard tripped"
             )
 
         stall = backoff_cycles(self._backoff_rng, tx.attempts,
-                               self.config.backoff_base,
-                               self.config.backoff_max)
+                               config.backoff_base, config.backoff_max)
         obs = self._obs
+        cycles = self._cycles
         if obs is not None:
-            obs.tx_abort(core, self._cycles[core], tx, stall)
-        # Backoff stall is abort-induced: account it as wasted.
-        self._breakdown[core].tx_aborted += stall
+            obs.tx_abort(core, cycles[core], tx, stall)
+        # Backoff stall is abort-induced: account it as wasted. (Inline
+        # clocks.advance: a backoff is never negative.)
+        entry = self._breakdown[core]
+        entry.tx_aborted += stall
         self.stats.wasted_by_cause[tx.abort_cause] += stall
-        self.clocks.advance(core, stall)
+        cycles[core] += stall
 
         self.htm.begin_retry(core, tx)
         if obs is not None:
-            obs.tx_retry(core, self._cycles[core], tx)
-        self._charge(core, self.config.tx_begin_cycles)
-        gen = tx_frame.atomic.make_generator(runner.ctx)
+            obs.tx_retry(core, cycles[core], tx)
+        # Inline _charge, as _op_atomic does: a retry that has just begun
+        # cannot be aborted.
+        begin = self._tx_begin_cycles
+        entry.tx_committed += begin
+        tx.cycles_this_attempt += begin
+        cycles[core] += begin
+        # Inline Atomic.make_generator, as _op_atomic does.
+        atomic = tx_frame.atomic
+        gen = atomic.fn(runner.ctx, *atomic.args)
         tx_frame.gen = gen
         runner.send = gen.send
         runner.pending_value = None

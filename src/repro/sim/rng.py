@@ -13,6 +13,23 @@ import random
 from typing import Dict
 
 
+def randbelow(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)``, drawn as CPython's
+    ``Random._randbelow_with_getrandbits`` draws it: one
+    ``getrandbits(n.bit_length())`` per draw, redrawn while out of range.
+    The same stream gives the same numbers, without randrange's two
+    Python-level calls and argument checks. ``n`` must be positive, as
+    for randrange; the check sits on the redraw path, which every
+    ``n <= 0`` takes."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        if n <= 0:
+            raise ValueError(f"empty range for randbelow({n})")
+        r = rng.getrandbits(k)
+    return r
+
+
 class RngStreams:
     """A family of independent :class:`random.Random` streams.
 

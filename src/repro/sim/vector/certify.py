@@ -60,9 +60,9 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
     entry when the directory is at capacity (an inclusive L3 eviction
     can abort transactions).
 
-    The predicted latency mirrors ``_charge_dir_access`` /
-    ``_apply_occupancy`` and calls the handlers' own pure NoC charges,
-    ``_fanout_cycles`` / ``_forward_cycles``.
+    The predicted latency mirrors ``_charge_dir_access`` and the
+    occupancy postlude of ``_finish``, and calls the handlers' own pure
+    NoC charges, ``_fanout_cycles`` / ``_forward_cycles``.
 
     ``spec`` marks a transactional (speculative) requester. The same
     transitions certify, with two extra obligations: no victim

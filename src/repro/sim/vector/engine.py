@@ -549,8 +549,7 @@ class VectorEngine(Engine):
                     if fence is None or t < fence:
                         fence = t
                     break
-                req = Requester(core, tx.ts if tx is not None else None,
-                                now=t)
+                req = Requester(core, tx.ts if tx is not None else None, t)
                 if data == K_LOAD:
                     res = msys.load(core, op.addr, req)
                 elif data == K_STORE:
@@ -595,7 +594,7 @@ class VectorEngine(Engine):
                 # Clone of _op_atomic's outermost branch (obs is off
                 # whenever epochs run). The timestamp draw happens
                 # here, in heap-pop order — the strict scheduler's order.
-                tx = htm.begin(core, ts=op.ts)
+                tx = htm.begin(core, op.ts)
                 breakdown[core].tx_committed += dur
                 tx.cycles_this_attempt += dur
                 gen = op.fn(runner.ctx, *op.args)
@@ -668,7 +667,7 @@ class VectorEngine(Engine):
                 # No frame is pushed — generator creation is deferred to
                 # the fallback path, where it is still side-effect free —
                 # and the Atomic is consumed: nothing is held any more.
-                tx = htm.begin(core, ts=op.ts)
+                tx = htm.begin(core, op.ts)
                 breakdown[core].tx_committed += dur
                 tx.cycles_this_attempt += dur
                 nt = t + dur
@@ -709,7 +708,7 @@ class VectorEngine(Engine):
                     if fence is None or t < fence:
                         fence = t
                     continue
-                req = Requester(core, tx.ts, now=t)
+                req = Requester(core, tx.ts, t)
                 res = msys.labeled_load(core, addr0, plan.label, req)
                 if res.abort_requester or res.aborted_victims:
                     raise SimulationError(

@@ -8,6 +8,7 @@ from repro.analysis.modelcheck.checker import bounded_config
 from repro.coherence.cache import PrivateCache
 from repro.coherence.directory import Directory, DirEntry
 from repro.coherence.line import CacheLine
+from repro.coherence.messages import Requester
 from repro.coherence.noc import Mesh
 from repro.coherence.states import State
 from repro.core.labels import add_label
@@ -319,11 +320,16 @@ class TestDirectory:
         ent = directory.entry(0)
         assert ent.words[0] == 42
 
-    def test_was_miss(self):
-        directory = Directory(MainMemory(), num_lines=0)
-        assert directory.was_miss(0)
-        directory.entry(0)
-        assert not directory.was_miss(0)
+    def test_l3_miss_pays_memory_latency(self):
+        # The same first load, with the line cold and already in the L3:
+        # only the L3 miss counts one and pays the main-memory latency.
+        cold, warm = Machine(small_config()).msys, Machine(small_config()).msys
+        warm.directory.entry(0x1000 // 64)
+        assert warm.stats.l3_misses == 1
+        miss = cold.load(0, 0x1000, Requester(0, None, 0)).cycles
+        hit = warm.load(0, 0x1000, Requester(0, None, 0)).cycles
+        assert miss - hit == cold.config.mem_latency
+        assert cold.stats.l3_misses == warm.stats.l3_misses == 1
 
     def test_direntry_incompatible_sharers(self):
         ent = DirEntry(line=0, words=[0] * 8)

@@ -9,6 +9,7 @@ Two families:
 """
 
 import functools
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +22,11 @@ from repro.core.labels import (
     oput_label,
 )
 from repro.datatypes import BoundedCounter, SharedCounter, TopKSet
+from repro.htm.backoff import backoff_cycles
 from repro.mem.layout import Allocator, _align_up, _next_pow2
-from repro.params import WORD_BYTES, NocConfig, small_config
+from repro.params import WORD_BYTES, NocConfig, SystemConfig, small_config
 from repro.coherence.noc import Mesh
+from repro.sim.clock import CoreClocks
 
 DUMMY = HandlerContext(lambda a: 0, lambda a, v: None)
 
@@ -225,3 +228,41 @@ def test_runs_are_deterministic_per_seed(seed):
                 machine.stats.aborts, machine.stats.getu)
 
     assert run_once() == run_once()
+
+
+# ---------------------------------------------------------------------------
+# Random draws
+# ---------------------------------------------------------------------------
+
+_TABLE_I = SystemConfig()
+#: Every window at and next to a power of two, up to Table I's backoff_max.
+_WINDOWS = sorted({w for k in range(_TABLE_I.backoff_max.bit_length())
+                   for w in (2**k - 1, 2**k, 2**k + 1)
+                   if 1 <= w <= _TABLE_I.backoff_max})
+
+
+@given(st.integers(0, 2**64 - 1))
+def test_draws_are_randranges(seed):
+    """The backoff and the clock jitter draw exactly what ``randrange``
+    draws from the same stream (they reimplement its
+    ``_randbelow_with_getrandbits``). An interpreter whose randrange draws
+    differently fails here instead of silently moving simulated
+    results."""
+    for window in _WINDOWS:
+        ref = random.Random(seed)
+        rng = random.Random(seed)
+        assert [backoff_cycles(rng, 1, window, _TABLE_I.backoff_max)
+                for _ in range(3)] == [ref.randrange(window) + 1
+                                       for _ in range(3)]
+        assert rng.random() == ref.random()  # the streams stay in step
+        ref = random.Random(seed)
+        clocks = CoreClocks(16, jitter=random.Random(seed),
+                            max_jitter=window)
+        assert clocks.cycles == [ref.randrange(window) for _ in range(16)]
+    base, maximum = _TABLE_I.backoff_base, _TABLE_I.backoff_max
+    ref = random.Random(seed)
+    rng = random.Random(seed)
+    for attempts in range(1, 26):
+        window = min(base << min(attempts - 1, 20), maximum)
+        assert backoff_cycles(rng, attempts, base, maximum) \
+            == ref.randrange(window) + 1

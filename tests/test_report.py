@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import RequestError
 from repro.harness.cache import ResultCache
 from repro.harness.report import render_speedup_chart, render_stacked_bars
 from repro.harness.experiments import REGISTRY, list_experiments, run_experiment
@@ -30,6 +31,10 @@ class TestSpeedupChart:
 
     def test_empty_curves(self):
         assert render_speedup_chart({}, "t") == "t"
+
+    def test_series_without_points(self):
+        assert render_speedup_chart({"CommTM": {}, "Baseline": {}}, "t") \
+            == "t"
 
     def test_single_point(self):
         out = render_speedup_chart({"X": {4: 2.0}})
@@ -108,6 +113,33 @@ class TestRegistry:
         assert "Fig. 9" in out
         assert "CommTM" in out
 
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_empty_ladder_simulates_nothing(self, name, tmp_path):
+        cache = ResultCache(tmp_path)
+        report = run_experiment(name, threads=[], jobs=1, cache=cache)
+        assert report.splitlines()[0]  # the entry's title
+        assert cache.stores == cache.misses == 0
+
+    @pytest.mark.parametrize("name", ["fig09", "fig16-kmeans",
+                                      "fig17-kmeans", "ablation-gather"])
+    @pytest.mark.parametrize("request_, refusal", [
+        (dict(threads=[0, 8]), "positive integers, not 0"),
+        (dict(threads=[1, 8.0]), "positive integers, not 8.0"),
+        (dict(threads=[8, 200]), "200 threads on a 128-core machine"),
+        (dict(scale=0), "finite positive number, not 0"),
+        (dict(scale=-1), "finite positive number, not -1"),
+        (dict(scale=float("nan")), "finite positive number, not nan"),
+        (dict(scale=float("inf")), "finite positive number, not inf"),
+    ], ids=["zero-threads", "float-threads", "too-many-threads",
+            "zero-scale", "negative-scale", "nan-scale", "inf-scale"])
+    def test_refuses_before_simulating(self, name, request_, refusal,
+                                       tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(RequestError, match=refusal):
+            run_experiment(name, **{"threads": [1, 8], **request_},
+                           jobs=1, cache=cache)
+        assert cache.stores == cache.misses == 0
+
     def test_scale_sizes_app_inputs(self, tmp_path):
         # --scale multiplies an app's input size as it does op counts.
         cache = ResultCache(tmp_path)
@@ -133,3 +165,26 @@ class TestCli:
         from repro.harness.__main__ import main
         assert main(["fig09", "--threads", "1,2", "--scale", "0.02"]) == 0
         assert "Fig. 9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, refusal", [
+        (["--threads", "x"], "error: --threads 'x' is not a comma-separated "
+                             "list of integers"),
+        (["--threads", "0,8"], "error: thread counts must be positive "
+                               "integers, not 0"),
+        (["--threads", "200"], "error: 200 threads on a 128-core machine: "
+                               "a point runs 1 to 128 threads"),
+        (["--scale", "0"], "error: scale must be a finite positive number, "
+                           "not 0.0"),
+        (["--scale", "-1"], "error: scale must be a finite positive "
+                            "number, not -1.0"),
+        (["--scale", "nan"], "error: scale must be a finite positive "
+                             "number, not nan"),
+    ], ids=["threads-x", "threads-0", "threads-200", "scale-0", "scale--1",
+            "scale-nan"])
+    def test_refuses_a_bad_request_in_one_line(self, args, refusal, capsys,
+                                               tmp_path):
+        from repro.harness.__main__ import main
+        assert main(["fig09", "--cache-dir", str(tmp_path), *args]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.splitlines() == [refusal]
+        assert not list(tmp_path.iterdir())  # nothing was simulated

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import CoreClocks
-from repro.sim.rng import RngStreams
+from repro.sim.rng import RngStreams, randbelow
 from repro.sim.stats import Stats, WastedCause
 
 
@@ -28,6 +28,15 @@ class TestRng:
     def test_stream_identity_cached(self):
         rngs = RngStreams(1)
         assert rngs.stream("x") is rngs.stream("x")
+
+    @pytest.mark.parametrize("n", [0, -1, -8])
+    def test_randbelow_refuses_an_empty_range(self, n):
+        # As randrange does; tests/test_properties.py checks its draws.
+        rng = RngStreams(1).stream("x")
+        with pytest.raises(ValueError):
+            rng.randrange(n)
+        with pytest.raises(ValueError, match="empty range"):
+            randbelow(rng, n)
 
     def test_named_helpers(self):
         rngs = RngStreams(1)
