@@ -37,8 +37,8 @@ class PrivateCache:
     """One core's private cache hierarchy."""
 
     __slots__ = ("core", "l1_geom", "l2_geom", "_lines", "_l1",
-                 "_l1_capacity", "_l2_capacity", "peek_line",
-                 "eviction_hook", "spec_eviction_hook", "_spec")
+                 "_l1_capacity", "_l2_capacity", "peek_line", "renew_l1",
+                 "renew_l2", "eviction_hook", "spec_eviction_hook", "_spec")
 
     def __init__(self, core: int, l1_geom: CacheGeometry,
                  l2_geom: CacheGeometry):
@@ -51,10 +51,19 @@ class PrivateCache:
         self._l2_capacity = l2_geom.num_lines
         self._lines: "OrderedDict[int, CacheLine]" = OrderedDict()
         self._l1: "OrderedDict[int, None]" = OrderedDict()
-        #: Bound raw accessor for the protocol's private-hit fast path:
-        #: returns the entry or None *without* filtering state I (the fast
-        #: path's own state checks exclude I) and without touching LRU.
+        #: Bound raw accessor for the private-hit paths (the engine's
+        #: memory-op handlers and the protocol's ``fast_*``): returns the
+        #: entry or None *without* filtering state I (their own state
+        #: checks exclude I) and without touching LRU.
         self.peek_line = self._lines.get
+        #: Bound LRU hooks for the engine's private-hit path, which makes
+        #: no call on an L1 hit: ``renew_l1(line)`` moves a line the L1
+        #: holds to its MRU end and raises KeyError for any other line;
+        #: ``renew_l2(line)`` does the same in the private store. An L1
+        #: hit is both; anything else takes :meth:`touch`, which inserts
+        #: the line into the L1 and may evict.
+        self.renew_l1 = self._l1.move_to_end
+        self.renew_l2 = self._lines.move_to_end
         #: Set by the memory system: called with the victim CacheLine when
         #: capacity forces an eviction.
         self.eviction_hook: Optional[Callable[[CacheLine], None]] = None

@@ -198,8 +198,11 @@ class MemorySystem:
                       for row in mesh.hop_table]
         self._dir_rt = [rt_rows[t] for t in self._tile_of_core.values()]
         self._dir_hops2 = [hops2_rows[t] for t in self._tile_of_core.values()]
-        self._l1_latency = config.l1.latency
-        self._l12_latency = config.l1.latency + config.l2.latency
+        #: What a private hit charges: the L1's latency, or L1 + L2's
+        #: when the L1 does not hold the line (also the first charge of
+        #: every miss). The engine's handlers read them for their hits.
+        self.l1_latency = config.l1.latency
+        self.l12_latency = config.l1.latency + config.l2.latency
 
     # ------------------------------------------------------------------
     # Wiring
@@ -324,11 +327,14 @@ class MemorySystem:
         conflict manager, leaving their lines non-speculative.
         """
         nackers = _NO_NACKERS
+        caches = self.caches
         for victim in victims:
-            entry = self.caches[victim].lookup(line_no)
-            # CacheLine.speculative, inlined: this runs once per sharer.
-            if entry is None or not (entry.spec_read or entry.spec_written
-                                     or entry.spec_labeled):
+            # PrivateCache.lookup and CacheLine.speculative, inlined: this
+            # runs once per sharer.
+            entry = caches[victim].peek_line(line_no)
+            if entry is None or entry.state is _I or not (
+                    entry.spec_read or entry.spec_written
+                    or entry.spec_labeled):
                 continue
             if victim == requester.core:
                 continue
@@ -359,7 +365,7 @@ class MemorySystem:
         return _W_WRITE_AFTER_READ
 
     # ------------------------------------------------------------------
-    # Private-hit fast path
+    # Private-hit fast path of the vector backend
     #
     # The overwhelming majority of simulated accesses are private-cache
     # hits in a stable state: a load on a readable (M/E/S) line, a store
@@ -370,17 +376,19 @@ class MemorySystem:
     # AccessResult/Requester machinery is pure overhead for them. The
     # ``fast_*`` handlers below service exactly those accesses with plain
     # tuples and the precomputed L1/L1+L2 latencies, and return ``None``
-    # for anything else (miss, U mismatch, misaligned address), in which
-    # case the caller retries through the full path. They are
+    # for anything else (miss, U mismatch, misaligned address). They are
     # bit-identical to the slow path by construction: every state
     # mutation (LRU touch, speculative bits, write versioning, silent
     # E->M upgrade) is the same code the slow path would run, in the same
-    # order. ``REPRO_NO_FASTPATH=1`` makes the engine skip them entirely
-    # (differential testing).
+    # order. Only the vector backend's epochs call them, for the hits
+    # they classified (``VectorEngine._run_epoch``); the interpreted
+    # engine's memory-op handlers serve their own hits with the same
+    # effects and no call (``Engine._op_load`` and friends).
     # ------------------------------------------------------------------
 
     def fast_load(self, core: int, addr: int, speculative: bool):
-        """Stable private read hit: ``(value, cycles)``, else ``None``."""
+        """Stable private read hit, for the vector backend's epochs:
+        ``(value, cycles)``, else ``None``."""
         if addr % WORD_BYTES:
             return None  # slow path raises the alignment error
         cache = self.caches[core]
@@ -390,8 +398,8 @@ class MemorySystem:
         st = entry.state
         if st is not _M and st is not _E and st is not _S:
             return None
-        cycles = (self._l1_latency if cache.touch(entry.line)
-                  else self._l12_latency)
+        cycles = (self.l1_latency if cache.touch(entry.line)
+                  else self.l12_latency)
         if speculative:
             cache.mark_read(entry)
         self.stats.host_fastpath_hits += 1
@@ -399,8 +407,8 @@ class MemorySystem:
 
     def fast_store(self, core: int, addr: int, value: object,
                    speculative: bool):
-        """Stable private write hit (M, or E with the silent upgrade):
-        latency in cycles, else ``None``."""
+        """Stable private write hit (M, or E with the silent upgrade), for
+        the vector backend's epochs: latency in cycles, else ``None``."""
         if addr % WORD_BYTES:
             return None
         cache = self.caches[core]
@@ -410,8 +418,8 @@ class MemorySystem:
         st = entry.state
         if st is not _M and st is not _E:
             return None
-        cycles = (self._l1_latency if cache.touch(entry.line)
-                  else self._l12_latency)
+        cycles = (self.l1_latency if cache.touch(entry.line)
+                  else self.l12_latency)
         if speculative:
             cache.mark_store(entry, False)
         entry.words = words = list(entry.words)
@@ -424,8 +432,8 @@ class MemorySystem:
 
     def fast_labeled_load(self, core: int, addr: int, label: Label,
                           speculative: bool):
-        """Labeled read hit on M/E or on U with a matching label:
-        ``(value, cycles)``, else ``None``."""
+        """Labeled read hit on M/E or on U with a matching label, for the
+        vector backend's epochs: ``(value, cycles)``, else ``None``."""
         if addr % WORD_BYTES:
             return None
         cache = self.caches[core]
@@ -436,8 +444,8 @@ class MemorySystem:
         if not (st is _M or st is _E
                 or (st is _U and entry.label is label)):
             return None
-        cycles = (self._l1_latency if cache.touch(entry.line)
-                  else self._l12_latency)
+        cycles = (self.l1_latency if cache.touch(entry.line)
+                  else self.l12_latency)
         if speculative:
             cache.mark_labeled(entry)
         self.stats.host_fastpath_hits += 1
@@ -445,8 +453,8 @@ class MemorySystem:
 
     def fast_labeled_store(self, core: int, addr: int, label: Label,
                            value: object, speculative: bool):
-        """Labeled write hit (the commutative hit on U): latency in
-        cycles, else ``None``."""
+        """Labeled write hit (the commutative hit on U), for the vector
+        backend's epochs: latency in cycles, else ``None``."""
         if addr % WORD_BYTES:
             return None
         cache = self.caches[core]
@@ -457,8 +465,8 @@ class MemorySystem:
         if not (st is _M or st is _E
                 or (st is _U and entry.label is label)):
             return None
-        cycles = (self._l1_latency if cache.touch(entry.line)
-                  else self._l12_latency)
+        cycles = (self.l1_latency if cache.touch(entry.line)
+                  else self.l12_latency)
         if speculative:
             cache.mark_store(entry, True)
         entry.words = words = list(entry.words)
@@ -596,8 +604,8 @@ class MemorySystem:
             entry = cache.lookup(line_no)
         else:
             res = AccessResult()
-            res.cycles += (self._l1_latency if cache.touch(line_no)
-                           else self._l12_latency)
+            res.cycles += (self.l1_latency if cache.touch(line_no)
+                           else self.l12_latency)
         # The buffered write touches neither the result nor the line's
         # occupancy, so the postlude may follow it.
         self._write_word(cache, entry, addr, value, requester,
@@ -619,8 +627,8 @@ class MemorySystem:
                 f"publish of line {line_no} not present at core {core}"
             )
         if entry.state.writable:
-            res.cycles += (self._l1_latency if cache.touch(line_no)
-                           else self._l12_latency)
+            res.cycles += (self.l1_latency if cache.touch(line_no)
+                           else self.l12_latency)
             return res
         if entry.state is not _S:
             raise ProtocolError(
@@ -657,8 +665,8 @@ class MemorySystem:
 
         if entry is not None and (
                 (st := entry.state) is _M or st is _E or st is _S):
-            res.cycles += (self._l1_latency if cache.touch(line_no)
-                           else self._l12_latency)
+            res.cycles += (self.l1_latency if cache.touch(line_no)
+                           else self.l12_latency)
             if requester.ts is not None:
                 cache.mark_read(entry)
             res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
@@ -669,7 +677,7 @@ class MemorySystem:
                                               is_store=False, value=None)
 
         # Miss: GETS.
-        res.cycles += self._l12_latency
+        res.cycles += self.l12_latency
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.gets += 1
 
@@ -761,8 +769,8 @@ class MemorySystem:
         entry = cache.lookup(line_no)
 
         if entry is not None and ((st := entry.state) is _M or st is _E):
-            res.cycles += (self._l1_latency if cache.touch(line_no)
-                           else self._l12_latency)
+            res.cycles += (self.l1_latency if cache.touch(line_no)
+                           else self.l12_latency)
             self._write_word(cache, entry, addr, value, requester,
                              labeled=False)
             if entry.state is _E:
@@ -774,7 +782,7 @@ class MemorySystem:
                                               is_store=True, value=value)
 
         # Miss or S-upgrade: GETX.
-        res.cycles += self._l12_latency
+        res.cycles += self.l12_latency
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.getx += 1
 
@@ -807,8 +815,9 @@ class MemorySystem:
             return res
         res.cycles += self._fanout_cycles(line_no, victims)
         for victim in victims:
-            ventry = self.caches[victim].lookup(line_no)
-            if ventry is None:
+            vcache = self.caches[victim]
+            ventry = vcache.peek_line(line_no)  # lookup, inlined
+            if ventry is None or ventry.state is _I:
                 raise ProtocolError(
                     f"directory sharer {victim} lost line {line_no}"
                 )
@@ -819,7 +828,7 @@ class MemorySystem:
                     ent.words = list(data)
                     ent.dirty = True
                     self.stats.writebacks += 1
-            self.caches[victim].drop(line_no)
+            vcache.drop(line_no)
             self.directory.drop_sharer(ent, victim)
             self.stats.invalidations += 1
         if self.obs is not None and victims:
@@ -873,8 +882,8 @@ class MemorySystem:
                 # M/E satisfy all requests (Fig. 3): the core holds the full
                 # value, which is a valid sole partial value. U with a
                 # matching label is the commutative hit.
-                res.cycles += (self._l1_latency if cache.touch(line_no)
-                               else self._l12_latency)
+                res.cycles += (self.l1_latency if cache.touch(line_no)
+                               else self.l12_latency)
                 if is_store:
                     self._write_word(cache, entry, addr, value, requester,
                                      labeled=True)
@@ -891,7 +900,7 @@ class MemorySystem:
                     is_store=is_store, value=value, into_label=label)
 
         # Miss (I or S): GETU.
-        res.cycles += self._l12_latency
+        res.cycles += self.l12_latency
         ent = self._charge_dir_access(core, line_no, res)
         self.stats.getu += 1
         trigger = _T_LABELED
@@ -1000,8 +1009,8 @@ class MemorySystem:
         res = AccessResult()
         line_no = line_of(addr)
         cache = self.caches[core]
-        res.cycles += (self._l1_latency if cache.touch(line_no)
-                       else self._l12_latency)
+        res.cycles += (self.l1_latency if cache.touch(line_no)
+                       else self.l12_latency)
 
         if requester.ts is not None and entry.spec_modified:
             # Abort self; the conflict manager rolls the cache back, which
@@ -1246,8 +1255,8 @@ class MemorySystem:
         ent = self._charge_dir_access(core, line_no, res)
         others = sorted(ent.u_sharers - {core})
         if not others:
-            res.cycles += (self._l1_latency if cache.touch(line_no)
-                           else self._l12_latency)
+            res.cycles += (self.l1_latency if cache.touch(line_no)
+                           else self.l12_latency)
             if requester.ts is not None:
                 cache.mark_labeled(entry)
             res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]
@@ -1320,8 +1329,8 @@ class MemorySystem:
             res.overlap_cycles = res.cycles - cycles_at_dir_release
             return res
 
-        res.cycles += (self._l1_latency if cache.touch(line_no)
-                       else self._l12_latency)
+        res.cycles += (self.l1_latency if cache.touch(line_no)
+                       else self.l12_latency)
         if requester.ts is not None:
             cache.mark_labeled(entry)
         res.value = entry.words[addr % LINE_BYTES // WORD_BYTES]

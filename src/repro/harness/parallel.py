@@ -144,6 +144,18 @@ class PointSpec:
         )
 
 
+def check_threads(num_threads: int, num_cores: int,
+                  base_config: Optional[SystemConfig]) -> None:
+    """Refuse a point that cannot run: it runs 1 to ``num_cores`` threads
+    (the base config's cores when one is given), else
+    :class:`RequestError`."""
+    cores = num_cores if base_config is None else base_config.num_cores
+    if not 1 <= num_threads <= cores:
+        raise RequestError(
+            f"{num_threads} threads on a {cores}-core machine: a point "
+            f"runs 1 to {cores} threads")
+
+
 def make_spec(build: Callable, num_threads: int, *,
               num_cores: int = 128, commtm: Optional[bool] = None,
               gather: Optional[bool] = None, seed: int = 1,
@@ -158,17 +170,12 @@ def make_spec(build: Callable, num_threads: int, *,
     result-cache fingerprint — always names the engine that will actually
     run the point.
 
-    A point runs 1 to ``num_cores`` threads (the base config's cores when
-    one is given); any other count raises :class:`RequestError` here,
-    before a sweep that holds the point simulates anything.
+    A thread count :func:`check_threads` refuses raises here, before a
+    sweep that holds the point simulates anything.
     """
     from ..core.machine import resolve_backend
 
-    cores = num_cores if base_config is None else base_config.num_cores
-    if not 1 <= num_threads <= cores:
-        raise RequestError(
-            f"{num_threads} threads on a {cores}-core machine: a point "
-            f"runs 1 to {cores} threads")
+    check_threads(num_threads, num_cores, base_config)
     return PointSpec(
         build=build_path(build),
         num_threads=num_threads,

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, Optional
 from ..core.machine import Machine, MachineResult
 from ..params import SystemConfig
 from ..sim.stats import Stats
-from .parallel import make_spec, run_points
+from .parallel import check_threads, make_spec, run_points
 
 
 @dataclass
@@ -96,7 +96,10 @@ def run_workload(build: Callable, num_threads: int, *,
     """Build and run one workload configuration on a fresh machine.
 
     ``backend`` of None defers to ``REPRO_BACKEND``, then the interpreted
-    default (see :func:`repro.core.machine.resolve_backend`)."""
+    default (see :func:`repro.core.machine.resolve_backend`). A thread
+    count the machine cannot run raises
+    :class:`~repro.errors.RequestError` before anything is built."""
+    check_threads(num_threads, num_cores, base_config)
     config = _make_config(num_cores, commtm, gather, seed, base_config)
     b0 = perf_counter_ns()
     machine = Machine(config, backend=backend)

@@ -43,8 +43,9 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..coherence.messages import Requester
+from ..coherence.states import State
 from ..errors import SimulationError, TransactionError
-from ..mem.address import LINE_BYTES
+from ..mem.address import LINE_BYTES, WORD_BYTES
 from ..htm.backoff import backoff_cycles
 from ..runtime.ops import (
     MEMORY_OPS,
@@ -66,8 +67,8 @@ _FINISHED = object()
 
 #: Escape-hatch environment variable: set on, it forces every memory
 #: operation down the full protocol path (differential testing of the
-#: private-hit fast path). Resolved into ``Machine.options.fastpath`` when
-#: the machine is built.
+#: handlers' private-hit path). Resolved into ``Machine.options.fastpath``
+#: when the machine is built.
 NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
 
 #: Escape-hatch environment variable: set on, it replaces the run-ahead
@@ -77,11 +78,9 @@ NO_FASTPATH_ENV = "REPRO_NO_FASTPATH"
 #: ``Machine.options.runahead`` when the machine is built.
 NO_RUNAHEAD_ENV = "REPRO_NO_RUNAHEAD"
 
-
-def _no_hit(*args) -> None:
-    """Bound in place of the protocol's private-hit probes when every
-    memory operation takes the full protocol path."""
-    return None
+# State aliases, as in coherence.protocol: a member read through the enum
+# class takes its slow ``__getattr__`` hook.
+_M, _E, _S, _U = State.M, State.E, State.S, State.U
 
 
 def _sanitized_handler(handler, sanitizer, cycles):
@@ -171,25 +170,23 @@ class Engine:
         self._obs = obs
         # Looked up once: every abort draws its backoff from this stream.
         self._backoff_rng = machine.rng.backoff()
-        # Each memory-op handler probes the protocol's private-hit fast
-        # path first (MemorySystem.fast_load and friends). REPRO_NO_FASTPATH
-        # and an installed Observer bind the probes to ``_no_hit``, so
-        # every op takes the full protocol path: fast private hits never
-        # reach MemorySystem's public ops, where the protocol-level obs
-        # hooks live. The two paths are bit-identical
+        # Each memory-op handler serves a stable private-cache hit itself
+        # (see the comment above _op_load). REPRO_NO_FASTPATH and an
+        # installed Observer turn that off, so every op takes the full
+        # protocol path: hits never bypass MemorySystem's public ops, where
+        # the protocol-level obs hooks live. The two paths are bit-identical
         # (tests/test_fastpath_equivalence.py), so observing cannot change
-        # simulated results. ``_fastpath_attempting`` drives the
-        # host_fastpath_misses counter.
-        self._fastpath_attempting = machine.options.fastpath and obs is None
+        # simulated results.
+        self._hits = machine.options.fastpath and obs is None
         msys = self.msys
-        if self._fastpath_attempting:
-            self._fast_load = msys.fast_load
-            self._fast_store = msys.fast_store
-            self._fast_labeled_load = msys.fast_labeled_load
-            self._fast_labeled_store = msys.fast_labeled_store
-        else:
-            self._fast_load = self._fast_store = _no_hit
-            self._fast_labeled_load = self._fast_labeled_store = _no_hit
+        self._caches = msys.caches
+        # A hit charges one of these two latencies. They are fixed for the
+        # run, so the negative-charge check runs once, here.
+        self._l1_lat = msys.l1_latency
+        self._l12_lat = msys.l12_latency
+        for cycles in (self._l1_lat, self._l12_lat):
+            if cycles < 0:
+                raise SimulationError(f"negative cycle charge: {cycles}")
         # The baseline HTM (commtm_enabled=False) executes labeled ops
         # conventionally, so its table routes them to the plain handlers.
         # Class functions, not bound methods: a table of methods bound to
@@ -474,14 +471,20 @@ class Engine:
 
     # ------------------------------------------------------------------
     # Memory operations. One handler per op type (type-keyed dispatch).
-    # Each probes the coherence protocol's private-hit fast path first
-    # (see MemorySystem.fast_load and friends): a stable hit comes back
-    # as a bare (value, cycles) tuple or a latency, with no Requester, no
-    # AccessResult and no occupancy bookkeeping, and is charged directly.
-    # Anything else takes the full protocol path and the shared
-    # _after_memory_op postlude. A hit can still abort this core's own
-    # transaction through the L1 spec-eviction hook inside the LRU touch,
-    # so an aborted hit delivers no value (mirrors _after_memory_op).
+    # Each serves a stable private-cache hit itself, with no call on an
+    # L1 hit: a load on M/E/S, a store on M/E, a labeled access on M/E or
+    # on U with the same label object, at a word-aligned address. Its
+    # effects are the protocol's hit's, in the same order: LRU touch,
+    # speculative mark, copy-on-write word write with the silent E->M
+    # upgrade, hit counter, charge. The mark follows the touch because
+    # inserting a line into the L1 (PrivateCache.touch) may evict a
+    # speculative line and abort this core's transaction, and the mark
+    # must land in the set that follows; an aborted hit delivers no value
+    # (as in _after_memory_op). ``mark_*`` is called only when it would
+    # change the line (a store's mark is complete once the line holds its
+    # pre-write snapshot). Anything else (a miss, an unaligned address, a
+    # U line with another label, a lazy transactional store) takes the
+    # full protocol path and the shared _after_memory_op postlude.
     #
     # Labeled ops run conventionally on the baseline HTM (routed to
     # _op_load/_op_store when the table is built) and in a transaction
@@ -490,17 +493,43 @@ class Engine:
     def _op_load(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
-        self.stats.instructions += 1
-        fast = self._fast_load(core, op.addr, tx is not None)
-        if fast is not None:
-            self._charge(core, fast[1])
-            if tx is None or not tx.aborted:
-                runner.pending_value = fast[0]
-            return
-        if self._fastpath_attempting:
-            self.stats.host_fastpath_misses += 1
+        stats = self.stats
+        stats.instructions += 1
+        addr = op.addr
+        if self._hits:
+            cache = self._caches[core]
+            line = addr // LINE_BYTES
+            entry = cache.peek_line(line)
+            if (entry is not None and not addr % WORD_BYTES
+                    and ((st := entry.state) is _M or st is _E or st is _S)):
+                try:
+                    cache.renew_l1(line)
+                except KeyError:
+                    cache.touch(line)
+                    cycles = self._l12_lat
+                else:
+                    cache.renew_l2(line)
+                    cycles = self._l1_lat
+                if tx is not None and not entry.spec_read:
+                    cache.mark_read(entry)
+                stats.host_fastpath_hits += 1
+                row = self._breakdown[core]
+                if tx is None:
+                    row.non_tx += cycles
+                elif tx.aborted:
+                    row.tx_aborted += cycles
+                    stats.wasted_by_cause[tx.abort_cause] += cycles
+                else:
+                    row.tx_committed += cycles
+                    tx.cycles_this_attempt += cycles
+                self._cycles[core] += cycles
+                if tx is None or not tx.aborted:
+                    runner.pending_value = entry.words[
+                        addr % LINE_BYTES // WORD_BYTES]
+                return
+            stats.host_fastpath_misses += 1
         res = self.msys.load(
-            core, op.addr,
+            core, addr,
             Requester(core, tx.ts if tx is not None else None,
                       self._cycles[core]))
         self._after_memory_op(runner, core, res)
@@ -508,29 +537,61 @@ class Engine:
     def _op_store(self, runner: ThreadRunner, op) -> None:
         core = runner.core
         tx = self._tx_active[core]
-        self.stats.instructions += 1
-        if tx is None or self._eager:
-            cycles = self._fast_store(core, op.addr, op.value, tx is not None)
-            if cycles is not None:
-                self._charge(core, cycles)
-                return
-            if self._fastpath_attempting:
-                self.stats.host_fastpath_misses += 1
-            res = self.msys.store(
-                core, op.addr, op.value,
-                Requester(core, tx.ts if tx is not None else None,
-                          self._cycles[core]))
-        else:
+        stats = self.stats
+        stats.instructions += 1
+        addr = op.addr
+        if tx is not None and not self._eager:
             # Lazy conflict detection: a transactional store buffers in
             # the local copy, and its line is recorded for commit-time
             # publication.
-            res = self.msys.lazy_store(core, op.addr, op.value,
+            res = self.msys.lazy_store(core, addr, op.value,
                                        Requester(core, tx.ts,
                                                  self._cycles[core]))
             if not res.abort_requester:
                 if tx.lazy_written is None:
                     tx.lazy_written = set()
-                tx.lazy_written.add(op.addr // LINE_BYTES)
+                tx.lazy_written.add(addr // LINE_BYTES)
+            self._after_memory_op(runner, core, res)
+            return
+        if self._hits:
+            cache = self._caches[core]
+            line = addr // LINE_BYTES
+            entry = cache.peek_line(line)
+            if (entry is not None and not addr % WORD_BYTES
+                    and ((st := entry.state) is _M or st is _E)):
+                try:
+                    cache.renew_l1(line)
+                except KeyError:
+                    cache.touch(line)
+                    cycles = self._l12_lat
+                else:
+                    cache.renew_l2(line)
+                    cycles = self._l1_lat
+                if tx is not None and (not entry.spec_written
+                                       or entry.clean_words is None):
+                    cache.mark_store(entry, False)
+                entry.words = words = list(entry.words)
+                words[addr % LINE_BYTES // WORD_BYTES] = op.value
+                entry.dirty = True
+                if st is _E:
+                    entry.state = _M
+                stats.host_fastpath_hits += 1
+                row = self._breakdown[core]
+                if tx is None:
+                    row.non_tx += cycles
+                elif tx.aborted:
+                    row.tx_aborted += cycles
+                    stats.wasted_by_cause[tx.abort_cause] += cycles
+                else:
+                    row.tx_committed += cycles
+                    tx.cycles_this_attempt += cycles
+                self._cycles[core] += cycles
+                return
+            stats.host_fastpath_misses += 1
+        res = self.msys.store(
+            core, addr, op.value,
+            Requester(core, tx.ts if tx is not None else None,
+                      self._cycles[core]))
         self._after_memory_op(runner, core, res)
 
     def _op_labeled_load(self, runner: ThreadRunner, op) -> None:
@@ -542,19 +603,45 @@ class Engine:
         stats = self.stats
         stats.instructions += 1
         stats.labeled_instructions += 1
-        stats.labeled_by_label[op.label.name] += 1
-        fast = self._fast_labeled_load(core, op.addr, op.label,
-                                       tx is not None)
-        if fast is not None:
-            self._charge(core, fast[1])
-            if tx is None or not tx.aborted:
-                runner.pending_value = fast[0]
-            return
-        if self._fastpath_attempting:
+        label = op.label
+        stats.labeled_by_label[label.name] += 1
+        addr = op.addr
+        if self._hits:
+            cache = self._caches[core]
+            line = addr // LINE_BYTES
+            entry = cache.peek_line(line)
+            if (entry is not None and not addr % WORD_BYTES
+                    and ((st := entry.state) is _M or st is _E
+                         or (st is _U and entry.label is label))):
+                try:
+                    cache.renew_l1(line)
+                except KeyError:
+                    cache.touch(line)
+                    cycles = self._l12_lat
+                else:
+                    cache.renew_l2(line)
+                    cycles = self._l1_lat
+                if tx is not None and not entry.spec_labeled:
+                    cache.mark_labeled(entry)
+                stats.host_fastpath_hits += 1
+                row = self._breakdown[core]
+                if tx is None:
+                    row.non_tx += cycles
+                elif tx.aborted:
+                    row.tx_aborted += cycles
+                    stats.wasted_by_cause[tx.abort_cause] += cycles
+                else:
+                    row.tx_committed += cycles
+                    tx.cycles_this_attempt += cycles
+                self._cycles[core] += cycles
+                if tx is None or not tx.aborted:
+                    runner.pending_value = entry.words[
+                        addr % LINE_BYTES // WORD_BYTES]
+                return
             stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               self._cycles[core])
-        res = self.msys.labeled_load(core, op.addr, op.label, requester)
+        res = self.msys.labeled_load(core, addr, label, requester)
         self._after_memory_op(runner, core, res)
 
     def _op_labeled_store(self, runner: ThreadRunner, op) -> None:
@@ -566,22 +653,53 @@ class Engine:
         stats = self.stats
         stats.instructions += 1
         stats.labeled_instructions += 1
-        stats.labeled_by_label[op.label.name] += 1
-        cycles = self._fast_labeled_store(core, op.addr, op.label, op.value,
-                                          tx is not None)
-        if cycles is not None:
-            self._charge(core, cycles)
-            return
-        if self._fastpath_attempting:
+        label = op.label
+        stats.labeled_by_label[label.name] += 1
+        addr = op.addr
+        if self._hits:
+            cache = self._caches[core]
+            line = addr // LINE_BYTES
+            entry = cache.peek_line(line)
+            if (entry is not None and not addr % WORD_BYTES
+                    and ((st := entry.state) is _M or st is _E
+                         or (st is _U and entry.label is label))):
+                try:
+                    cache.renew_l1(line)
+                except KeyError:
+                    cache.touch(line)
+                    cycles = self._l12_lat
+                else:
+                    cache.renew_l2(line)
+                    cycles = self._l1_lat
+                if tx is not None and (not entry.spec_labeled
+                                       or entry.clean_words is None):
+                    cache.mark_store(entry, True)
+                entry.words = words = list(entry.words)
+                words[addr % LINE_BYTES // WORD_BYTES] = op.value
+                entry.dirty = True
+                if st is _E:
+                    entry.state = _M
+                stats.host_fastpath_hits += 1
+                row = self._breakdown[core]
+                if tx is None:
+                    row.non_tx += cycles
+                elif tx.aborted:
+                    row.tx_aborted += cycles
+                    stats.wasted_by_cause[tx.abort_cause] += cycles
+                else:
+                    row.tx_committed += cycles
+                    tx.cycles_this_attempt += cycles
+                self._cycles[core] += cycles
+                return
             stats.host_fastpath_misses += 1
         requester = Requester(core, tx.ts if tx is not None else None,
                               self._cycles[core])
-        res = self.msys.labeled_store(core, op.addr, op.label, op.value,
+        res = self.msys.labeled_store(core, addr, label, op.value,
                                       requester)
         self._after_memory_op(runner, core, res)
 
     def _op_load_gather(self, runner: ThreadRunner, op) -> None:
-        # No fast-path probe: a gather always asks the directory for the
+        # No private-hit path: a gather always asks the directory for the
         # line's other U sharers.
         core = runner.core
         tx = self._tx_active[core]

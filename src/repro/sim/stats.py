@@ -102,10 +102,12 @@ class Stats:
     # bit-identical in simulated behaviour, and are therefore excluded from
     # :meth:`comparable` (and from :meth:`summary`).
 
-    #: Memory operations serviced by the coherence protocol's private-hit
-    #: fast path (see ``MemorySystem.fast_load`` and friends).
+    #: Memory operations served as stable private-cache hits by the
+    #: engine's memory-op handlers (see ``Engine._op_load`` and friends),
+    #: or in the vector backend's epochs by ``MemorySystem.fast_load`` and
+    #: friends.
     host_fastpath_hits: int = 0
-    #: Fast-path probes that returned no hit, so that the operation took
+    #: Hit probes that found no stable hit, so that the operation took
     #: the full protocol path. Operations that never probe (gathers on
     #: CommTM, lazy transactional stores) are not counted, and nothing is
     #: counted when the fast path is disabled (``REPRO_NO_FASTPATH``, obs

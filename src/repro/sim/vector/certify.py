@@ -72,8 +72,8 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
     speculatively-accessed lines (a self-abort)."""
     config = msys.config
     cache = msys.caches[core]
-    l1_lat = msys._l1_latency
-    l12_lat = msys._l12_latency
+    l1_lat = msys.l1_latency
+    l12_lat = msys.l12_latency
     line_no = addr // 64
     entry = cache.lookup(line_no)
     directory = msys.directory
@@ -244,8 +244,8 @@ def _certify_own_u(msys, core: int, line_no: int, entry, ent,
     if ent is None or core not in ent.u_sharers:
         return None  # directory/cache disagree; let the full path raise
     if len(ent.u_sharers) == 1:
-        return ((msys._l1_latency if line_no in cache._l1
-                 else msys._l12_latency)
+        return ((msys.l1_latency if line_no in cache._l1
+                 else msys.l12_latency)
                 + msys._dir_rt[core][line_no % msys._l3_banks]
                 + msys.config.l3.latency + stall)
     if ent.u_label._reduce_word is None:

@@ -222,9 +222,6 @@ class VectorEngine(Engine):
     def __init__(self, machine, bodies):
         super().__init__(machine, bodies)
         msys = self.msys
-        self._caches = msys.caches
-        self._l1_lat = msys._l1_latency
-        self._l12_lat = msys._l12_latency
         self._fused_base = self._tx_begin_cycles + self._tx_commit_cycles
         #: Commits may execute inside epochs only with a nonzero latency:
         #: a zero-duration event could tie with a fenced one at the same
@@ -442,10 +439,12 @@ class VectorEngine(Engine):
         htm = self.htm
         msys = self.msys
         certify = self._certify_proto
-        fast_load = self._fast_load
-        fast_store = self._fast_store
-        fast_lload = self._fast_labeled_load
-        fast_lstore = self._fast_labeled_store
+        # In-epoch private hits go through the protocol's hit probes; the
+        # strict phases' handlers serve their own (Engine._op_load).
+        fast_load = msys.fast_load
+        fast_store = msys.fast_store
+        fast_lload = msys.fast_labeled_load
+        fast_lstore = msys.fast_labeled_store
 
         epoch_ops = 0
         fused_txs = 0

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.harness import run_workload, speedup_curve
+from repro.errors import RequestError, SimulationError
+from repro.harness import run_workload, runner, speedup_curve
 from repro.params import small_config
 from repro.workloads.micro import counter
 
@@ -27,6 +27,29 @@ def test_base_config_respected():
     cfg = small_config(num_cores=16, backoff_base=1)
     r = run_workload(counter.build, 2, base_config=cfg, total_ops=40)
     assert r.cycles > 0
+
+
+@pytest.mark.parametrize("threads, machine", [
+    (200, {}),
+    (0, {}),
+    (17, dict(num_cores=16)),
+    (5, dict(base_config=small_config(num_cores=4))),
+], ids=["above-table-i", "zero", "above-num-cores", "above-base-config"])
+def test_run_workload_refuses_before_building(threads, machine,
+                                              monkeypatch):
+    """A thread count the machine cannot run gets the sweeps' refusal
+    before a machine or a workload is built (200 threads on Table I's
+    128 cores used to fail inside the machine with an IndexError)."""
+    built = []
+    monkeypatch.setattr(runner, "Machine",
+                        lambda *args, **kwargs: built.append("machine"))
+
+    def build(machine, num_threads, **params):
+        built.append("workload")
+
+    with pytest.raises(RequestError, match=f"^{threads} threads on a "):
+        run_workload(build, threads, total_ops=400, **machine)
+    assert built == []
 
 
 def test_speedup_curve_default_systems():

@@ -4,15 +4,16 @@ Each point runs on the Table I chip and counts the interpreter's "call"
 events (``sys.setprofile``; a generator's resumption counts as one) over
 ``Machine.run``, per step the engine took (``Stats.host_runahead_ops``),
 to two decimals. The budgets are the counts after the miss and restart
-paths were made call-lean (DESIGN.md §6, item 7). On CPython 3.11.7 the
-code before that counted 6.22, 36.09 and 13.41 calls per op on the three
-points, so this test fails there. A change that puts a call back on
-these paths fails here instead of slowing every abort storm.
+paths were made call-lean and the engine's handlers began serving
+private hits themselves (DESIGN.md §6, items 7 and 8). The code before
+the first counted 6.22, 36.09 and 13.41 calls per op on the three
+points, and before the second 6.15, 27.06 and 10.51, so this test fails
+on both. A change that puts a call back on these paths fails here
+instead of slowing every hit and abort storm.
 
 The per-op paths hold no comprehension, which CPython 3.12 inlines
-(PEP 709) and 3.11 calls, so a budget counted on 3.11 holds on both. The
-budgets were counted on 3.11.7; the 3.10 and 3.12 legs were not run when
-they were set.
+(PEP 709) and 3.10 and 3.11 call. The budgets are the counts on
+CPython 3.10.13, 3.11.7 and 3.12.1, which agree exactly.
 """
 
 import sys
@@ -53,13 +54,13 @@ def _increments(ctx):
 #: point -> (thread bodies, budget in calls per op)
 POINTS = {
     # One core, 2,000 loads to one line: private hits.
-    "private_hit": ([_loads], 6.15),
+    "private_hit": ([_loads], 3.15),
     # Two cores, 2,000 stores each to one line: every store is a GETX
     # that invalidates the other core's copy.
-    "contended_getx": ([_stores, _stores], 27.06),
+    "contended_getx": ([_stores, _stores], 24.06),
     # Two cores, 1,000 transactional increments each of one line: the
     # younger transaction is NACKed, aborts and retries after backoff.
-    "nack_abort_retry": ([_increments, _increments], 10.51),
+    "nack_abort_retry": ([_increments, _increments], 9.14),
 }
 
 
