@@ -5,8 +5,7 @@ Two modes:
 * the default contract checks — the label-algebra law checker over every
   built-in datatype's contract suite, the label-discipline lint over the
   datatype and workload sources (plus any extra files/directories
-  given), the ``missing-lowering`` check against the vector kernel
-  registry, and the registry aliasing check;
+  given), and the registry aliasing check;
 * ``python -m repro.analysis modelcheck`` — the exhaustive explicit-state
   model checker over every registered label's bounded config (see
   :mod:`repro.analysis.modelcheck`).
@@ -30,7 +29,7 @@ from pathlib import Path
 
 from .findings import errors_in, format_findings
 from .laws import DEFAULT_TRIALS, check_laws
-from .lint import check_lowerings, check_paths, check_registry
+from .lint import check_paths, check_registry
 
 #: Default lint scope: the code that defines and uses labels.
 DEFAULT_LINT_DIRS = ("datatypes", "workloads")
@@ -114,7 +113,6 @@ def _check_main(argv) -> int:
         lint_paths = [root / d for d in DEFAULT_LINT_DIRS]
         lint_paths.extend(args.paths)
         findings.extend(check_paths(lint_paths))
-        findings.extend(check_lowerings())
     return _emit(findings, args.json)
 
 

@@ -413,55 +413,6 @@ def check_paths(paths: Iterable[Path]) -> List[Finding]:
     return findings
 
 
-def check_lowerings(suites=None) -> List[Finding]:
-    """``missing-lowering``: every word-wise datatype label must either
-    carry a ``vector_reduce`` tag the kernel registry supports
-    (:data:`repro.sim.vector.kernels.SUPPORTED_REDUCE_TAGS`) or declare
-    ``interpreted_only = True``.
-
-    A word-wise label with neither silently loses vector fusion: the
-    backend's batched reduction kernel declines it and every reduction
-    falls back to the sequential fold, with no signal to the author that
-    a one-line tag (or an explicit opt-out) was expected.  Line-level
-    labels (no ``_reduce_word``) are interpreted by design — their
-    reducers move real memory through a HandlerContext — and are not
-    flagged.  An unknown tag is also an error: it would be dead weight
-    the kernel registry never matches."""
-    from ..sim.vector.kernels import SUPPORTED_REDUCE_TAGS
-    if suites is None:
-        from ..datatypes.contracts import builtin_suites
-        suites = builtin_suites()
-    findings: List[Finding] = []
-    seen = set()
-    for suite in suites:
-        label = suite.make_label()
-        if label.name in seen:
-            continue  # several suites share a factory (e.g. ADD)
-        seen.add(label.name)
-        if label._reduce_word is None:
-            continue
-        tag = getattr(label, "vector_reduce", None)
-        if tag is None:
-            if getattr(label, "interpreted_only", False):
-                continue
-            findings.append(Finding(
-                pass_name="lint", check="missing-lowering", severity=ERROR,
-                label=label.name,
-                message=f"word-wise label {label.name!r} (suite "
-                        f"{suite.name!r}) has no vector_reduce tag in the "
-                        f"kernel lowering registry and no interpreted_only "
-                        f"declaration; vector-backend reductions will "
-                        f"silently fall back to the sequential fold"))
-        elif tag not in SUPPORTED_REDUCE_TAGS:
-            findings.append(Finding(
-                pass_name="lint", check="missing-lowering", severity=ERROR,
-                label=label.name,
-                message=f"label {label.name!r} declares vector_reduce="
-                        f"{tag!r} but the kernel registry only supports "
-                        f"{sorted(SUPPORTED_REDUCE_TAGS)}"))
-    return findings
-
-
 def check_registry(registry) -> List[Finding]:
     """Flag virtualization aliasing: two labels on one hardware id.
 

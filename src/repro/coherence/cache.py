@@ -51,8 +51,8 @@ class PrivateCache:
         self._l2_capacity = l2_geom.num_lines
         self._lines: "OrderedDict[int, CacheLine]" = OrderedDict()
         self._l1: "OrderedDict[int, None]" = OrderedDict()
-        #: Bound raw accessor for the private-hit paths (the engine's
-        #: memory-op handlers and the protocol's ``fast_*``): returns the
+        #: Bound raw accessor for the hot reads of a private copy (the
+        #: engine's hit test, the protocol's victim reads): returns the
         #: entry or None *without* filtering state I (their own state
         #: checks exclude I) and without touching LRU.
         self.peek_line = self._lines.get

@@ -166,14 +166,6 @@ class MemorySystem:
         #: When installed, the engine routes every memory operation through
         #: the full handlers below, so these hooks see all protocol events.
         self.obs = None
-        #: Optional batched reduction kernel, ``kernel(label, rows) ->
-        #: merged words | None``. Set by the vector backend; when present
-        #: and the label is word-wise, reductions/gather merges collect the
-        #: sharer lines and fold them in one call instead of the sequential
-        #: per-line loop. The kernel may decline (None) and must then be
-        #: bit-identical to the sequential fold when it accepts; charged
-        #: cycles are independent of which path ran.
-        self.reduction_kernel = None
         self._in_handler = False
         #: Per-line end-of-service time at the home directory bank: a
         #: directory transaction reserves its line, so contended lines
@@ -235,10 +227,10 @@ class MemorySystem:
         res.dir_line = line_no
         return ent
 
-    # The two NoC charges below are pure table reads, shared with the
-    # vector backend's certifier (sim/vector/certify.py), so a prediction
-    # and the handler it predicts read one table of NoC cost; the
-    # handlers' _forward_latency reads the same table inline.
+    # NoC charges: reads of the mesh's latency and hop tables.
+    # _fanout_cycles is pure, and the vector backend's certifier
+    # (sim/vector/certify.py) calls it too, so a prediction and the
+    # handler it predicts read one table of NoC cost.
 
     def _fanout_cycles(self, line_no: int, victims) -> int:
         """Invalidations fan out in parallel from the line's bank: the
@@ -253,14 +245,8 @@ class MemorySystem:
                 farthest = latency
         return 2 * farthest
 
-    def _forward_cycles(self, src_core: int, dst_core: int) -> int:
-        """Latency of one cache-to-cache data forward."""
-        tile = self._tile_of_core
-        return self.mesh.latency_table[tile[src_core]][tile[dst_core]]
-
     def _forward_latency(self, src_core: int, dst_core: int) -> int:
-        """Latency of one cache-to-cache data forward (the table read of
-        ``_forward_cycles``); records traffic."""
+        """Latency of one cache-to-cache data forward; records traffic."""
         tile = self._tile_of_core
         src, dst = tile[src_core], tile[dst_core]
         stats = self.stats
@@ -363,119 +349,6 @@ class MemorySystem:
         if kind is _K_LOAD or kind is _K_LABELED_LOAD:
             return _W_READ_AFTER_WRITE
         return _W_WRITE_AFTER_READ
-
-    # ------------------------------------------------------------------
-    # Private-hit fast path of the vector backend
-    #
-    # The overwhelming majority of simulated accesses are private-cache
-    # hits in a stable state: a load on a readable (M/E/S) line, a store
-    # on an exclusive (M/E) line, a labeled access on M/E or on U with a
-    # matching label. Those accesses never transact with the directory,
-    # never scan sharers, never stall on line occupancy, and can never
-    # abort the requester through the protocol — so the full
-    # AccessResult/Requester machinery is pure overhead for them. The
-    # ``fast_*`` handlers below service exactly those accesses with plain
-    # tuples and the precomputed L1/L1+L2 latencies, and return ``None``
-    # for anything else (miss, U mismatch, misaligned address). They are
-    # bit-identical to the slow path by construction: every state
-    # mutation (LRU touch, speculative bits, write versioning, silent
-    # E->M upgrade) is the same code the slow path would run, in the same
-    # order. Only the vector backend's epochs call them, for the hits
-    # they classified (``VectorEngine._run_epoch``); the interpreted
-    # engine's memory-op handlers serve their own hits with the same
-    # effects and no call (``Engine._op_load`` and friends).
-    # ------------------------------------------------------------------
-
-    def fast_load(self, core: int, addr: int, speculative: bool):
-        """Stable private read hit, for the vector backend's epochs:
-        ``(value, cycles)``, else ``None``."""
-        if addr % WORD_BYTES:
-            return None  # slow path raises the alignment error
-        cache = self.caches[core]
-        entry = cache.peek_line(addr // LINE_BYTES)
-        if entry is None:
-            return None
-        st = entry.state
-        if st is not _M and st is not _E and st is not _S:
-            return None
-        cycles = (self.l1_latency if cache.touch(entry.line)
-                  else self.l12_latency)
-        if speculative:
-            cache.mark_read(entry)
-        self.stats.host_fastpath_hits += 1
-        return entry.words[addr % LINE_BYTES // WORD_BYTES], cycles
-
-    def fast_store(self, core: int, addr: int, value: object,
-                   speculative: bool):
-        """Stable private write hit (M, or E with the silent upgrade), for
-        the vector backend's epochs: latency in cycles, else ``None``."""
-        if addr % WORD_BYTES:
-            return None
-        cache = self.caches[core]
-        entry = cache.peek_line(addr // LINE_BYTES)
-        if entry is None:
-            return None
-        st = entry.state
-        if st is not _M and st is not _E:
-            return None
-        cycles = (self.l1_latency if cache.touch(entry.line)
-                  else self.l12_latency)
-        if speculative:
-            cache.mark_store(entry, False)
-        entry.words = words = list(entry.words)
-        words[addr % LINE_BYTES // WORD_BYTES] = value
-        entry.dirty = True
-        if st is _E:
-            entry.state = _M
-        self.stats.host_fastpath_hits += 1
-        return cycles
-
-    def fast_labeled_load(self, core: int, addr: int, label: Label,
-                          speculative: bool):
-        """Labeled read hit on M/E or on U with a matching label, for the
-        vector backend's epochs: ``(value, cycles)``, else ``None``."""
-        if addr % WORD_BYTES:
-            return None
-        cache = self.caches[core]
-        entry = cache.peek_line(addr // LINE_BYTES)
-        if entry is None:
-            return None
-        st = entry.state
-        if not (st is _M or st is _E
-                or (st is _U and entry.label is label)):
-            return None
-        cycles = (self.l1_latency if cache.touch(entry.line)
-                  else self.l12_latency)
-        if speculative:
-            cache.mark_labeled(entry)
-        self.stats.host_fastpath_hits += 1
-        return entry.words[addr % LINE_BYTES // WORD_BYTES], cycles
-
-    def fast_labeled_store(self, core: int, addr: int, label: Label,
-                           value: object, speculative: bool):
-        """Labeled write hit (the commutative hit on U), for the vector
-        backend's epochs: latency in cycles, else ``None``."""
-        if addr % WORD_BYTES:
-            return None
-        cache = self.caches[core]
-        entry = cache.peek_line(addr // LINE_BYTES)
-        if entry is None:
-            return None
-        st = entry.state
-        if not (st is _M or st is _E
-                or (st is _U and entry.label is label)):
-            return None
-        cycles = (self.l1_latency if cache.touch(entry.line)
-                  else self.l12_latency)
-        if speculative:
-            cache.mark_store(entry, True)
-        entry.words = words = list(entry.words)
-        words[addr % LINE_BYTES // WORD_BYTES] = value
-        entry.dirty = True
-        if st is _E:
-            entry.state = _M
-        self.stats.host_fastpath_hits += 1
-        return cycles
 
     # ------------------------------------------------------------------
     # Public operations
@@ -1113,14 +986,7 @@ class MemorySystem:
         self.stats.reductions_by_label[label.name] += 1
 
         # Sharers forward their lines in parallel (the dedicated virtual
-        # network); the shadow thread merges them one at a time. When a
-        # batched kernel is installed and the label is word-wise (the fold
-        # never consults the HandlerContext), the forwarded lines are
-        # collected and folded in one pass instead — same merge count, same
-        # charge, bit-identical merged words.
-        batch: Optional[List[List[object]]] = None
-        if self.reduction_kernel is not None and label._reduce_word is not None:
-            batch = [] if merged is None else [merged]
+        # network); the shadow thread merges them one at a time.
         max_forward = 0
         self._in_handler = True
         try:
@@ -1136,9 +1002,7 @@ class MemorySystem:
                                   self._forward_latency(sharer, core))
                 self.stats.reduction_lines += 1
                 data = list(ventry.words)
-                if batch is not None:
-                    batch.append(data)
-                elif merged is None:
+                if merged is None:
                     merged = data
                 else:
                     merged = label.reduce(hctx, merged, data)
@@ -1149,8 +1013,6 @@ class MemorySystem:
                 self.stats.invalidations += 1
         finally:
             self._in_handler = False
-        if batch:
-            merged = self._fold_rows(label, batch, hctx, res)
         res.cycles += max_forward
         if self.obs is not None:
             # Forwarded lines were also invalidated at their sharers
@@ -1337,29 +1199,6 @@ class MemorySystem:
         res.overlap_cycles = res.cycles - cycles_at_dir_release
         return res
 
-    def _fold_rows(self, label: Label, rows: List[List[object]],
-                   hctx: HandlerContext, res: AccessResult) -> List[object]:
-        """Fold collected word-wise partial lines, preferring the batched
-        kernel; falls back to the sequential left fold (identical result by
-        the kernel's contract) when it declines. Charges one handler cost
-        per merge — exactly what the in-loop sequential path charges."""
-        if len(rows) == 1:
-            return rows[0]
-        cost = self._handler_cost(label) * (len(rows) - 1)
-        res.cycles += cost
-        self.stats.shadow_thread_cycles += cost
-        kernel = self.reduction_kernel
-        out = kernel(label, rows) if kernel is not None else None
-        if out is None:
-            out = rows[0]
-            self._in_handler = True
-            try:
-                for row in rows[1:]:
-                    out = label.reduce(hctx, out, row)
-            finally:
-                self._in_handler = False
-        return out
-
     def _merge_nonspec(self, core: int, entry: CacheLine, label: Label,
                        donations: List[List[object]], hctx: HandlerContext,
                        res: AccessResult) -> None:
@@ -1368,26 +1207,6 @@ class MemorySystem:
         and must survive a rollback)."""
         if not donations:
             return
-        kernel = self.reduction_kernel
-        if kernel is not None and label._reduce_word is not None:
-            # Batched: fold all donations into the speculative copy (and
-            # the clean snapshot, when present) in one kernel pass each.
-            # Only taken when *every* fold the sequential loop would do is
-            # kernel-exact; otherwise fall through unchanged.
-            merged = kernel(label, [list(entry.words), *donations])
-            clean = None
-            if merged is not None and entry.clean_words is not None:
-                clean = kernel(label, [list(entry.clean_words), *donations])
-            if merged is not None and (entry.clean_words is None
-                                       or clean is not None):
-                cost = self._handler_cost(label) * len(donations)
-                res.cycles += cost
-                self.stats.shadow_thread_cycles += cost
-                entry.words = merged
-                if clean is not None:
-                    entry.clean_words = clean
-                entry.dirty = True
-                return
         self._in_handler = True
         try:
             for donated in donations:

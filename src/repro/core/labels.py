@@ -212,14 +212,9 @@ def add_label(name: str = "ADD") -> Label:
             else value / num_sharers
         return value - donation, donation
 
-    label = wordwise_label(name, identity=0,
-                           reduce_word=lambda a, b: a + b,
-                           split_word=split)
-    # Batched-reduction tag for the vector backend: folding plain-int ADD
-    # lines in any association order is exact, so a column sum may stand
-    # in for the sequential merge (repro.sim.vector.kernels).
-    label.vector_reduce = "add"
-    return label
+    return wordwise_label(name, identity=0,
+                          reduce_word=lambda a, b: a + b,
+                          split_word=split)
 
 
 def min_label(name: str = "MIN") -> Label:
@@ -235,12 +230,8 @@ def min_label(name: str = "MIN") -> Label:
             return a
         return a if a <= b else b
 
-    label = wordwise_label(name, identity=None, reduce_word=reduce,
-                           is_identity_word=lambda w: w is None)
-    # Exact under any association order on all-int lines; the kernel
-    # declines lines containing None (the identity encoding).
-    label.vector_reduce = "min"
-    return label
+    return wordwise_label(name, identity=None, reduce_word=reduce,
+                          is_identity_word=lambda w: w is None)
 
 
 def max_label(name: str = "MAX") -> Label:
@@ -253,10 +244,8 @@ def max_label(name: str = "MAX") -> Label:
             return a
         return a if a >= b else b
 
-    label = wordwise_label(name, identity=None, reduce_word=reduce,
-                           is_identity_word=lambda w: w is None)
-    label.vector_reduce = "max"
-    return label
+    return wordwise_label(name, identity=None, reduce_word=reduce,
+                          is_identity_word=lambda w: w is None)
 
 
 def oput_label(name: str = "OPUT") -> Label:
@@ -275,9 +264,5 @@ def oput_label(name: str = "OPUT") -> Label:
     # Both None and 0 encode "no pair yet" (see reduce above), so the
     # identity test must accept both — otherwise gathers would forward
     # all-zero donated lines as if they carried data.
-    label = wordwise_label(name, identity=None, reduce_word=reduce,
-                           is_identity_word=lambda w: w is None or w == 0)
-    # Words hold (key, value) tuples, which no int64 column kernel can
-    # represent; reductions always run the sequential fold.
-    label.interpreted_only = True
-    return label
+    return wordwise_label(name, identity=None, reduce_word=reduce,
+                          is_identity_word=lambda w: w is None or w == 0)

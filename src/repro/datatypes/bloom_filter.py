@@ -20,12 +20,7 @@ BITS_PER_WORD = 64
 
 def or_label(name: str = "OR") -> Label:
     """Bitwise OR: identity 0, merge a | b."""
-    label = wordwise_label(name, identity=0,
-                           reduce_word=lambda a, b: a | b)
-    # OR is associative and commutative on ints, so the batched column
-    # kernel applies.
-    label.vector_reduce = "or"
-    return label
+    return wordwise_label(name, identity=0, reduce_word=lambda a, b: a | b)
 
 
 class BloomFilter:

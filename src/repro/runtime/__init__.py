@@ -11,7 +11,6 @@ from .ops import (
     LoadGather,
     Store,
     Work,
-    work,
 )
 from .thread_api import ThreadCtx
 
@@ -26,5 +25,4 @@ __all__ = [
     "Atomic",
     "ThreadCtx",
     "BARRIER",
-    "work",
 ]

@@ -30,7 +30,7 @@ Workload code may therefore reuse op objects across yields instead of
 allocating a fresh one per operation: the :class:`~repro.runtime.ThreadCtx`
 shuttle methods (``ctx.load`` / ``ctx.store`` / labeled variants /
 ``ctx.work``) mutate-and-return one cached instance per context, and
-:data:`BARRIER` / :func:`work` intern the payload-free ops. The flip side of
+:data:`BARRIER` interns the payload-free barrier. The flip side of
 the contract is that a yielded op must not be *held* by the workload either
 — yield the shuttle call directly, never store its result (the
 label-discipline lint flags held shuttles).
@@ -39,7 +39,7 @@ label-discipline lint flags held shuttles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from ..core.labels import Label
 
@@ -122,23 +122,6 @@ MEMORY_OPS = (Load, Store, LabeledLoad, LabeledStore, LoadGather)
 #: retains one, so a single module-level instance serves every yield site.
 BARRIER = Barrier()
 
-#: ``Work`` ops keyed by cycle count. Workloads draw from a small set of
-#: think-time constants, so interning removes the per-op allocation without
-#: unbounded growth (the cache is capped; rare cycle counts still allocate).
-_WORK_CACHE: Dict[int, Work] = {}
-_WORK_CACHE_MAX = 1024
-
-
-def work(cycles: int) -> Work:
-    """Interned ``Work(cycles)`` — safe to share because the engine only
-    reads ``.cycles`` and never retains the op."""
-    op = _WORK_CACHE.get(cycles)
-    if op is None:
-        op = Work(cycles)
-        if len(_WORK_CACHE) < _WORK_CACHE_MAX:
-            _WORK_CACHE[cycles] = op
-    return op
-
 
 __all__ = [
     "Load",
@@ -151,5 +134,4 @@ __all__ = [
     "Atomic",
     "MEMORY_OPS",
     "BARRIER",
-    "work",
 ]

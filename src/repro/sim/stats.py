@@ -104,8 +104,7 @@ class Stats:
 
     #: Memory operations served as stable private-cache hits by the
     #: engine's memory-op handlers (see ``Engine._op_load`` and friends),
-    #: or in the vector backend's epochs by ``MemorySystem.fast_load`` and
-    #: friends.
+    #: the vector backend's epochs included.
     host_fastpath_hits: int = 0
     #: Hit probes that found no stable hit, so that the operation took
     #: the full protocol path. Operations that never probe (gathers on
@@ -137,9 +136,6 @@ class Stats:
     #: certified deterministic and executed inside an epoch instead of
     #: fencing it.
     host_vector_proto_ops: int = 0
-    #: Reduction merges folded by the batched column kernel instead of the
-    #: sequential per-line handler loop (identical merged words & cycles).
-    host_vector_kernel_reductions: int = 0
     #: In-epoch protocol accesses whose latency the closed-form NoC/
     #: directory-table predictor computed before execution...
     host_vector_miss_predicted: int = 0
@@ -223,10 +219,10 @@ class Stats:
         ``REPRO_NO_FASTPATH``, forced off by the obs layer, or no
         operation that probes — which is a different situation from
         "enabled but never hit" (0.0). Under the vector backend the
-        counters cover only the strict (per-op) phases — epoch ops hit by
-        construction and are not counted — so a ratio would be
-        misleading: the string ``"n/a (vector)"`` is returned
-        instead."""
+        handlers count the epochs' hits, which hit by construction, but
+        an epoch's fused transactions and certified protocol accesses
+        never probe, so a ratio would be misleading: the string
+        ``"n/a (vector)"`` is returned instead."""
         if self.host_backend == "vector":
             return "n/a (vector)"
         total = self.host_fastpath_hits + self.host_fastpath_misses

@@ -8,9 +8,10 @@ whenever every live core's next operation is provably local (private-hit
 loads/stores, labeled updates on uncontended U lines, think time, or a
 whole transaction fusible through the lowering registry in
 :mod:`.kernels`), the engine executes a conservative time window of those
-operations in bulk, accumulating statistics into per-core columns
-(:mod:`.columns`) that are summed into the ordinary :class:`Stats` fields
-when the run ends. Anything else — misses, conflicts, NACKs, gathers,
+operations in bulk: private hits through the engine's own memory-op
+handlers, the rest into per-core columns (:mod:`.columns`) that are
+summed into the ordinary :class:`Stats` fields when the run ends.
+Anything else — misses, conflicts, NACKs, gathers,
 reductions, barriers, commits of non-fused transactions — falls back
 per-op to the existing handlers in ``coherence/protocol.py``, so protocol
 semantics stay centralized and ``Stats.comparable()`` is the parity

@@ -61,8 +61,9 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
     can abort transactions).
 
     The predicted latency mirrors ``_charge_dir_access`` and the
-    occupancy postlude of ``_finish``, and calls the handlers' own pure
-    NoC charges, ``_fanout_cycles`` / ``_forward_cycles``.
+    occupancy postlude of ``_finish``, calls the handlers' own pure
+    fan-out charge, ``_fanout_cycles``, and reads a forward's latency
+    from the mesh table ``_forward_latency`` reads (:func:`forward_cycles`).
 
     ``spec`` marks a transactional (speculative) requester. The same
     transitions certify, with two extra obligations: no victim
@@ -150,7 +151,7 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
             if not l2_install_safe(cache, line_no):
                 return None
             return (base + msys._fanout_cycles(line_no, (owner,))
-                    + msys._forward_cycles(owner, core) + stall)
+                    + forward_cycles(msys, owner, core) + stall)
         if ent.u_sharers:
             return _certify_reduce(msys, core, line_no, ent, cache)
         if not l2_install_safe(cache, line_no):
@@ -183,7 +184,7 @@ def certify_access(msys, core: int, kind: AccessKind, addr: int, label,
                 return None  # lost line raises; spec line conflicts
             vst = ventry.state
             if vst is _M or vst is _E:
-                fwd = msys._forward_cycles(victim, core)
+                fwd = forward_cycles(msys, victim, core)
         if entry is None and not l2_install_safe(cache, line_no):
             return None  # an S copy upgrades in place, no install
         return base + msys._fanout_cycles(line_no, victims) + fwd + stall
@@ -281,6 +282,13 @@ def _certify_reduce(msys, core: int, line_no: int, ent,
     if not l2_install_safe(cache, line_no):
         return None
     return -1
+
+
+def forward_cycles(msys, src_core: int, dst_core: int) -> int:
+    """Latency of one cache-to-cache data forward: the table read of
+    ``MemorySystem._forward_latency``, without its traffic counts."""
+    tile = msys._tile_of_core
+    return msys.mesh.latency_table[tile[src_core]][tile[dst_core]]
 
 
 def l2_install_safe(cache, line_no: int) -> bool:

@@ -14,8 +14,9 @@ restart, thread completion) becomes a *fence* at its start time. The
 epoch then pops the heap and executes every local operation starting
 strictly before the earliest fence; after each execution the core pulls
 and classifies its next operation, re-entering the heap (so one core
-chains through a whole local region) or lowering the fence. Statistics
-land in per-core columns
+chains through a whole local region) or lowering the fence. A private
+hit runs the engine's own memory-op handler, as in the strict phases; the
+other operations count into per-core columns
 (:class:`~repro.sim.vector.columns.EpochColumns`) that are summed into
 the ordinary ``Stats`` fields when the run completes.
 
@@ -40,14 +41,13 @@ to the strict phase instead.
 Three event classes that used to fence every epoch now execute inside
 it: deterministic misses and S-upgrades (closed-form latency predicted
 from the precomputed NoC/directory tables and validated against the
-real handler's charge), word-wise reductions (batched through the
-column kernel in :mod:`.kernels` when exact), and gathers. A certified
+real handler's charge), word-wise reductions, and gathers. A certified
 access runs the *real* ``MemorySystem`` handler at its heap-pop time —
 the strict scheduler's execution point — so it is bit-identical by
 construction; certification merely proves the transition cannot abort,
 NACK, or nondeterministically evict. Because these accesses mutate
-shared state, every later fused/fast/proto pop re-validates its
-precomputed snapshot and fences on disagreement.
+shared state, every later fused, hit or protocol pop checks again what
+its classification found and fences on disagreement.
 
 **Adaptive backend gate + fenced replay** (:meth:`VectorEngine._run_vector`).
 An epoch op costs more host time than the same op in the run-ahead
@@ -99,7 +99,7 @@ from ...runtime.ops import (
 from ..engine import _FINISHED, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine, Frame
 from . import certify, log
 from .columns import EpochColumns
-from .kernels import lower_atomic, reduce_lines
+from .kernels import lower_atomic
 
 _M = State.M
 _E = State.E
@@ -188,6 +188,22 @@ _GATE_OPS_PER_FUSED = 16
 _WARMUP_OP_CAP = 512
 
 
+def _hits(entry, kind, op) -> bool:
+    """Whether the private copy ``entry`` (None: no copy) serves ``op``,
+    an access of ``kind``, as a stable hit: the state test of the
+    engine's handlers (``Engine._op_load`` and friends)."""
+    if entry is None:
+        return False
+    st = entry.state
+    if st is _M or st is _E:
+        return True
+    if kind == K_LOAD:
+        return st is _S
+    if kind == K_STORE:
+        return False
+    return st is _U and entry.label is op.label
+
+
 def _one_shot(runner, op, value):
     """A ``send`` for ``runner`` whose first call returns ``op`` — or,
     for ``_FINISHED``, raises the StopIteration that carried ``value`` —
@@ -206,22 +222,11 @@ def _one_shot(runner, op, value):
     return send
 
 
-def _counting_kernel(stats):
-    """:func:`reduce_lines`, counting the folds it accepts in ``stats``."""
-    def kernel(label, rows):
-        out = reduce_lines(label, rows)
-        if out is not None:
-            stats.host_vector_kernel_reductions += 1
-        return out
-    return kernel
-
-
 class VectorEngine(Engine):
     """Engine backend ``"vector"``: wavefront epochs + strict fallback."""
 
     def __init__(self, machine, bodies):
         super().__init__(machine, bodies)
-        msys = self.msys
         self._fused_base = self._tx_begin_cycles + self._tx_commit_cycles
         #: Commits may execute inside epochs only with a nonzero latency:
         #: a zero-duration event could tie with a fenced one at the same
@@ -239,12 +244,6 @@ class VectorEngine(Engine):
         #: zero-duration event could tie with a fence at its own start.
         self._restart_local = (self.config.backoff_base > 0
                                or self._tx_begin_cycles >= 1)
-        # Batched reduction seam: word-wise reductions and gather merges
-        # collect the sharer lines and fold them in one column pass
-        # (bit-identical words and charge; see kernels.reduce_lines). The
-        # kernel holds the stats, not this engine: a method bound to the
-        # engine would tie the memory system and the engine in a cycle.
-        msys.reduction_kernel = _counting_kernel(self.stats)
         #: Per core, the op an epoch pulled from the thread but has not
         #: executed (``_FINISHED`` for a caught StopIteration, whose value
         #: is in ``_pulled_value``). Empty between epochs: ``_requeue``
@@ -439,12 +438,8 @@ class VectorEngine(Engine):
         htm = self.htm
         msys = self.msys
         certify = self._certify_proto
-        # In-epoch private hits go through the protocol's hit probes; the
-        # strict phases' handlers serve their own (Engine._op_load).
-        fast_load = msys.fast_load
-        fast_store = msys.fast_store
-        fast_lload = msys.fast_labeled_load
-        fast_lstore = msys.fast_labeled_store
+        handlers = self._handlers
+        caches = self._caches
 
         epoch_ops = 0
         fused_txs = 0
@@ -494,7 +489,7 @@ class VectorEngine(Engine):
                     tx.cycles_this_attempt += dur
             elif kind == K_FUSED:
                 entry, idx0, deltas, label, ret = data
-                cache = self._caches[core]
+                cache = caches[core]
                 if proto_mutated:
                     # An earlier protocol access may have invalidated,
                     # downgraded, or L1-evicted the pre-validated target
@@ -686,7 +681,7 @@ class VectorEngine(Engine):
                 n = len(plan.deltas)
                 line_no = plan.line
                 addr0 = line_no * 64 + plan.idx0 * 8
-                cache = self._caches[core]
+                cache = caches[core]
                 # Records executed since classification (our phase 1 ran
                 # at t - begin) may have changed the directory snapshot —
                 # even flipped which GETU case this install takes.
@@ -751,41 +746,22 @@ class VectorEngine(Engine):
                 proto_mutated = True
                 self._fused_ok.clear()
             else:
-                spec = tx is not None
-                if kind == K_LOAD:
-                    fast = fast_load(core, op.addr, spec)
-                elif kind == K_STORE:
-                    fast = fast_store(core, op.addr, op.value, spec)
-                elif kind == K_LLOAD:
-                    fast = fast_lload(core, op.addr, op.label, spec)
-                else:
-                    fast = fast_lstore(core, op.addr, op.label,
-                                       op.value, spec)
-                if fast is None:
-                    # Classification guarantees a hit; if the protocol
-                    # disagrees (an earlier protocol access invalidated
-                    # or downgraded the line), hold the op (still in
-                    # _pulled) and end the epoch: everything left
-                    # on the heap starts at or after this op, so nothing
-                    # else may run first.
+                # A classified private hit, served by the engine's own
+                # handler as in the strict phases: it counts the op,
+                # charges it, advances the clock and delivers a load's
+                # value. Only this core changes its cache, so the hit
+                # still holds unless a protocol access ran earlier in the
+                # epoch; if one did and the line no longer serves the op
+                # (invalidated or downgraded), hold the op (still in
+                # _pulled) and end the epoch: everything left on the heap
+                # starts at or after this op.
+                if proto_mutated and not _hits(
+                        caches[core].peek_line(op.addr // 64), kind, op):
                     fc["fast_revoked"] = fc.get("fast_revoked", 0) + 1
                     fences += 1
                     break
-                if kind == K_LOAD or kind == K_LLOAD:
-                    value, dur = fast
-                    runner.pending_value = value
-                else:
-                    dur = fast
-                instr_col[core] += 1
-                if kind == K_LLOAD or kind == K_LSTORE:
-                    labeled_col[core] += 1
-                    name = op.label.name
-                    by_label[name] = by_label.get(name, 0) + 1
-                if tx is None:
-                    non_tx_col[core] += dur
-                else:
-                    breakdown[core].tx_committed += dur
-                    tx.cycles_this_attempt += dur
+                handlers[op.__class__](self, runner, op)
+                dur = cycles[core] - t
             nt = t + dur
             cycles[core] = nt
             pulled[core] = None
@@ -950,13 +926,13 @@ class VectorEngine(Engine):
         latency the op will charge, or None to park the epoch (with the
         cause in ``self._decline`` for the fence histogram).
 
-        This is a non-mutating mirror of the engine's routing rules plus
-        the fast-path state checks in ``coherence/protocol.py``: only ops
-        those fast paths would certainly service (and that cannot insert
+        This is a non-mutating mirror of the engine's routing rules and
+        of its handlers' hit test (:func:`_hits`): only ops the handlers
+        would certainly serve as private hits (and that cannot insert
         into the L1 while a transaction is active, so the LRU touch cannot
         self-abort) classify as local. Latency is precomputed from L1
         residency, which only this core can change before execution.
-        Non-transactional accesses the fast path would *miss* — misses,
+        Accesses the handlers would send to the protocol — misses,
         S-upgrades, reductions, gathers — get a second chance through
         :meth:`_certify_proto`: when the protocol transition is fully
         determined by the current directory/sharer snapshot (no
@@ -1050,17 +1026,7 @@ class VectorEngine(Engine):
             return None  # misaligned: slow path raises
         cache = self._caches[core]
         entry = cache.peek_line(addr // 64)
-        hit = entry is not None
-        if hit:
-            st = entry.state
-            if kind == K_LOAD:
-                hit = st is _M or st is _E or st is _S
-            elif kind == K_STORE:
-                hit = st is _M or st is _E
-            else:  # K_LLOAD / K_LSTORE
-                hit = (st is _M or st is _E
-                       or (st is _U and entry.label is op.label))
-        if hit:
+        if _hits(entry, kind, op):
             if entry.line in cache._l1:
                 dur = self._l1_lat
             elif tx is not None:
@@ -1093,7 +1059,7 @@ class VectorEngine(Engine):
         into *two* records mirroring the strict event times (see
         K_FMISS_BEGIN / K_FMISS_BODY). Only the true miss qualifies: a
         private copy in any state means the strict first access would
-        take the fast path (different charge, no occupancy postlude)."""
+        be a handler's hit (different charge, no occupancy postlude)."""
         begin = self._tx_begin_cycles
         if begin < 1 or not self._commit_local:
             return None

@@ -36,8 +36,6 @@ through the interpreted path, which is always correct.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import Optional
 
 from ...params import LINE_BYTES, WORD_BYTES
@@ -110,46 +108,3 @@ def _register_builtins() -> None:
 
 _register_builtins()
 
-
-# ---------------------------------------------------------------------------
-# Batched reduction kernels
-#
-# A reduction folds the U sharers' partial lines one merge at a time on the
-# shadow thread. For word-wise pure labels the fold never consults the
-# HandlerContext, so the whole sharer vector can be folded column by column
-# in one pass — provided the result is *identical* to the sequential fold.
-# That holds when the label's word reducer is associative and commutative
-# on the data actually present. The registry below therefore keys on a
-# per-label ``vector_reduce`` tag set by the label factories that satisfy
-# this on plain ints — ADD, MIN, MAX, OR (Python ints are exact at any
-# magnitude) — and :func:`reduce_lines` declines (returns None, sequential
-# fallback) any line set holding other words: OPUT tuples, MIN/MAX
-# ``None`` identities, floats.
-# ---------------------------------------------------------------------------
-
-#: tag -> fold of one word column.
-_REDUCERS = {
-    "add": sum,
-    "min": min,
-    "max": max,
-    "or": lambda column: reduce(or_, column),
-}
-
-#: ``vector_reduce`` tags with a registered column kernel. The
-#: ``missing-lowering`` lint checks every word-wise datatype label
-#: against this vocabulary.
-SUPPORTED_REDUCE_TAGS = frozenset(_REDUCERS)
-
-
-def reduce_lines(label, rows):
-    """Fold ``rows`` (full-line word lists) under ``label`` column by
-    column. Returns the merged word list, or None to decline — unknown
-    label, fewer than two rows, or non-int words."""
-    fold = _REDUCERS.get(getattr(label, "vector_reduce", None))
-    if fold is None or len(rows) < 2:
-        return None
-    for row in rows:
-        for v in row:
-            if type(v) is not int:
-                return None
-    return [fold(column) for column in zip(*rows)]

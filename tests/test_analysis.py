@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis import (ERROR, WARNING, check_laws, check_paths,
                             check_registry, check_source)
-from repro.analysis.lint import check_lowerings
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.laws import check_suite
 from repro.analysis.sanitizer import SANITIZE_ENV
@@ -460,78 +459,3 @@ def txn(ctx, obj):
         with pytest.raises(SystemExit) as exc:
             analysis_main(["--trials", "not-a-number"])
         assert exc.value.code == 2
-
-
-# ---------------------------------------------------------------------------
-# Missing-lowering lint
-# ---------------------------------------------------------------------------
-
-def _wordwise_suite(name, tag=None, interpreted_only=False):
-    def make():
-        label = wordwise_label(name, 0, reduce_word=lambda a, b: a + b)
-        if tag is not None:
-            label.vector_reduce = tag
-        if interpreted_only:
-            label.interpreted_only = True
-        return label
-
-    return LawSuite(name=f"fault/{name}", make_label=make,
-                    gen=wordwise_gen(lambda rng: rng.randint(1, 9)))
-
-
-class TestLoweringLint:
-    def test_builtin_labels_all_lowered_or_declared(self):
-        # Every built-in word-wise label either has a supported
-        # vector_reduce tag or an explicit interpreted_only opt-out.
-        assert check_lowerings() == []
-
-    def test_untagged_wordwise_label_is_error(self):
-        findings = check_lowerings([_wordwise_suite("NOTAG")])
-        assert len(findings) == 1
-        f = findings[0]
-        assert (f.check, f.severity, f.label) \
-            == ("missing-lowering", ERROR, "NOTAG")
-        assert "sequential fold" in f.message
-
-    def test_unknown_tag_is_error(self):
-        findings = check_lowerings([_wordwise_suite("XORISH", tag="xor")])
-        assert len(findings) == 1
-        assert findings[0].check == "missing-lowering"
-        assert "'xor'" in findings[0].message
-
-    def test_interpreted_only_optout_is_clean(self):
-        assert check_lowerings(
-            [_wordwise_suite("SLOW", interpreted_only=True)]) == []
-
-    def test_supported_tag_is_clean(self):
-        assert check_lowerings([_wordwise_suite("OK", tag="add")]) == []
-
-    def test_line_level_labels_skipped(self):
-        # Line-level reducers move real memory through a HandlerContext;
-        # they are interpreted by design and never flagged.
-        from types import SimpleNamespace
-
-        line_label = SimpleNamespace(name="LINEY", _reduce_word=None)
-        suite = SimpleNamespace(name="fault/LINEY",
-                                make_label=lambda: line_label)
-        assert check_lowerings([suite]) == []
-
-    def test_shared_factory_reported_once(self):
-        suites = [_wordwise_suite("NOTAG"), _wordwise_suite("NOTAG")]
-        assert len(check_lowerings(suites)) == 1
-
-    def test_cli_reports_missing_lowering(self, monkeypatch, capsys):
-        # The default CLI run includes the lowering check; make a
-        # built-in label lose its tag and the gate must trip.
-        from repro.datatypes import bloom_filter
-
-        orig = bloom_filter.or_label
-
-        def untagged(*args, **kwargs):
-            label = orig(*args, **kwargs)
-            label.vector_reduce = None
-            return label
-
-        monkeypatch.setattr(bloom_filter, "or_label", untagged)
-        assert analysis_main(["--skip-laws"]) == 1
-        assert "missing-lowering" in capsys.readouterr().out

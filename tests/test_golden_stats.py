@@ -7,9 +7,10 @@ records its ``cycles`` and the repo benchmark's digest (sha256 of
 ``json.dumps([cycles, stats.comparable()], sort_keys=True, default=str)``,
 first 16 hex digits, as ``benchmarks/perf/workloads.py:digest``).
 
-The matrix is the ten workloads at ``tests/test_vector_equivalence.py``'s
-scale (micros at ``total_ops=240``, apps at its ``APPS`` sizes) x both
-systems x two machines, at seed 1 on the interpreted engine:
+The matrix is the ten workloads of ``WORKLOADS`` (micros at
+``total_ops=240``, apps at small inputs; the parity, sanitizer and
+lifetime suites take their inputs from it too) x both systems x two
+machines, at seed 1 on the interpreted engine:
 
 * ``tableI``: the paper's Table I chip, 128 cores, 32 threads;
 * ``tile16``: 16 cores at 16 threads on the same 4x4 mesh, one core per
@@ -48,6 +49,10 @@ WORKLOADS = {
     "ssca2": (ssca2.build, dict(scale=5, edge_factor=3)),
     "vacation": (vacation.build, dict(num_tasks=96, relations=32)),
 }
+
+#: The five micro-benchmarks' builders, for suites that set ``total_ops``.
+MICROS = {name: WORKLOADS[name][0] for name in
+          ("counter", "linked_list", "ordered_put", "refcount", "topk")}
 
 #: machine name -> (num_cores, num_threads)
 MACHINES = {"tableI": (128, 32), "tile16": (16, 16)}

@@ -36,16 +36,8 @@ from repro.obs import (
 )
 from repro.params import small_config
 from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
-from repro.workloads.micro import (counter, linked_list, ordered_put,
-                                   refcount, topk)
 
-MICROS = {
-    "counter": counter.build,
-    "topk": topk.build,
-    "ordered_put": ordered_put.build,
-    "linked_list": linked_list.build,
-    "refcount": refcount.build,
-}
+from .test_golden_stats import MICROS
 
 
 def _run(build, *, commtm, seed=1, observe=False, monkeypatch):

@@ -26,17 +26,9 @@ from repro.obs import OBS_ENV
 from repro.params import small_config
 from repro.runtime.ops import BARRIER, Atomic
 from repro.sim.engine import Engine, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
-from repro.workloads.micro import (counter, linked_list, ordered_put,
-                                   refcount, topk)
 from repro.workloads.micro.common import BuiltWorkload
 
-MICROS = {
-    "counter": counter.build,
-    "topk": topk.build,
-    "ordered_put": ordered_put.build,
-    "linked_list": linked_list.build,
-    "refcount": refcount.build,
-}
+from .test_golden_stats import MICROS
 
 
 def _run(build, *, commtm, seed, runahead, monkeypatch, sanitize=False,
@@ -243,8 +235,8 @@ def test_micro_interleaving_identical(name, monkeypatch):
 #: it runs); a transactional micro.
 BUDGET_WORKLOADS = {
     "barrier_mix": (_random_mix, 4, {}),
-    "single_thread": (refcount.build, 1, dict(total_ops=60)),
-    "counter": (counter.build, 4, dict(total_ops=120)),
+    "single_thread": (MICROS["refcount"], 1, dict(total_ops=60)),
+    "counter": (MICROS["counter"], 4, dict(total_ops=120)),
 }
 
 

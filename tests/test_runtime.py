@@ -32,10 +32,12 @@ class TestOps:
             op.extra = 1
 
     def test_work_and_barrier_are_interned(self):
-        assert ops_module.work(40) is ops_module.work(40)
-        assert ops_module.work(40).cycles == 40
-        assert ops_module.work(40) is not ops_module.work(41)
-        assert ops_module.BARRIER is ops_module.BARRIER
+        # One Work per thread context, whatever the cycle count (the
+        # ctx.work shuttle), and one Barrier for the whole module.
+        ctx = ThreadCtx(0, Machine(small_config(num_cores=4)))
+        assert ctx.work(40) is ctx.work(41)
+        assert ctx.work(40).cycles == 40
+        assert ctx.barrier() is ctx.barrier() is ops_module.BARRIER
         assert isinstance(ops_module.BARRIER, Barrier)
 
     def test_memory_ops_tuple(self):

@@ -39,24 +39,8 @@ from repro.runtime.ops import (Atomic, LabeledLoad, LabeledStore, Load,
 from repro.sim.clock import CoreClocks
 from repro.sim.engine import NO_FASTPATH_ENV, Engine
 from repro.sim.rng import RngStreams
-from repro.workloads.apps import boruvka, genome, kmeans, ssca2, vacation
-from repro.workloads.micro import (counter, linked_list, ordered_put,
-                                   refcount, topk)
 
-#: All ten workloads at the scale of tests/test_vector_equivalence.py.
-WORKLOADS = {
-    "counter": (counter.build, dict(total_ops=240)),
-    "topk": (topk.build, dict(total_ops=240)),
-    "ordered_put": (ordered_put.build, dict(total_ops=240)),
-    "linked_list": (linked_list.build, dict(total_ops=240)),
-    "refcount": (refcount.build, dict(total_ops=240)),
-    "boruvka": (boruvka.build, dict(num_nodes=48)),
-    "genome": (genome.build, dict(num_segments=160, gene_length=256,
-                                  initial_buckets=16)),
-    "kmeans": (kmeans.build, dict(num_points=64, clusters=4, iterations=2)),
-    "ssca2": (ssca2.build, dict(scale=5, edge_factor=3)),
-    "vacation": (vacation.build, dict(num_tasks=96, relations=32)),
-}
+from .test_golden_stats import WORKLOADS
 
 
 def _tiny_caches(l1_lines, l2_lines):

@@ -1,4 +1,4 @@
-"""Backend selection, dispatch, gate and kernel tests for sim/vector.
+"""Backend selection, dispatch, gate and boundary tests for sim/vector.
 
 Parity of simulated results is proven in tests/test_vector_equivalence.py;
 this file covers the *plumbing*: how a backend is chosen (argument > env >
@@ -6,20 +6,20 @@ default), how the harness carries the backend through point specs and
 cache fingerprints, how the host-side reporting surfaces change under the
 vector backend ("n/a (vector)" rates, host counters kept out of
 ``Stats.comparable()``), which runs the adaptive gate hands to the
-run-ahead loop, and the pure-Python reduction kernel and column flush.
+run-ahead loop, the column flush, and the boundary between the backend
+and the shared modules.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from repro import Machine
 from repro.analysis.sanitizer import SANITIZE_ENV
 from repro.core.machine import resolve_backend
-from repro.core.labels import (add_label, max_label, min_label, oput_label,
-                               wordwise_label)
 from repro.datatypes import SharedCounter
-from repro.datatypes.bloom_filter import or_label
 from repro.errors import ConfigError
 from repro.harness.parallel import make_spec
 from repro.harness.runner import run_workload
@@ -32,7 +32,6 @@ from repro.sim.stats import Stats
 from repro.sim.vector import BACKEND_ENV, BACKENDS
 from repro.sim.vector import engine as vector_engine
 from repro.sim.vector.columns import EpochColumns
-from repro.sim.vector.kernels import reduce_lines
 from repro.workloads.apps import boruvka, kmeans, vacation
 from repro.workloads.micro import counter, linked_list, refcount
 
@@ -280,55 +279,8 @@ def test_gate_weighs_fused_transactions_per_epoch_op(ops_per_add, gated,
 
 
 # ---------------------------------------------------------------------------
-# Pure-Python reduction kernel and column flush
+# Column flush
 # ---------------------------------------------------------------------------
-
-_KERNEL_LABELS = {"add": add_label, "min": min_label, "max": max_label,
-                  "or": or_label}
-
-
-def _sequential_fold(label, rows):
-    """The protocol's fallback: one merge per row through the label."""
-    out = list(rows[0])
-    for row in rows[1:]:
-        out = label.reduce(None, out, row)
-    return out
-
-
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("tag", sorted(_KERNEL_LABELS))
-def test_reduce_lines_matches_sequential_fold(tag, seed):
-    label = _KERNEL_LABELS[tag]()
-    assert label.vector_reduce == tag
-    rng = random.Random(seed)
-    # Up to +-2**80: Python ints fold exactly past any fixed width.
-    for bits in (8, 48, 64, 80):
-        for nrows in (2, 3, rng.randint(4, 127), 128):
-            rows = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(8)]
-                    for _ in range(nrows)]
-            assert reduce_lines(label, rows) == _sequential_fold(label, rows)
-
-
-@pytest.mark.parametrize("tag", sorted(_KERNEL_LABELS))
-def test_reduce_lines_declines(tag):
-    label = _KERNEL_LABELS[tag]()
-    row = list(range(1, 9))
-    assert reduce_lines(label, []) is None
-    assert reduce_lines(label, [row]) is None
-    for odd in (None, (1, 2), 1.5):
-        assert reduce_lines(label, [row, row[:3] + [odd] + row[4:]]) is None
-    assert reduce_lines(label, [row, row, row]) is not None
-
-
-def test_reduce_lines_declines_labels_without_a_supported_tag():
-    rows = [list(range(8)), list(range(8))]
-    untagged = wordwise_label("PLAIN", 0, lambda a, b: a + b)
-    assert reduce_lines(untagged, rows) is None
-    assert reduce_lines(oput_label(), rows) is None
-    unknown = add_label("XOR")
-    unknown.vector_reduce = "xor"
-    assert reduce_lines(unknown, rows) is None
-
 
 def test_epoch_columns_flush_adds_per_core_sums_and_resets():
     rng = random.Random(7)
@@ -368,3 +320,60 @@ def test_epoch_columns_flush_adds_per_core_sums_and_resets():
     before = stats.comparable()
     cols.flush(stats)  # a second flush adds nothing
     assert stats.comparable() == before
+
+
+# ---------------------------------------------------------------------------
+# Boundary: shared modules hold no code that only this backend calls
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: The modules outside sim/vector that import it: backend selection, the
+#: harness's ``--backend`` option and the model checker's certifier
+#: obligation. Retiring the backend deletes each of these imports.
+VECTOR_IMPORTERS = {"core/machine.py", "harness/__main__.py",
+                    "analysis/modelcheck/checker.py"}
+
+#: Names of the backend's deleted copies of the private-hit path and the
+#: reduction merge, and of the per-label settings that opted into the
+#: latter. Spelled in two parts, so that a search of the tree for the
+#: names finds only live uses.
+GONE = ("fast_" + "load", "fast_" + "store", "fast_" + "labeled",
+        "reduction_" + "kernel", "reduce_" + "lines",
+        "vector_" + "reduce", "interpreted_" + "only")
+
+
+def _shared_modules():
+    """(path relative to ``repro/``, path) of every module outside
+    sim/vector."""
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if not rel.startswith("sim/vector/"):
+            yield rel, path
+
+
+def _imported_modules(rel, path):
+    """The dotted names a module imports, relative imports resolved."""
+    package = ["repro", *rel.split("/")[:-1]]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) + 1 - node.level] if node.level \
+                else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_backend_seams_import_it():
+    importers = {rel for rel, path in _shared_modules()
+                 if any(f"{name}.".startswith("repro.sim.vector.")
+                        for name in _imported_modules(rel, path))}
+    assert importers == VECTOR_IMPORTERS
+
+
+def test_no_shared_module_names_the_deleted_vector_only_code():
+    named = [f"{rel}: {name}" for rel, path in _shared_modules()
+             for name in GONE if name in path.read_text()]
+    assert named == []

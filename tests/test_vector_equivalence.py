@@ -32,32 +32,17 @@ from repro.obs import OBS_ENV
 from repro.runtime.ops import BARRIER, Atomic
 from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
 from repro.sim.vector import BACKEND_ENV
-from repro.workloads.apps import boruvka, genome, kmeans, ssca2, vacation
-from repro.workloads.micro import (counter, linked_list, ordered_put,
-                                   refcount, topk)
 from repro.workloads.micro.common import BuiltWorkload
 
-MICROS = {
-    "counter": counter.build,
-    "topk": topk.build,
-    "ordered_put": ordered_put.build,
-    "linked_list": linked_list.build,
-    "refcount": refcount.build,
-}
+from .test_golden_stats import MICROS, WORKLOADS
 
-#: The five ported applications at differential-oracle scale: big enough
+#: The five ported applications at the golden pins' inputs: big enough
 #: that every fence class fires (misses, barriers, restarts, gathers,
 #: resizes, thread finish), small enough to run the full 10-workload x
 #: 2-system matrix in tier 1. ``total_ops=None`` opts the apps out of the
 #: micro-only default in ``_run``.
-APPS = {
-    "boruvka": (boruvka.build, dict(num_nodes=48)),
-    "genome": (genome.build, dict(num_segments=160, gene_length=256,
-                                  initial_buckets=16)),
-    "kmeans": (kmeans.build, dict(num_points=64, clusters=4, iterations=2)),
-    "ssca2": (ssca2.build, dict(scale=5, edge_factor=3)),
-    "vacation": (vacation.build, dict(num_tasks=96, relations=32)),
-}
+APPS = {name: WORKLOADS[name]
+        for name in ("boruvka", "genome", "kmeans", "ssca2", "vacation")}
 
 
 def _run(build, *, backend, commtm, seed, monkeypatch, sanitize=False,
