@@ -127,7 +127,7 @@ def _modelcheck_main(argv) -> int:
         description="Exhaustive explicit-state model check of the MESI+U "
                     "protocol over bounded configs, for every registered "
                     "label: shared invariants, commutativity as "
-                    "reachability, certifier soundness, quiescence.")
+                    "reachability, quiescence.")
     parser.add_argument("--cores", type=int, default=DEFAULT_CORES,
                         help="cores in the bounded config "
                              "(default %(default)s)")

@@ -4,7 +4,7 @@ Public surface:
 
 * :func:`~repro.analysis.modelcheck.checker.run_modelcheck` — explore
   every registered label's bounded config and discharge the invariant,
-  commutativity, certifier-soundness, and quiescence obligations;
+  commutativity and quiescence obligations;
 * :func:`~repro.analysis.modelcheck.checker.replay` — re-execute a
   counterexample trace and reproduce its findings;
 * ``python -m repro.analysis modelcheck`` — the CLI front end.

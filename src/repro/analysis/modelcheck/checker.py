@@ -38,13 +38,7 @@ are sequences of ``(core, op)`` against canonical representatives;
    partials are never semantically observed — any read that would
    observe them first triggers a reduction — so equal abstract states
    mean the orderings are indistinguishable to every future observer.
-3. *Certifier soundness* — for every access kind on every core and
-   line, a non-``None`` prediction from the vector backend's pure
-   certifier (:mod:`repro.sim.vector.certify`) must match the real
-   handlers: a predicted latency (``>= 0``) must equal the charged
-   ``res.cycles`` exactly, and any certified access (``>= -1``) must
-   complete without raising or aborting.
-4. *Quiescence* — no reachable state deadlocks or strands a partial:
+3. *Quiescence* — no reachable state deadlocks or strands a partial:
    every op either completes or is a finding (a non-speculative
    requester can never be NACKed, and the bounded config never invokes
    the conflict manager), and from every state a sweep of plain loads
@@ -58,7 +52,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...coherence.messages import AccessKind
 from ...core.labels import LabelRegistry
 from ...errors import (LabelError, ProtocolError, ReductionError,
                        TransactionError)
@@ -66,10 +59,9 @@ from ...mem.memory import MainMemory
 from ...params import CacheGeometry, LINE_BYTES, NocConfig, SystemConfig
 from ...sim.rng import RngStreams
 from ...sim.stats import Stats
-from ...sim.vector import certify
 from ..findings import ERROR, Finding
 from ..invariants import check_invariants
-from .ops import Op, STORE_VALUES, alphabet, apply_op
+from .ops import Op, alphabet, apply_op
 
 #: Exceptions that mean "the protocol wedged itself" rather than "the
 #: checker is broken". TransactionError/ProtocolError from the
@@ -88,16 +80,13 @@ DEFAULT_MAX_STATES = 20_000
 #: trip the same check in thousands of states).
 _FINDING_CAP = 3
 
-_CERT_KINDS = (AccessKind.LOAD, AccessKind.STORE, AccessKind.LABELED_LOAD,
-               AccessKind.LABELED_STORE, AccessKind.GATHER)
-
 
 def bounded_config(num_cores: int = DEFAULT_CORES) -> SystemConfig:
     """The model-check box: ``num_cores`` cores on one tile (exact core
     symmetry — every inter-tile latency is identical), one L3 bank,
     infinite caches (``size_bytes=0``: no private or L3 evictions, so
     the eviction rng is never drawn and exploration is deterministic),
-    Table-I latencies so certified predictions are non-trivial."""
+    Table-I latencies."""
     return SystemConfig(
         num_cores=num_cores,
         noc=NocConfig(mesh_width=1, mesh_height=1),
@@ -129,7 +118,7 @@ Trace = Tuple[Tuple[int, str], ...]
 class Counterexample:
     """A finding plus the op sequence that reaches it from reset."""
 
-    obligation: str   # "invariants" | "commutativity" | "certifier" | "quiescence"
+    obligation: str   # "invariants" | "commutativity" | "quiescence"
     check: str
     label: str
     trace: Trace      # ((core, op.text), ...) from the initial state
@@ -405,66 +394,6 @@ class Explorer:
                 return None
         return self._abstract_encode()
 
-    def _check_certifier(self, snap, trace: Trace,
-                         report: LabelReport) -> None:
-        """Certifier soundness on this state: every non-``None``
-        prediction must match the real handlers exactly."""
-        label = self.label
-        store_value = STORE_VALUES.get(
-            label.name, 3 if label._reduce_word is not None else 0)
-        for core in range(self.cores):
-            for line_no in range(self.lines):
-                addr = line_no * LINE_BYTES
-                for kind in _CERT_KINDS:
-                    if kind is AccessKind.GATHER \
-                            and not label.supports_gather:
-                        continue  # programs cannot issue these (lint)
-                    self._restore(snap)
-                    use_label = label if kind.is_labeled else None
-                    pred = certify.certify_access(
-                        self.msys, core, kind, addr, use_label, now=0)
-                    if pred is None:
-                        continue
-                    what = (f"certified {kind.value} by c{core} on "
-                            f"L{line_no}")
-                    req_trace = trace + ((core, f"<{kind.value}>"),)
-                    try:
-                        res = self._execute_kind(core, kind, addr,
-                                                 store_value)
-                    except _PROTOCOL_ERRORS as exc:
-                        self._record(report, "certifier", "certified-raise",
-                                     req_trace,
-                                     f"{what} (pred {pred}) raised "
-                                     f"{type(exc).__name__}: {exc}")
-                        continue
-                    if res.abort_requester or res.aborted_victims:
-                        self._record(report, "certifier", "certified-abort",
-                                     req_trace,
-                                     f"{what} (pred {pred}) aborted")
-                        continue
-                    if pred >= 0 and res.cycles != pred:
-                        self._record(
-                            report, "certifier", "latency-mismatch",
-                            req_trace,
-                            f"{what}: predicted {pred} cycles but the "
-                            f"handlers charged {res.cycles}")
-
-    def _execute_kind(self, core: int, kind: AccessKind, addr: int,
-                      store_value):
-        from ...coherence.messages import Requester
-        msys = self.msys
-        req = Requester(core=core, ts=None, now=0)
-        if kind is AccessKind.LOAD:
-            return msys.load(core, addr, req)
-        if kind is AccessKind.STORE:
-            return msys.store(core, addr, store_value, req)
-        if kind is AccessKind.LABELED_LOAD:
-            return msys.labeled_load(core, addr, self.label, req)
-        if kind is AccessKind.LABELED_STORE:
-            return msys.labeled_store(core, addr, self.label,
-                                      store_value, req)
-        return msys.load_gather(core, addr, self.label, req)
-
     def _check_quiescence(self, snap, trace: Trace,
                           report: LabelReport) -> None:
         """From every state, a sweep of plain loads must drain all U
@@ -490,7 +419,6 @@ class Explorer:
     def _check_state(self, snap, trace: Trace,
                      report: LabelReport) -> None:
         self._check_invariants(snap, trace, report)
-        self._check_certifier(snap, trace, report)
         self._check_commutativity(snap, trace, report)
         self._check_quiescence(snap, trace, report)
 
@@ -545,7 +473,7 @@ class Explorer:
         for core, text in trace:
             op = self.ops_by_text.get(text)
             if op is None:
-                # Synthetic probe steps (<load>, <drain:...>) mark where
+                # Synthetic probe steps (<drain:...>) mark where
                 # an obligation probe, not BFS, applied the op; the
                 # final _check_state re-runs those probes.
                 break

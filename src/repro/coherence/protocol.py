@@ -228,9 +228,6 @@ class MemorySystem:
         return ent
 
     # NoC charges: reads of the mesh's latency and hop tables.
-    # _fanout_cycles is pure, and the vector backend's certifier
-    # (sim/vector/certify.py) calls it too, so a prediction and the
-    # handler it predicts read one table of NoC cost.
 
     def _fanout_cycles(self, line_no: int, victims) -> int:
         """Invalidations fan out in parallel from the line's bank: the

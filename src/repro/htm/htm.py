@@ -75,9 +75,18 @@ class HtmRuntime:
 
     def finish_abort(self, core: int) -> Transaction:
         """Acknowledge an abort: detach the transaction (already rolled back
-        by the conflict manager) so the engine can back off and retry."""
+        by the conflict manager) so the engine can back off and retry.
+
+        An op whose own L1 insert evicted a speculative line aborted the
+        transaction in the middle of the op, and then marked its line (a
+        store also wrote it) after that rollback. The set is not empty
+        then, and rolling it back again keeps the aborted attempt's
+        effects out of the retry."""
         tx = self._active[core]
         if tx is None or not tx.aborted:
             raise TransactionError(f"finish_abort with no aborted tx on {core}")
         self._active[core] = None
+        cache = self.caches[core]
+        if cache._spec:
+            cache.rollback_all()
         return tx

@@ -116,9 +116,3 @@ class ThreadCtx:
     def rng(self) -> random.Random:
         """Deterministic per-thread stream."""
         return self._machine.rng.stream(f"thread-{self.tid}")
-
-    # --- config ------------------------------------------------------------------
-
-    @property
-    def num_threads(self) -> int:
-        return self._machine.config.num_cores

@@ -132,23 +132,18 @@ class Stats:
     host_vector_epoch_ops: int = 0
     #: Whole transactions executed closed-form via the fused-plan path.
     host_vector_fused_txs: int = 0
-    #: Full-protocol accesses (misses, upgrades, reductions, gathers)
-    #: certified deterministic and executed inside an epoch instead of
-    #: fencing it.
+    #: Always 0: they counted in-epoch protocol accesses and their
+    #: mispredicted latencies, and every protocol access now fences the
+    #: epoch. The repo benchmark still reads both fields, so they go with
+    #: the vector backend (ROADMAP item 1).
     host_vector_proto_ops: int = 0
-    #: In-epoch protocol accesses whose latency the closed-form NoC/
-    #: directory-table predictor computed before execution...
-    host_vector_miss_predicted: int = 0
-    #: ...and how many of those predictions disagreed with the protocol's
-    #: actual charge (the protocol result is always authoritative; a
-    #: mispredict is a model-coverage datum, not an error).
     host_vector_miss_mispredicts: int = 0
     #: True when the adaptive backend gate rebound the run to the
     #: interpreted run-ahead loop because its epochs fused too few
     #: transactions during the warmup window (host-only decision).
     host_vector_gated: bool = False
-    #: Why epochs fenced: cause -> count (e.g. "barrier", "tx_restart",
-    #: "miss_unsafe"). Host-side diagnosis of epoch engagement.
+    #: Why epochs fenced: cause -> count (e.g. "miss", "gather",
+    #: "thread_finish"). Host-side diagnosis of epoch engagement.
     host_vector_fence_causes: Counter = field(default_factory=Counter)
 
     def __post_init__(self) -> None:
@@ -220,9 +215,8 @@ class Stats:
         operation that probes — which is a different situation from
         "enabled but never hit" (0.0). Under the vector backend the
         handlers count the epochs' hits, which hit by construction, but
-        an epoch's fused transactions and certified protocol accesses
-        never probe, so a ratio would be misleading: the string
-        ``"n/a (vector)"`` is returned instead."""
+        an epoch's fused transactions never probe, so a ratio would be
+        misleading: the string ``"n/a (vector)"`` is returned instead."""
         if self.host_backend == "vector":
             return "n/a (vector)"
         total = self.host_fastpath_hits + self.host_fastpath_misses

@@ -11,13 +11,13 @@ whole transaction fusible through the lowering registry in
 operations in bulk: private hits through the engine's own memory-op
 handlers, the rest into per-core columns (:mod:`.columns`) that are
 summed into the ordinary :class:`Stats` fields when the run ends.
-Anything else — misses, conflicts, NACKs, gathers,
-reductions, barriers, commits of non-fused transactions — falls back
-per-op to the existing handlers in ``coherence/protocol.py``, so protocol
-semantics stay centralized and ``Stats.comparable()`` is the parity
-oracle (see tests/test_vector_equivalence.py). Epochs pay off only while
-they fuse transactions; an adaptive gate hands every other run to the
-run-ahead loop (see :mod:`.engine`).
+Every access the handlers send to the protocol — a miss, an S-upgrade,
+a reduction, a gather — fences the epoch and runs per-op in the strict
+phase, through the existing handlers in ``coherence/protocol.py``, so
+protocol semantics stay centralized and ``Stats.comparable()`` is the
+parity oracle (see tests/test_vector_equivalence.py). Epochs pay off
+only while they fuse transactions; an adaptive gate hands every other
+run to the run-ahead loop (see :mod:`.engine`).
 
 This module names the backends; ``repro.core.machine.resolve_backend``
 picks one: an explicit ``backend=`` argument beats ``REPRO_BACKEND``,

@@ -16,8 +16,7 @@ class EpochColumns:
     """Column-per-statistic, slot-per-core accumulators."""
 
     __slots__ = ("num_cores", "instructions", "labeled", "non_tx_cycles",
-                 "tx_cycles", "commits", "by_label", "proto_ops",
-                 "pred_hits", "pred_misses", "fence_causes")
+                 "tx_cycles", "commits", "by_label", "fence_causes")
 
     def __init__(self, num_cores: int):
         self.num_cores = num_cores
@@ -28,10 +27,6 @@ class EpochColumns:
         self.commits = [0] * num_cores
         #: label name -> labeled-op count (order-insensitive Counter merge).
         self.by_label: dict = {}
-        #: Host-side epoch diagnostics (scalars; flushed into host_vector_*).
-        self.proto_ops = 0
-        self.pred_hits = 0
-        self.pred_misses = 0
         #: fence cause -> count, flushed into host_vector_fence_causes.
         self.fence_causes: dict = {}
 
@@ -54,12 +49,6 @@ class EpochColumns:
             stats.labeled_by_label.update(self.by_label)
             self.by_label = {}
 
-        stats.host_vector_proto_ops += self.proto_ops
-        stats.host_vector_miss_predicted += self.pred_hits + self.pred_misses
-        stats.host_vector_miss_mispredicts += self.pred_misses
-        self.proto_ops = 0
-        self.pred_hits = 0
-        self.pred_misses = 0
         if self.fence_causes:
             stats.host_vector_fence_causes.update(self.fence_causes)
             self.fence_causes = {}

@@ -9,9 +9,10 @@ between two phases:
 unblocked core's pulled operation is classified: *local* operations —
 think time, a private-hit load/store, a labeled update on this core's own
 M/E/U line, a whole transaction fusible through :mod:`.kernels` — enter a
-private min-start heap; everything else (a miss, a barrier, a transaction
-restart, thread completion) becomes a *fence* at its start time. The
-epoch then pops the heap and executes every local operation starting
+private min-start heap; everything else (an access the handlers would
+send to the protocol — a miss, an S-upgrade, a reduction, a gather —
+or thread completion) becomes a *fence* at its start time. The epoch
+then pops the heap and executes every local operation starting
 strictly before the earliest fence; after each execution the core pulls
 and classifies its next operation, re-entering the heap (so one core
 chains through a whole local region) or lowering the fence. A private
@@ -37,34 +38,22 @@ during an epoch. Zero-duration operations (``Work(0)``) are never
 classified local — their ``t + d`` would not move past a tie — and fall
 to the strict phase instead.
 
-**Certified protocol accesses** (:meth:`VectorEngine._certify_proto`).
-Three event classes that used to fence every epoch now execute inside
-it: deterministic misses and S-upgrades (closed-form latency predicted
-from the precomputed NoC/directory tables and validated against the
-real handler's charge), word-wise reductions, and gathers. A certified
-access runs the *real* ``MemorySystem`` handler at its heap-pop time —
-the strict scheduler's execution point — so it is bit-identical by
-construction; certification merely proves the transition cannot abort,
-NACK, or nondeterministically evict. Because these accesses mutate
-shared state, every later fused, hit or protocol pop checks again what
-its classification found and fences on disagreement.
-
 **Adaptive backend gate + fenced replay** (:meth:`VectorEngine._run_vector`).
 An epoch op costs more host time than the same op in the run-ahead
 loop; epochs win only where they fuse whole transactions. So the gate
 counts fused transactions against epoch ops and attempts during a
 warmup whose attempts are capped at a fixed op count, and a run whose
 epochs do not fuse rebinds to one uninterrupted strict (run-ahead)
-pass. When several cores fence in one attempt (a barrier wave, a burst
-of uncertifiable misses), the strict phase gets at least one op per
-fenced event so the whole wave replays as one sorted batch. Every fence
-increments a cause histogram (``Stats.host_vector_fence_causes``).
+pass. When several cores fence in one attempt (a burst of misses), the
+strict phase gets at least one op per fenced event so the whole wave
+replays as one sorted batch. Every fence increments a cause histogram
+(``Stats.host_vector_fence_causes``).
 
 **Strict phases** are ``Engine._run_runahead`` itself, given an
 operation budget so the engine can re-attempt an epoch. The budget
 starts small and doubles every time an epoch attempt fails, so irregular
 regions (conflicts, barriers, reductions) degrade gracefully toward plain
-run-ahead execution instead of thrashing on failed certifications. At
+run-ahead execution instead of thrashing on failed epoch attempts. At
 each epoch exit :meth:`VectorEngine._requeue` hands every operation the
 epoch pulled but did not execute back to its thread through a one-shot
 ``runner.send``, and rebuilds the ready heap at exact clocks, so the
@@ -83,7 +72,6 @@ import heapq
 import sys
 from typing import List, Optional
 
-from ...coherence.messages import AccessKind, Requester
 from ...coherence.states import State
 from ...errors import SimulationError
 from ...runtime.ops import (
@@ -97,7 +85,7 @@ from ...runtime.ops import (
     Work,
 )
 from ..engine import _FINISHED, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine, Frame
-from . import certify, log
+from . import log
 from .columns import EpochColumns
 from .kernels import lower_atomic
 
@@ -105,19 +93,13 @@ _M = State.M
 _E = State.E
 _S = State.S
 _U = State.U
-_I = State.I
 
 # Operation kinds a classified record can carry. Conventional routes of
 # LabeledLoad/LabeledStore/LoadGather (baseline HTM, labels disabled) also
 # classify as K_LOAD/K_STORE — no labeled counts, mirroring the engine.
 # K_BEGIN/K_COMMIT bracket *interpreted* transactions run inside an epoch:
 # begin draws its timestamp in heap-pop (= strict) order, commit is
-# core-local under eager conflict detection. K_PROTO carries a certified
-# *full-protocol* access — a miss, an S-upgrade, a reduction, a gather —
-# whose outcome :meth:`VectorEngine._certify_proto` proved deterministic
-# from the current directory/sharer snapshot: executed at heap-pop time
-# (= the strict scheduler's execution point) through the real
-# ``MemorySystem`` handlers, so it is bit-identical by construction.
+# core-local under eager conflict detection.
 K_WORK = 0
 K_FUSED = 1
 K_LOAD = 2
@@ -126,42 +108,16 @@ K_LLOAD = 4
 K_LSTORE = 5
 K_BEGIN = 6
 K_COMMIT = 7
-K_PROTO = 8
-#: K_PROTO sub-kind for labeled gathers (record ``data`` field only; a
-#: record's ``kind`` is never K_GATHER).
-K_GATHER = 9
-
-#: Engine op-kind -> protocol AccessKind, for the extracted certifier.
-_CERTIFY_KINDS = {
-    K_LOAD: AccessKind.LOAD,
-    K_STORE: AccessKind.STORE,
-    K_LLOAD: AccessKind.LABELED_LOAD,
-    K_LSTORE: AccessKind.LABELED_STORE,
-    K_GATHER: AccessKind.GATHER,
-}
 #: An aborted transaction's restart (backoff draw + stall + re-begin),
 #: executed at the core's heap-pop time — exactly the point the strict
 #: scheduler would call ``_restart_tx`` — so the rng draw order matches.
-K_RESTART = 10
+K_RESTART = 8
 #: A barrier arrival. Arrivals execute at heap-pop time (= strict arrival
 #: order); the non-last arrivers block and leave the epoch, and the last
 #: arrival's release — which can only fire when every other live core is
 #: already waiting, i.e. with an empty epoch heap — re-admits the whole
 #: wave into the *same* epoch at the release time.
-K_BARRIER = 11
-#: First-touch fused transaction, phase 1: the real ``htm.begin`` (the
-#: timestamp draw happens in heap-pop = strict order). The body is
-#: scheduled as its own record at ``t + tx_begin_cycles`` because between
-#: begin and first access the transaction has no footprint — other cores'
-#: records must interleave exactly as the strict schedule would.
-K_FMISS_BEGIN = 12
-#: First-touch fused transaction, phase 2: one certified GETU install
-#: through the real protocol handlers, the remaining labeled hits closed
-#: form (they all L1-hit the just-installed line), and the real commit.
-#: Re-certified at its own pop; on decline it falls back to the
-#: interpreted transaction by materializing the frame the strict begin
-#: would have created.
-K_FMISS_BODY = 13
+K_BARRIER = 9
 
 # Strict-phase op budget between epoch attempts: doubles while epoch
 # attempts keep yielding nothing (irregular region), shrinks back toward
@@ -233,9 +189,6 @@ class VectorEngine(Engine):
         #: cycle, where the strict tie-break might order the fence first.
         self._commit_local = self._tx_commit_cycles >= 1
         self._cols = EpochColumns(self.config.num_cores)
-        #: Per-epoch memo of validated fused targets:
-        #: (core, line, label, idx0, n) -> CacheLine.
-        self._fused_ok: dict = {}
         #: Why the most recent _classify call declined (fence-cause
         #: histogram; see Stats.host_vector_fence_causes).
         self._decline = "unclassified"
@@ -334,8 +287,8 @@ class VectorEngine(Engine):
             else:
                 burst = max(_MIN_BURST, burst // 2)
             # Epoch-parallel fenced replay: when several cores fenced in
-            # this attempt (e.g. a barrier arrival wave, or misses on
-            # lines the certifier declined), give the strict phase at
+            # this attempt (e.g. a wave of misses after a barrier
+            # release), give the strict phase at
             # least one op per fenced event so the whole wave replays as
             # one sorted batch instead of one epoch attempt per event.
             if not self._run_runahead(max(burst, fences)):
@@ -385,10 +338,11 @@ class VectorEngine(Engine):
         observed. Operations pulled but not executed stay in
         ``_pulled`` until :meth:`_requeue` hands them back.
 
-        Cores whose next event is *not* local — a miss, a barrier, a
-        transaction restart, thread completion — do not park the whole
-        epoch: they become *fences* at their event's start time. The
-        epoch executes, in min-start order off a private heap, every
+        Cores whose next event is *not* local — a protocol access
+        (miss, upgrade, reduction, gather), thread completion — do not
+        park the whole epoch: they become *fences* at their event's
+        start time. The epoch executes, in min-start order off a
+        private heap, every
         local operation starting strictly before the earliest fence —
         exactly the set the strict scheduler would run before reaching
         the fenced event. A core whose operation executes immediately
@@ -406,7 +360,6 @@ class VectorEngine(Engine):
         classify = self._classify
         pulled = self._pulled
         pulled_value = self._pulled_value
-        self._fused_ok.clear()
         fc = self._cols.fence_causes
         fences = 0
 
@@ -436,17 +389,11 @@ class VectorEngine(Engine):
         by_label = cols.by_label
         breakdown = self._breakdown
         htm = self.htm
-        msys = self.msys
-        certify = self._certify_proto
         handlers = self._handlers
         caches = self._caches
 
         epoch_ops = 0
         fused_txs = 0
-        #: Set once a K_PROTO op executed: full-protocol accesses mutate
-        #: shared state (directory, foreign caches, own L2/L1 via install),
-        #: so later pops must re-validate what classification precomputed.
-        proto_mutated = False
         heappop = heapq.heappop
         heappush = heapq.heappush
 
@@ -472,9 +419,6 @@ class VectorEngine(Engine):
                 # the same way: pops are monotone in (start, core), the
                 # strict scheduler's order, so stopping before any pop
                 # leaves a state the strict phase continues exactly.
-                # Back into the heap so the post-loop sweep sees this
-                # record too.
-                heappush(heap, item)
                 break
             rec = item[2]
             runner, core, dur, kind, op, data, tx = rec
@@ -489,26 +433,7 @@ class VectorEngine(Engine):
                     tx.cycles_this_attempt += dur
             elif kind == K_FUSED:
                 entry, idx0, deltas, label, ret = data
-                cache = caches[core]
-                if proto_mutated:
-                    # An earlier protocol access may have invalidated,
-                    # downgraded, or L1-evicted the pre-validated target
-                    # (our own install evicts LRU L1 slots too, voiding
-                    # the all-L1-hits charge). Re-validate or hold.
-                    st = entry.state
-                    if (cache.peek_line(entry.line) is not entry
-                            or entry.line not in cache._l1
-                            or not (st is _M or st is _E
-                                    or (st is _U and entry.label is label))
-                            or entry.clean_words is not None
-                            or entry.spec_read or entry.spec_written
-                            or entry.spec_labeled):
-                        fc["fused_revoked"] = fc.get("fused_revoked", 0) + 1
-                        fences += 1
-                        if fence is None or t < fence:
-                            fence = t
-                        break
-                cache.touch(entry.line)
+                caches[core].touch(entry.line)
                 entry.words = words = list(entry.words)
                 j = idx0
                 for d in deltas:
@@ -527,63 +452,6 @@ class VectorEngine(Engine):
                 tx_col[core] += dur
                 fused_txs += 1
                 runner.pending_value = ret
-            elif kind == K_PROTO:
-                # Certified full-protocol access (miss, upgrade,
-                # reduction, gather): executed here, at its strict
-                # execution point, through the real MemorySystem handlers
-                # — bit-identical by construction. Earlier epoch work may
-                # have changed the snapshot (spec bits appear when in-tx
-                # cores run local ops), so re-certify before committing.
-                pred = certify(core, data, op.addr,
-                               getattr(op, "label", None), t,
-                               tx is not None)
-                if pred is None:
-                    fc["proto_revoked"] = fc.get("proto_revoked", 0) + 1
-                    fences += 1
-                    if fence is None or t < fence:
-                        fence = t
-                    break
-                req = Requester(core, tx.ts if tx is not None else None, t)
-                if data == K_LOAD:
-                    res = msys.load(core, op.addr, req)
-                elif data == K_STORE:
-                    res = msys.store(core, op.addr, op.value, req)
-                elif data == K_LLOAD:
-                    res = msys.labeled_load(core, op.addr, op.label, req)
-                elif data == K_LSTORE:
-                    res = msys.labeled_store(core, op.addr, op.label,
-                                             op.value, req)
-                else:
-                    res = msys.load_gather(core, op.addr, op.label, req)
-                if res.abort_requester or res.aborted_victims:
-                    raise SimulationError(
-                        "certified epoch protocol access aborted a "
-                        "transaction; the certifier must decline these"
-                    )
-                dur = res.cycles
-                instr_col[core] += 1
-                if data != K_LOAD and data != K_STORE:
-                    labeled_col[core] += 1
-                    name = op.label.name
-                    by_label[name] = by_label.get(name, 0) + 1
-                if tx is None:
-                    non_tx_col[core] += dur
-                else:
-                    # Straight to the breakdown (not the deferred column):
-                    # an abort after this epoch reclassifies
-                    # cycles_this_attempt out of tx_committed, clamped to
-                    # what the breakdown already holds.
-                    breakdown[core].tx_committed += dur
-                    tx.cycles_this_attempt += dur
-                runner.pending_value = res.value
-                cols.proto_ops += 1
-                if pred >= 0:
-                    if pred == dur:
-                        cols.pred_hits += 1
-                    else:
-                        cols.pred_misses += 1
-                proto_mutated = True
-                self._fused_ok.clear()
             elif kind == K_BEGIN:
                 # Clone of _op_atomic's outermost branch (obs is off
                 # whenever epochs run). The timestamp draw happens
@@ -654,112 +522,12 @@ class VectorEngine(Engine):
                         if fence is None or ft < fence:
                             fence = ft
                 continue
-            elif kind == K_FMISS_BEGIN:
-                # Phase 1 of a first-touch fused transaction: the real
-                # begin (timestamp drawn in heap-pop = strict order),
-                # then schedule the body as its own record at t + dur.
-                # No frame is pushed — generator creation is deferred to
-                # the fallback path, where it is still side-effect free —
-                # and the Atomic is consumed: nothing is held any more.
-                tx = htm.begin(core, op.ts)
-                breakdown[core].tx_committed += dur
-                tx.cycles_this_attempt += dur
-                nt = t + dur
-                cycles[core] = nt
-                pulled[core] = None
-                epoch_ops += 1
-                item[0] = nt
-                item[2] = [runner, core, 0, K_FMISS_BODY, op, data, tx]
-                if heap and (heap[0][0] < nt
-                             or (heap[0][0] == nt and heap[0][1] < core)):
-                    heappush(heap, item)
-                else:
-                    pending = item
-                continue
-            elif kind == K_FMISS_BODY:
-                plan = data
-                n = len(plan.deltas)
-                line_no = plan.line
-                addr0 = line_no * 64 + plan.idx0 * 8
-                cache = caches[core]
-                # Records executed since classification (our phase 1 ran
-                # at t - begin) may have changed the directory snapshot —
-                # even flipped which GETU case this install takes.
-                # Re-certify from the state at the body's own pop.
-                pred = (certify(core, K_LLOAD, addr0, plan.label, t, True)
-                        if cache.peek_line(line_no) is None else None)
-                if pred is None or pred < 0:
-                    # Fall back to the interpreted transaction: create
-                    # the frame the strict begin would have created and
-                    # fence at the body's start — the next pull yields
-                    # the first labeled access, replayed op by op.
-                    gen = op.fn(runner.ctx, *op.args)
-                    runner.frames.append(Frame(gen, op, True))
-                    runner.send = gen.send
-                    runner.pending_value = None
-                    fc["fmiss_revoked"] = fc.get("fmiss_revoked", 0) + 1
-                    fences += 1
-                    if fence is None or t < fence:
-                        fence = t
-                    continue
-                req = Requester(core, tx.ts, t)
-                res = msys.labeled_load(core, addr0, plan.label, req)
-                if res.abort_requester or res.aborted_victims:
-                    raise SimulationError(
-                        "certified fused install aborted a transaction; "
-                        "the certifier must decline these"
-                    )
-                entry = cache.peek_line(line_no)
-                # The remaining 2n-1 labeled ops replay closed form: the
-                # just-installed line L1-hits every one of them. The
-                # first store's copy-on-write snapshot feeds rollback
-                # (never taken — the real commit below clears it); the
-                # speculative install already put the line in the
-                # labeled set. One LRU touch stands in for all
-                # (idempotent).
-                cache.touch(line_no)
-                cache.mark_store(entry, True)
-                entry.words = words = list(entry.words)
-                j = plan.idx0
-                for d in plan.deltas:
-                    words[j] += d
-                    j += 1
-                entry.dirty = True
-                dur = res.cycles + (2 * n - 1) * self._l1_lat \
-                    + self._tx_commit_cycles
-                n2 = 2 * n
-                instr_col[core] += n2
-                labeled_col[core] += n2
-                name = plan.label.name
-                by_label[name] = by_label.get(name, 0) + n2
-                breakdown[core].tx_committed += dur
-                tx.cycles_this_attempt += dur
-                htm.commit(core)  # commit_all clears the spec residue
-                tx = None
-                runner.pending_value = plan.value
-                cols.proto_ops += 1
-                if pred == res.cycles:
-                    cols.pred_hits += 1
-                else:
-                    cols.pred_misses += 1
-                fused_txs += 1
-                proto_mutated = True
-                self._fused_ok.clear()
             else:
                 # A classified private hit, served by the engine's own
                 # handler as in the strict phases: it counts the op,
                 # charges it, advances the clock and delivers a load's
-                # value. Only this core changes its cache, so the hit
-                # still holds unless a protocol access ran earlier in the
-                # epoch; if one did and the line no longer serves the op
-                # (invalidated or downgraded), hold the op (still in
-                # _pulled) and end the epoch: everything left on the heap
-                # starts at or after this op.
-                if proto_mutated and not _hits(
-                        caches[core].peek_line(op.addr // 64), kind, op):
-                    fc["fast_revoked"] = fc.get("fast_revoked", 0) + 1
-                    fences += 1
-                    break
+                # value. Only this core changes its cache during an
+                # epoch, so the hit its classification found still holds.
                 handlers[op.__class__](self, runner, op)
                 dur = cycles[core] - t
             nt = t + dur
@@ -807,9 +575,11 @@ class VectorEngine(Engine):
             pulled[core] = nop
             if kind == K_FUSED and nop is op and nop.args is op.args:
                 # Hoisted Atomic re-yielded unchanged (e.g. counter's
-                # add_one): the plan and its validated target are still
-                # exact, skip re-lowering. Never done for Work/memory
-                # ops — their shuttles mutate in place between yields.
+                # add_one): nothing has run on this core since the fused
+                # op touched its line, so the plan and its validated
+                # target are still exact, skip re-lowering. Never done
+                # for Work/memory ops — their shuttles mutate in place
+                # between yields.
                 nrec = rec
             else:
                 nrec = classify(runner, nop, tx)
@@ -827,21 +597,6 @@ class VectorEngine(Engine):
                 heappush(heap, item)
             else:
                 pending = item
-
-        # A scheduled install body whose epoch ended before it popped
-        # must fall back to the interpreted transaction (its begin has
-        # already run): materialize the frame the strict begin would
-        # have created, so the next pull — strict or epoch — yields the
-        # transaction's first access.
-        for it in heap:
-            r = it[2]
-            if r[3] == K_FMISS_BODY:
-                rn = r[0]
-                fop = r[4]
-                gen = fop.fn(rn.ctx, *fop.args)
-                rn.frames.append(Frame(gen, fop, True))
-                rn.send = gen.send
-                rn.pending_value = None
 
         if epoch_ops:
             stats = self.stats
@@ -933,12 +688,8 @@ class VectorEngine(Engine):
         self-abort) classify as local. Latency is precomputed from L1
         residency, which only this core can change before execution.
         Accesses the handlers would send to the protocol — misses,
-        S-upgrades, reductions, gathers — get a second chance through
-        :meth:`_certify_proto`: when the protocol transition is fully
-        determined by the current directory/sharer snapshot (no
-        speculative victims, no unsafe evictions, word-wise labels only),
-        they classify as K_PROTO and execute in-epoch through the real
-        handlers."""
+        S-upgrades, reductions, gathers — decline: they fence the epoch
+        and run in the strict phase."""
         core = runner.core
         cls = op.__class__
         if cls is Work:
@@ -957,19 +708,12 @@ class VectorEngine(Engine):
                 if plan is not None:
                     deltas = plan.deltas
                     n = len(deltas)
-                    key = (core, plan.line, plan.label, plan.idx0, n)
-                    entry = self._fused_ok.get(key)
-                    if entry is None:
-                        entry = self._validate_fused(core, plan, n)
+                    entry = self._validate_fused(core, plan, n)
                     if entry is not None:
-                        self._fused_ok[key] = entry
                         dur = self._fused_base + 2 * n * self._l1_lat
                         data = (entry, plan.idx0, deltas, plan.label,
                                 plan.value)
                         return [runner, core, dur, K_FUSED, op, data, None]
-                    rec = self._classify_fused_miss(runner, core, op, plan, n)
-                    if rec is not None:
-                        return rec
             # Not fusible (no lowering, or the target line is not a
             # private hit yet): run the transaction *interpreted inside
             # the epoch*. The begin itself is local — it charges
@@ -993,19 +737,9 @@ class VectorEngine(Engine):
             kind = K_LSTORE if labeled else K_STORE
         elif cls is LoadGather:
             if labeled:
-                # Gathers always take the full protocol path; the
-                # certifier can still prove one epoch-safe.
-                addr = op.addr
-                if addr % 8:
-                    self._decline = "misaligned"
-                    return None
-                if self._certify_proto(core, K_GATHER, addr, op.label,
-                                       self._cycles[core],
-                                       tx is not None) is None:
-                    self._decline = ("tx_gather" if tx is not None
-                                     else "gather_unsafe")
-                    return None
-                return [runner, core, 1, K_PROTO, op, K_GATHER, tx]
+                # Gathers always take the full protocol path.
+                self._decline = "gather"
+                return None
             kind = K_LOAD
         elif cls is Barrier:
             if tx is not None:
@@ -1038,41 +772,10 @@ class VectorEngine(Engine):
             else:
                 dur = self._l12_lat
             return [runner, core, dur, kind, op, None, tx]
-        # Fast-path state check failed: a miss, an S-upgrade, or a
-        # non-commutative access to an own U line. The certifier may
-        # prove the transition deterministic — for speculative requesters
-        # that additionally means no victim can NACK (none speculative)
-        # and no self-abort through a speculative eviction.
-        if self._certify_proto(core, kind, addr,
-                               op.label if kind == K_LLOAD
-                               or kind == K_LSTORE else None,
-                               self._cycles[core], tx is not None) is None:
-            self._decline = ("tx_miss" if tx is not None
-                             else "miss_unsafe")
-            return None
-        return [runner, core, 1, K_PROTO, op, kind, tx]
-
-    def _classify_fused_miss(self, runner, core: int, op, plan,
-                             n: int) -> Optional[list]:
-        """First-touch fusion: the plan's line is not local, but when the
-        GETU install itself certifies, the transaction still collapses —
-        into *two* records mirroring the strict event times (see
-        K_FMISS_BEGIN / K_FMISS_BODY). Only the true miss qualifies: a
-        private copy in any state means the strict first access would
-        be a handler's hit (different charge, no occupancy postlude)."""
-        begin = self._tx_begin_cycles
-        if begin < 1 or not self._commit_local:
-            return None
-        if plan.idx0 < 0 or plan.idx0 + n > 8:
-            return None
-        if self._caches[core].peek_line(plan.line) is not None:
-            return None
-        addr0 = plan.line * 64 + plan.idx0 * 8
-        pred = self._certify_proto(core, K_LLOAD, addr0, plan.label,
-                                   self._cycles[core] + begin, True)
-        if pred is None or pred < 0:
-            return None
-        return [runner, core, begin, K_FMISS_BEGIN, op, plan, None]
+        # A miss, an S-upgrade, or a non-commutative access to an own U
+        # line: the protocol's work.
+        self._decline = "miss"
+        return None
 
     def _validate_fused(self, core: int, plan, n: int):
         """Check a FusedPlan against this core's cache: line present and
@@ -1093,26 +796,3 @@ class VectorEngine(Engine):
         if plan.idx0 < 0 or plan.idx0 + n > len(entry.words):
             return None
         return entry
-
-    # ------------------------------------------------------------------
-    # Full-protocol certification (K_PROTO)
-    # ------------------------------------------------------------------
-
-    def _certify_proto(self, core: int, memkind: int, addr: int, label,
-                       now: int, spec: bool = False) -> Optional[int]:
-        """Decide whether one access that missed the private-hit fast
-        path may execute *inside* an epoch through the real protocol
-        handlers, and predict its closed-form latency.
-
-        The decision procedure itself is :func:`certify.certify_access`
-        — a pure function of the memory system, shared with the
-        exhaustive model checker, which proves on every reachable state
-        of its bounded configs that a non-``None`` prediction matches
-        the charge the real handlers produce.  This wrapper only maps
-        the engine's integer op kinds onto :class:`AccessKind`.  It is
-        looked up through the module attribute (not bound at import) so
-        fault-injection tests can patch the certifier in one place for
-        both consumers."""
-        return certify.certify_access(self.msys, core,
-                                      _CERTIFY_KINDS[memkind], addr,
-                                      label, now, spec)

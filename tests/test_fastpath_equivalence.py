@@ -11,9 +11,9 @@ lines (where hits miss the L1, and evictions and writebacks surround
 them), and compare ``Stats.comparable()``, which covers every simulated
 statistic and excludes only the ``host_*`` instrumentation counters. A
 named case pins the hit whose L1 insert evicts a speculative line and
-aborts its own transaction, and a strict xfail pins the known violation
-that follows from it on both paths: a store hit that aborts this way
-still writes its line, and the retry's commit publishes it.
+aborts its own transaction, and another holds both paths to the
+serializable outcome that follows from it: a store hit that aborts this
+way still writes its line, and the retry must not commit that store.
 """
 
 import pytest
@@ -356,16 +356,13 @@ def _aborted_store(no_fastpath, monkeypatch):
     return stats.aborts, stats.commits, machine.read_word(LINE_C)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known serializability violation: the aborting hit marks and writes "
-    "C after its transaction aborted, and the abort does not roll C back "
-    "again, so the retry's commit publishes the aborted attempt's store "
-    "(C reads 99). A fix moves simulated numbers on small caches and "
-    "flips this test."))
 @pytest.mark.parametrize("no_fastpath", [False, True],
                          ids=["handlers", "reference"])
 def test_store_of_an_aborted_attempt_is_not_committed(no_fastpath,
                                                       monkeypatch):
+    # The aborting store hit marks and writes C after the abort's
+    # rollback; the retry starts only once that is rolled back too, so
+    # its commit publishes nothing of the aborted attempt.
     aborts, commits, value = _aborted_store(no_fastpath, monkeypatch)
     assert (aborts, commits) == (1, 1)
     assert value == 1
