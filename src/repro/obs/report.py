@@ -44,12 +44,9 @@ def per_label_table(stats) -> Dict[str, dict]:
 
 
 def _rate(value, digits: int, none=None):
-    """Round a host rate for the report, passing through the non-numeric
-    forms (``None`` -> ``none``, "n/a (vector)" unchanged)."""
+    """Round a host rate for the report (``None`` -> ``none``)."""
     if value is None:
         return none
-    if isinstance(value, str):
-        return value
     return round(value, digits)
 
 
@@ -69,8 +66,6 @@ def point_report(result) -> dict:
         # Host-simulator internals (excluded from Stats.comparable()):
         # fastpath_hit_rate is None when no fast path was attempted, which
         # the report spells "disabled" to keep the JSON self-describing.
-        # Under the vector backend both rate properties return the string
-        # "n/a (vector)", which passes through unrounded.
         "host": {
             "backend": stats.host_backend,
             "fastpath_hit_rate": _rate(stats.fastpath_hit_rate, 4,

@@ -435,11 +435,6 @@ class Engine:
         self._cycles[core] += cycles
 
     def _op_barrier(self, runner: ThreadRunner, op) -> None:
-        self._barrier_arrive(runner)
-
-    # ------------------------------------------------------------------
-
-    def _barrier_arrive(self, runner: ThreadRunner) -> None:
         core = runner.core
         if self._tx_active[core] is not None:
             raise TransactionError(

@@ -103,8 +103,9 @@ class Stats:
     # :meth:`comparable` (and from :meth:`summary`).
 
     #: Memory operations served as stable private-cache hits by the
-    #: engine's memory-op handlers (see ``Engine._op_load`` and friends),
-    #: the vector backend's epochs included.
+    #: engine's memory-op handlers (see ``Engine._op_load`` and friends).
+    #: The vector backend's epochs run no memory op, so under it these
+    #: count the probes of its strict phases.
     host_fastpath_hits: int = 0
     #: Hit probes that found no stable hit, so that the operation took
     #: the full protocol path. Operations that never probe (gathers on
@@ -130,7 +131,7 @@ class Stats:
     host_vector_epochs: int = 0
     #: Simulated operations executed inside vectorized epochs.
     host_vector_epoch_ops: int = 0
-    #: Whole transactions executed closed-form via the fused-plan path.
+    #: ``SharedCounter.add`` transactions the epochs applied in closed form.
     host_vector_fused_txs: int = 0
     #: Always 0: they counted in-epoch protocol accesses and their
     #: mispredicted latencies, and every protocol access now fences the
@@ -142,8 +143,9 @@ class Stats:
     #: interpreted run-ahead loop because its epochs fused too few
     #: transactions during the warmup window (host-only decision).
     host_vector_gated: bool = False
-    #: Why epochs fenced: cause -> count (e.g. "miss", "gather",
-    #: "thread_finish"). Host-side diagnosis of epoch engagement.
+    #: Why epochs fenced: cause -> count, the cause being the fenced op's
+    #: class name (e.g. "Load", "Atomic", "Barrier"), "in_tx" or
+    #: "thread_finish". Host-side diagnosis of epoch engagement.
     host_vector_fence_causes: Counter = field(default_factory=Counter)
 
     def __post_init__(self) -> None:
@@ -213,12 +215,8 @@ class Stats:
         ``None`` when no probe ran — fast path disabled via
         ``REPRO_NO_FASTPATH``, forced off by the obs layer, or no
         operation that probes — which is a different situation from
-        "enabled but never hit" (0.0). Under the vector backend the
-        handlers count the epochs' hits, which hit by construction, but
-        an epoch's fused transactions never probe, so a ratio would be
-        misleading: the string ``"n/a (vector)"`` is returned instead."""
-        if self.host_backend == "vector":
-            return "n/a (vector)"
+        "enabled but never hit" (0.0). Under the vector backend it is
+        the rate of the strict phases, the only ones that probe."""
         total = self.host_fastpath_hits + self.host_fastpath_misses
         return self.host_fastpath_hits / total if total else None
 
@@ -226,11 +224,8 @@ class Stats:
     def runahead_ops_per_batch(self):
         """Mean simulated steps per run-ahead scheduling quantum; ``None``
         under the stepped reference scheduler (``REPRO_NO_RUNAHEAD=1``).
-        Under the vector backend the quanta interleave with vectorized
-        epochs, so the mean no longer describes the run: the string
-        ``"n/a (vector)"`` is returned instead."""
-        if self.host_backend == "vector":
-            return "n/a (vector)"
+        Under the vector backend it counts the quanta of the strict
+        phases."""
         if self.host_runahead_batches == 0:
             return None
         return self.host_runahead_ops / self.host_runahead_batches

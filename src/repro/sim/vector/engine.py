@@ -1,53 +1,54 @@
-"""VectorEngine: epoch-batched execution with per-op interpreted fallback.
+"""VectorEngine: epochs of think time and fused counter adds, with the
+interpreted run-ahead loop for everything else.
 
 The interpreted engine advances one core by one operation per scheduler
-step, paying the full dispatch/handler/heap machinery each time even when
-the operation is a guaranteed private-cache hit. This engine alternates
-between two phases:
+step. This engine alternates between two phases:
 
 **Fence-bounded epochs** (:meth:`VectorEngine._run_epoch`). Every live,
-unblocked core's pulled operation is classified: *local* operations —
-think time, a private-hit load/store, a labeled update on this core's own
-M/E/U line, a whole transaction fusible through :mod:`.kernels` — enter a
-private min-start heap; everything else (an access the handlers would
-send to the protocol — a miss, an S-upgrade, a reduction, a gather —
-or thread completion) becomes a *fence* at its start time. The epoch
-then pops the heap and executes every local operation starting
+unblocked core outside a transaction pulls its next operation, and the
+engine classifies it. Two kinds of operation are *local* and enter a
+private min-key heap: think time (a ``Work`` of at least one cycle) and a
+*fused add*, an ``Atomic`` of a bound ``SharedCounter.add`` whose line
+this core holds in its L1 in M, E or the add's U, which the epoch applies
+in closed form instead of as a begin, a labeled load, a labeled store and
+a commit. Every other operation, any operation of a core whose
+transaction is active, and thread completion become a *fence* at their
+start time. The epoch then pops the heap and executes every record keyed
 strictly before the earliest fence; after each execution the core pulls
 and classifies its next operation, re-entering the heap (so one core
-chains through a whole local region) or lowering the fence. A private
-hit runs the engine's own memory-op handler, as in the strict phases; the
-other operations count into per-core columns
-(:class:`~repro.sim.vector.columns.EpochColumns`) that are summed into
-the ordinary ``Stats`` fields when the run completes.
+chains through a whole local region) or lowering the fence. Each record
+adds its counts to ``Stats`` and to its core's cycle-breakdown row
+directly.
 
-*Why the interleaving is bit-identical to strict min-clock order*: local
-operations touch only their own core's private cache (plus additive
-global counters), so local operations commute with each other — only
-their multiset matters, and that is exactly the set the strict scheduler
-would execute before reaching the earliest fenced event. A fence
-discovered mid-epoch sits at ``t + d`` of an operation just executed
-with duration ``d >= 1`` — strictly after every operation executed so
-far (heap pops are monotone in start time) — so it never invalidates
-completed work; a tie between a local operation and a fence is never
-executed (strict ``t < fence``), because the strict scheduler's
-``(stamp, core)`` tie-break could order the fenced event first.
-Durations are exact by construction: a classified operation's latency
-depends only on this core's cache state, which no other core can change
-during an epoch. Zero-duration operations (``Work(0)``) are never
-classified local — their ``t + d`` would not move past a tie — and fall
-to the strict phase instead.
+*Why the interleaving is bit-identical to strict min-clock order.* Local
+operations change only their own core's private cache (plus additive
+counters), so they commute with each other, and only fences order them
+against other cores. Think time is keyed at its start. A fused add is
+keyed at its commit step, ``start + tx_begin_cycles + 2 * l1_latency``:
+until then its transaction holds the line speculatively, so another
+core's access anywhere in ``[start, commit]`` must meet the interpreted
+transaction. When a record pops, every fence earlier than its key is
+known: a fence found later comes from a record popped at or after that
+key, and lies at that record's end, strictly after its key for think
+time (``Work(0)`` is never local) and at or after it for an add. A
+record at or past the fence is held (strict ``key < fence``, because the
+strict scheduler's ``(stamp, core)`` tie-break could order the fenced
+event first), and the strict phase runs it interpreted. Keys are start
+plus a constant per kind, and think time draws nothing, so fused adds
+draw their timestamps in start order, the interpreter's; a fused add
+commits at once, so it is never a live transaction that conflict
+resolution could compare.
 
 **Adaptive backend gate + fenced replay** (:meth:`VectorEngine._run_vector`).
-An epoch op costs more host time than the same op in the run-ahead
-loop; epochs win only where they fuse whole transactions. So the gate
-counts fused transactions against epoch ops and attempts during a
-warmup whose attempts are capped at a fixed op count, and a run whose
-epochs do not fuse rebinds to one uninterrupted strict (run-ahead)
-pass. When several cores fence in one attempt (a burst of misses), the
-strict phase gets at least one op per fenced event so the whole wave
-replays as one sorted batch. Every fence increments a cause histogram
-(``Stats.host_vector_fence_causes``).
+An epoch op costs more host time than the same op in the run-ahead loop;
+epochs win only where they fuse adds. So the gate counts fused adds
+against epoch ops and attempts during a warmup whose attempts are capped
+at a fixed op count, and a run whose epochs do not fuse rebinds to one
+uninterrupted strict (run-ahead) pass. When several cores fence in one
+attempt (a burst of misses), the strict phase gets at least one op per
+fenced event so the whole wave replays as one sorted batch. Every fence
+increments a cause histogram (``Stats.host_vector_fence_causes``): the
+fenced op's class name, ``in_tx`` or ``thread_finish``.
 
 **Strict phases** are ``Engine._run_runahead`` itself, given an
 operation budget so the engine can re-attempt an epoch. The budget
@@ -73,51 +74,19 @@ import sys
 from typing import List, Optional
 
 from ...coherence.states import State
+from ...datatypes.counter import SharedCounter
 from ...errors import SimulationError
-from ...runtime.ops import (
-    Atomic,
-    Barrier,
-    Load,
-    LabeledLoad,
-    LabeledStore,
-    LoadGather,
-    Store,
-    Work,
-)
-from ..engine import _FINISHED, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine, Frame
+from ...params import LINE_BYTES, WORD_BYTES
+from ...runtime.ops import Atomic, Work
+from ..engine import _FINISHED, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine
 from . import log
-from .columns import EpochColumns
-from .kernels import lower_atomic
 
 _M = State.M
 _E = State.E
-_S = State.S
 _U = State.U
 
-# Operation kinds a classified record can carry. Conventional routes of
-# LabeledLoad/LabeledStore/LoadGather (baseline HTM, labels disabled) also
-# classify as K_LOAD/K_STORE — no labeled counts, mirroring the engine.
-# K_BEGIN/K_COMMIT bracket *interpreted* transactions run inside an epoch:
-# begin draws its timestamp in heap-pop (= strict) order, commit is
-# core-local under eager conflict detection.
-K_WORK = 0
-K_FUSED = 1
-K_LOAD = 2
-K_STORE = 3
-K_LLOAD = 4
-K_LSTORE = 5
-K_BEGIN = 6
-K_COMMIT = 7
-#: An aborted transaction's restart (backoff draw + stall + re-begin),
-#: executed at the core's heap-pop time — exactly the point the strict
-#: scheduler would call ``_restart_tx`` — so the rng draw order matches.
-K_RESTART = 8
-#: A barrier arrival. Arrivals execute at heap-pop time (= strict arrival
-#: order); the non-last arrivers block and leave the epoch, and the last
-#: arrival's release — which can only fire when every other live core is
-#: already waiting, i.e. with an empty epoch heap — re-admits the whole
-#: wave into the *same* epoch at the release time.
-K_BARRIER = 9
+#: The one transaction an epoch fuses: a bound ``SharedCounter.add``.
+_COUNTER_ADD = SharedCounter.add
 
 # Strict-phase op budget between epoch attempts: doubles while epoch
 # attempts keep yielding nothing (irregular region), shrinks back toward
@@ -129,35 +98,19 @@ _MIN_BURST = 8
 _MAX_BURST = 4096
 
 # Adaptive backend gate. An epoch beats the run-ahead loop only where it
-# fuses whole commutative transactions into closed-form steps; an epoch
-# that fuses nothing costs more per op than the run-ahead loop (DESIGN.md
-# §6.3 has the measurements). So the gate asks whether the epochs fuse,
-# and rebinds the run to one uninterrupted strict (run-ahead) pass when
-# no transaction has fused by the _GATE_EARLY_ATTEMPTS-th epoch attempt,
-# or when fewer than one transaction per _GATE_OPS_PER_FUSED epoch ops
-# has fused by the _GATE_WARMUP_EPOCHS-th. Until it decides, each attempt
-# runs at most _WARMUP_OP_CAP ops, so that a run one epoch would cover (a
-# single thread) is decided too.
+# fuses counter adds into closed-form steps; an epoch that fuses nothing
+# costs more per op than the run-ahead loop (DESIGN.md §6.3 has the
+# measurements). So the gate asks whether the epochs fuse, and rebinds
+# the run to one uninterrupted strict (run-ahead) pass when no add has
+# fused by the _GATE_EARLY_ATTEMPTS-th epoch attempt, or when fewer than
+# one add per _GATE_OPS_PER_FUSED epoch ops has fused by the
+# _GATE_WARMUP_EPOCHS-th. Until it decides, each attempt runs at most
+# _WARMUP_OP_CAP ops, so that a run one epoch would cover (a single
+# thread) is decided too.
 _GATE_EARLY_ATTEMPTS = 4
 _GATE_WARMUP_EPOCHS = 32
 _GATE_OPS_PER_FUSED = 16
 _WARMUP_OP_CAP = 512
-
-
-def _hits(entry, kind, op) -> bool:
-    """Whether the private copy ``entry`` (None: no copy) serves ``op``,
-    an access of ``kind``, as a stable hit: the state test of the
-    engine's handlers (``Engine._op_load`` and friends)."""
-    if entry is None:
-        return False
-    st = entry.state
-    if st is _M or st is _E:
-        return True
-    if kind == K_LOAD:
-        return st is _S
-    if kind == K_STORE:
-        return False
-    return st is _U and entry.label is op.label
 
 
 def _one_shot(runner, op, value):
@@ -179,24 +132,13 @@ def _one_shot(runner, op, value):
 
 
 class VectorEngine(Engine):
-    """Engine backend ``"vector"``: wavefront epochs + strict fallback."""
+    """Engine backend ``"vector"``: fence-bounded epochs + strict fallback."""
 
     def __init__(self, machine, bodies):
         super().__init__(machine, bodies)
-        self._fused_base = self._tx_begin_cycles + self._tx_commit_cycles
-        #: Commits may execute inside epochs only with a nonzero latency:
-        #: a zero-duration event could tie with a fenced one at the same
-        #: cycle, where the strict tie-break might order the fence first.
-        self._commit_local = self._tx_commit_cycles >= 1
-        self._cols = EpochColumns(self.config.num_cores)
-        #: Why the most recent _classify call declined (fence-cause
-        #: histogram; see Stats.host_vector_fence_causes).
-        self._decline = "unclassified"
-        #: Restarts may run in-epoch only when they cannot take zero
-        #: cycles (backoff_cycles returns >= 1 whenever base > 0): a
-        #: zero-duration event could tie with a fence at its own start.
-        self._restart_local = (self.config.backoff_base > 0
-                               or self._tx_begin_cycles >= 1)
+        #: A fused add's commit step, from its start, and its duration.
+        self._fused_commit = self._tx_begin_cycles + 2 * self._l1_lat
+        self._fused_dur = self._fused_commit + self._tx_commit_cycles
         #: Per core, the op an epoch pulled from the thread but has not
         #: executed (``_FINISHED`` for a caught StopIteration, whose value
         #: is in ``_pulled_value``). Empty between epochs: ``_requeue``
@@ -273,7 +215,7 @@ class VectorEngine(Engine):
                              test, stats.host_vector_fused_txs,
                              stats.host_vector_epoch_ops)
                     self._run_runahead()
-                    break
+                    return
                 if attempts == _GATE_WARMUP_EPOCHS:
                     cap = sys.maxsize  # the epochs stay: uncapped
             if n == cap:
@@ -292,11 +234,7 @@ class VectorEngine(Engine):
             # least one op per fenced event so the whole wave replays as
             # one sorted batch instead of one epoch attempt per event.
             if not self._run_runahead(max(burst, fences)):
-                break
-        # One deferred flush: nothing reads the columns' Stats fields
-        # mid-run, so per-epoch flushes would only add overhead to short
-        # epochs.
-        self._cols.flush(self.stats)
+                return
 
     def _requeue(self) -> None:
         """End an epoch attempt: hand every op it pulled but did not
@@ -305,10 +243,7 @@ class VectorEngine(Engine):
         resuming the generator, and rebuild the ready heap with exactly
         one entry per runnable core at its clock. The heap is then in the
         state ``Engine._run_runahead`` keeps it in, so the strict phase is
-        that loop, unchanged: a restart replaces ``runner.send`` and so
-        discards an op held from the doomed attempt, and no blocked core
-        (an in-epoch barrier arrival) or duplicate entry (an in-epoch
-        barrier release) is left to skip."""
+        that loop, unchanged."""
         pulled = self._pulled
         pulled_value = self._pulled_value
         done = self.clocks._done
@@ -338,39 +273,23 @@ class VectorEngine(Engine):
         observed. Operations pulled but not executed stay in
         ``_pulled`` until :meth:`_requeue` hands them back.
 
-        Cores whose next event is *not* local — a protocol access
-        (miss, upgrade, reduction, gather), thread completion — do not
-        park the whole epoch: they become *fences* at their event's
-        start time. The epoch executes, in min-start order off a
-        private heap, every
-        local operation starting strictly before the earliest fence —
-        exactly the set the strict scheduler would run before reaching
-        the fenced event. A core whose operation executes immediately
-        pulls and classifies its next one, so a core chains through
-        whole local regions in one epoch. A fence discovered mid-epoch
-        is always at ``t + d`` of an op just executed, hence *strictly
-        after* every op executed so far (durations are >= 1), so it
-        never invalidates anything already done; ties between a local
-        op and a fence never execute (strict ``t < fence``), because
-        the strict scheduler could order the fenced event first."""
-        tx_active = self._tx_active
+        Heap items are ``[key, core, start, record]``; a record is
+        ``(duration, op, add)``, where ``add`` is None for think time
+        and ``(line entry, word index, delta, label name)`` for a fused
+        add. Each core has at most one item, so ``(key, core)`` orders
+        them: the strict scheduler's order, with a fused add at its
+        commit step (see the module docstring)."""
         done = self.clocks._done
-        cycles = self._cycles
-        finished = _FINISHED
-        classify = self._classify
-        pulled = self._pulled
-        pulled_value = self._pulled_value
-        fc = self._cols.fence_causes
+        runners = self.runners
+        stats = self.stats
+        fc = stats.host_vector_fence_causes
         fences = 0
 
-        heap: List[list] = []  # [start, core, rec] — min-start order
+        heap: List[list] = []
         fence = None  # earliest start among held non-local events
         admit = self._admit
-        for runner in self.runners:
-            if runner is None:
-                continue
-            core = runner.core
-            if done[core] or runner.blocked:
+        for runner in runners:
+            if runner is None or done[runner.core] or runner.blocked:
                 continue
             ft = admit(runner, heap, fc)
             if ft is not None:
@@ -380,24 +299,22 @@ class VectorEngine(Engine):
         if not heap:
             return 0, fences
 
-        cols = self._cols
-        instr_col = cols.instructions
-        labeled_col = cols.labeled
-        non_tx_col = cols.non_tx_cycles
-        tx_col = cols.tx_cycles
-        commits_col = cols.commits
-        by_label = cols.by_label
+        cycles = self._cycles
+        classify = self._classify
+        pulled = self._pulled
         breakdown = self._breakdown
-        htm = self.htm
-        handlers = self._handlers
+        by_label = stats.labeled_by_label
         caches = self._caches
+        htm = self.htm
+        commit_off = self._fused_commit
 
         epoch_ops = 0
-        fused_txs = 0
+        fused = 0
+        think = 0
         heappop = heapq.heappop
         heappush = heapq.heappush
 
-        #: A record provably <= everything in the heap: a core chaining
+        #: An item provably <= everything in the heap: a core chaining
         #: through a local region stays the global minimum most of the
         #: time, and skipping the heappush/heappop pair for those pops
         #: is the single largest host saving in this loop.
@@ -410,389 +327,154 @@ class VectorEngine(Engine):
                 item = heappop(heap)
             else:
                 break
-            t = item[0]
-            if (fence is not None and t >= fence) or epoch_ops >= cap:
-                # The minimum held start reached the fence: everything
-                # still on the heap starts at or past it too. Hold the
+            if (fence is not None and item[0] >= fence) or epoch_ops >= cap:
+                # The minimum held key reached the fence: everything
+                # still on the heap is keyed at or past it too. Hold the
                 # lot (ops stay in _pulled) and let the strict phase
-                # run the fenced event first. The op cap stops
-                # the same way: pops are monotone in (start, core), the
-                # strict scheduler's order, so stopping before any pop
-                # leaves a state the strict phase continues exactly.
+                # run the fenced event first. The op cap stops the same
+                # way: what ran is every local op keyed before the
+                # held ones, and they commute, so the strict phase
+                # continues exactly.
                 break
-            rec = item[2]
-            runner, core, dur, kind, op, data, tx = rec
-
-            # --- execute the held op ------------------------------------
-            if kind == K_WORK:
-                instr_col[core] += dur
-                if tx is None:
-                    non_tx_col[core] += dur
-                else:
-                    breakdown[core].tx_committed += dur
-                    tx.cycles_this_attempt += dur
-            elif kind == K_FUSED:
-                entry, idx0, deltas, label, ret = data
+            _, core, t, rec = item
+            dur, op, add = rec
+            if add is None:
+                think += dur
+                breakdown[core].non_tx += dur
+            else:
+                # The add's begin, labeled load, labeled store and
+                # commit in closed form: one LRU touch, the word's
+                # copy-on-write update with the silent E->M upgrade,
+                # one timestamp draw.
+                entry, word, delta, name = add
                 caches[core].touch(entry.line)
                 entry.words = words = list(entry.words)
-                j = idx0
-                for d in deltas:
-                    words[j] += d
-                    j += 1
+                words[word] += delta
                 entry.dirty = True
                 if entry.state is _E:
                     entry.state = _M
                 htm._next_ts += 1
-                n2 = 2 * len(deltas)
-                instr_col[core] += n2
-                labeled_col[core] += n2
-                name = label.name
-                by_label[name] = by_label.get(name, 0) + n2
-                commits_col[core] += 1
-                tx_col[core] += dur
-                fused_txs += 1
-                runner.pending_value = ret
-            elif kind == K_BEGIN:
-                # Clone of _op_atomic's outermost branch (obs is off
-                # whenever epochs run). The timestamp draw happens
-                # here, in heap-pop order — the strict scheduler's order.
-                tx = htm.begin(core, op.ts)
                 breakdown[core].tx_committed += dur
-                tx.cycles_this_attempt += dur
-                gen = op.fn(runner.ctx, *op.args)
-                runner.frames.append(Frame(gen, op, True))
-                runner.send = gen.send
-            elif kind == K_COMMIT:
-                if tx.aborted or tx.lazy_written:  # defensive: hold it
-                    fc["commit_revoked"] = fc.get("commit_revoked", 0) + 1
-                    fences += 1
-                    break
-                # Clone of _finish_frame's commit path (obs off; eager
-                # detection, so no lazy publication).
-                frames = runner.frames
-                frames.pop()
-                runner.send = frames[-1].gen.send
-                htm.commit(core)
-                breakdown[core].tx_committed += dur
-                runner.pending_value = data  # the frame's StopIteration value
-                tx = None
-            elif kind == K_RESTART:
-                # The strict path's own _restart_tx (finish_abort, frame
-                # unwind, livelock guard, backoff draw + stall charged
-                # as wasted, begin_retry + begin charge, fresh generator)
-                # — bit-identical by construction; it advances the clock
-                # itself, so the duration is read back off it. An op
-                # handed back from the doomed attempt goes with the
-                # one-shot send it replaces (replay re-creates it).
-                self._restart_tx(runner, tx)
-                dur = cycles[core] - t
-                tx = tx_active[core]
-            elif kind == K_BARRIER:
-                # Arrival at heap-pop time = the strict scheduler's
-                # arrival order. Non-last arrivers block and simply leave
-                # the epoch (no record, no fence — a blocked core cannot
-                # act until released).
-                pulled[core] = None
-                self._barrier_arrive(runner)
-                epoch_ops += 1
-                if runner.blocked:
-                    continue
-                # Last arriver: the release fired. It can only fire when
-                # every other live core is already waiting, so the heap
-                # is empty; every waiter's stall was charged non-tx and
-                # its clock advanced to the release time by
-                # _maybe_release_barrier. Re-admit the whole wave into
-                # this same epoch.
-                nt = cycles[core]
-                if heap:  # defensive: fall back to fencing the release
-                    fences += 1
-                    if fence is None or nt < fence:
-                        fence = nt
-                    break
-                admit = self._admit
-                for r2 in self.runners:
-                    if r2 is None:
-                        continue
-                    c2 = r2.core
-                    if done[c2] or r2.blocked:
-                        continue
-                    ft = admit(r2, heap, fc)
-                    if ft is not None:
-                        fences += 1
-                        if fence is None or ft < fence:
-                            fence = ft
-                continue
-            else:
-                # A classified private hit, served by the engine's own
-                # handler as in the strict phases: it counts the op,
-                # charges it, advances the clock and delivers a load's
-                # value. Only this core changes its cache during an
-                # epoch, so the hit its classification found still holds.
-                handlers[op.__class__](self, runner, op)
-                dur = cycles[core] - t
+                by_label[name] += 2
+                fused += 1
             nt = t + dur
             cycles[core] = nt
             pulled[core] = None
             epoch_ops += 1
 
             # --- pull and classify this core's next op ------------------
-            # A non-local pull fences this core at its new time
-            # t + dur > t, strictly after everything already executed.
-            value = runner.pending_value
-            runner.pending_value = None
-            nop = None
-            while True:
-                try:
-                    nop = runner.send(value)
-                except StopIteration as stop:
-                    frames = runner.frames
-                    if len(frames) > 1 and not frames[-1].is_tx_root:
-                        # Plain nested generator: free, invisible pop.
-                        frames.pop()
-                        runner.send = frames[-1].gen.send
-                        value = stop.value
-                        continue
-                    pulled[core] = finished
-                    pulled_value[core] = stop.value
-                    if (self._commit_local and len(frames) > 1
-                            and tx is not None
-                            and not tx.aborted and not tx.lazy_written):
-                        # Tx commit: core-local event at nt lasting
-                        # tx_commit_cycles — re-enters the heap so the
-                        # fence check orders it like any other op.
-                        item[0] = nt
-                        item[2] = [runner, core, self._tx_commit_cycles,
-                                   K_COMMIT, None, stop.value, tx]
-                        heappush(heap, item)
-                    else:
-                        fc["thread_finish"] = fc.get("thread_finish", 0) + 1
-                        fences += 1
-                        if fence is None or nt < fence:
-                            fence = nt
-                break
-            if nop is None:
+            # A non-local pull fences this core at its new time nt, no
+            # earlier than the key just executed.
+            runner = runners[core]
+            try:
+                nop = runner.send(None)
+            except StopIteration as stop:
+                pulled[core] = _FINISHED
+                self._pulled_value[core] = stop.value
+                fc["thread_finish"] += 1
+                fences += 1
+                if fence is None or nt < fence:
+                    fence = nt
                 continue
             pulled[core] = nop
-            if kind == K_FUSED and nop is op and nop.args is op.args:
+            if add is not None and nop is op and nop.args is op.args:
                 # Hoisted Atomic re-yielded unchanged (e.g. counter's
                 # add_one): nothing has run on this core since the fused
-                # op touched its line, so the plan and its validated
-                # target are still exact, skip re-lowering. Never done
-                # for Work/memory ops — their shuttles mutate in place
-                # between yields.
+                # add touched its line, so its validated target is still
+                # exact. Never done for Work — its shuttle mutates in
+                # place between yields.
                 nrec = rec
             else:
-                nrec = classify(runner, nop, tx)
+                nrec = classify(core, nop)
                 if nrec is None:
-                    cause = self._decline
-                    fc[cause] = fc.get(cause, 0) + 1
+                    fc[nop.__class__.__name__] += 1
                     fences += 1
                     if fence is None or nt < fence:
                         fence = nt
                     continue
-            item[0] = nt
-            item[2] = nrec
-            if heap and (heap[0][0] < nt
-                         or (heap[0][0] == nt and heap[0][1] < core)):
+            key = nt if nrec[2] is None else nt + commit_off
+            item[0] = key
+            item[2] = nt
+            item[3] = nrec
+            if heap and (heap[0][0] < key
+                         or (heap[0][0] == key and heap[0][1] < core)):
                 heappush(heap, item)
             else:
                 pending = item
 
         if epoch_ops:
-            stats = self.stats
+            stats.instructions += think + 2 * fused
+            stats.labeled_instructions += 2 * fused
+            stats.commits += fused
             stats.host_vector_epochs += 1
             stats.host_vector_epoch_ops += epoch_ops
-            stats.host_vector_fused_txs += fused_txs
+            stats.host_vector_fused_txs += fused
         return epoch_ops, fences
 
     def _admit(self, runner, heap, fc) -> Optional[int]:
-        """Pull and classify one unblocked, unfinished core's next event.
-
-        Epoch-local events (including a pending restart or an inline
-        commit) are pushed onto ``heap`` and None is returned; anything
-        else bumps its cause in ``fc`` and returns the event's start time
-        so the caller can fence at it. Shared between the epoch's opening
-        scan and the in-epoch barrier release, which re-admits the whole
-        released wave mid-epoch."""
+        """Pull and classify one unblocked, unfinished core's next op at
+        the start of an epoch: a local op is pushed onto ``heap`` and
+        None is returned; anything else bumps its cause in ``fc`` and
+        returns the core's clock, for the caller to fence at. A core
+        whose transaction is active fences without pulling."""
         core = runner.core
-        tx = self._tx_active[core]
         t = self._cycles[core]
-        if tx is not None and tx.aborted:
-            if self._restart_local:
-                # The restart executes at this core's heap-pop time —
-                # exactly where the strict scheduler would call
-                # _restart_tx — so the backoff rng draw happens in
-                # strict order and the retried transaction re-enters
-                # the epoch instead of fencing it.
-                heapq.heappush(heap, [t, core,
-                                      [runner, core, 0, K_RESTART, None,
-                                       None, tx]])
-                return None
-            fc["tx_restart"] = fc.get("tx_restart", 0) + 1
+        if self._tx_active[core] is not None:
+            fc["in_tx"] += 1
             return t
         value = runner.pending_value
         runner.pending_value = None
-        while True:
-            try:
-                op = runner.send(value)
-            except StopIteration as stop:
-                frames = runner.frames
-                if len(frames) > 1 and not frames[-1].is_tx_root:
-                    # Plain nested generator: popping it is free and
-                    # invisible to every other core.
-                    frames.pop()
-                    runner.send = frames[-1].gen.send
-                    value = stop.value
-                    continue
-                op = _FINISHED
-                self._pulled_value[core] = stop.value
-            break
+        try:
+            op = runner.send(value)
+        except StopIteration as stop:
+            self._pulled[core] = _FINISHED
+            self._pulled_value[core] = stop.value
+            fc["thread_finish"] += 1
+            return t
         self._pulled[core] = op
-        if op is _FINISHED:
-            # A pending frame-finish: an inline-committable tx root
-            # becomes a K_COMMIT record (the commit is a core-local
-            # event lasting tx_commit_cycles); thread completion and
-            # anything irregular stay strict-phase work.
-            frames = runner.frames
-            if (self._commit_local and len(frames) > 1
-                    and frames[-1].is_tx_root
-                    and tx is not None and not tx.aborted
-                    and not tx.lazy_written):
-                heapq.heappush(heap, [t, core,
-                                      [runner, core, self._tx_commit_cycles,
-                                       K_COMMIT, None,
-                                       self._pulled_value[core], tx]])
-                return None
-            fc["thread_finish"] = fc.get("thread_finish", 0) + 1
-            return t
-        rec = self._classify(runner, op, tx)
+        rec = self._classify(core, op)
         if rec is None:
-            cause = self._decline
-            fc[cause] = fc.get(cause, 0) + 1
+            fc[op.__class__.__name__] += 1
             return t
-        heapq.heappush(heap, [t, core, rec])
+        heapq.heappush(heap, [t if rec[2] is None else t + self._fused_commit,
+                              core, t, rec])
         return None
 
     # ------------------------------------------------------------------
 
-    def _classify(self, runner, op, tx) -> Optional[list]:
-        """Classify one held op as epoch-local, returning a record
-        ``[runner, core, duration, kind, op, data, tx]`` with the *exact*
-        latency the op will charge, or None to park the epoch (with the
-        cause in ``self._decline`` for the fence histogram).
+    def _classify(self, core: int, op) -> Optional[tuple]:
+        """Classify one pulled op of a core outside a transaction: a
+        record ``(duration, op, add)`` (see :meth:`_run_epoch`) with the
+        *exact* latency the op will charge, or None to fence.
 
-        This is a non-mutating mirror of the engine's routing rules and
-        of its handlers' hit test (:func:`_hits`): only ops the handlers
-        would certainly serve as private hits (and that cannot insert
-        into the L1 while a transaction is active, so the LRU touch cannot
-        self-abort) classify as local. Latency is precomputed from L1
-        residency, which only this core can change before execution.
-        Accesses the handlers would send to the protocol — misses,
-        S-upgrades, reductions, gathers — decline: they fence the epoch
-        and run in the strict phase."""
-        core = runner.core
+        Think time is local when it lasts at least a cycle: ``Work(0)``
+        could tie with a fence at its own start. A fused add needs the
+        CommTM system and its counter's line in this core's L1 (the
+        interpreted add charges two L1 hits, and no insert means no
+        eviction) in M, E or U under the counter's label: then the
+        interpreted begin, labeled load, labeled store and commit touch
+        nothing but this line, which holds no speculative state outside
+        a transaction."""
         cls = op.__class__
         if cls is Work:
             dur = op.cycles
-            if dur < 1:  # Work(0) could tie with a held op at exactly G
-                self._decline = "zero_work"
-                return None
-            return [runner, core, dur, K_WORK, op, None, tx]
-
-        if cls is Atomic:
-            if tx is not None:
-                self._decline = "nested_atomic"
-                return None  # closed nesting pushes a zero-cost frame
-            if self._commtm:
-                plan = lower_atomic(op)
-                if plan is not None:
-                    deltas = plan.deltas
-                    n = len(deltas)
-                    entry = self._validate_fused(core, plan, n)
-                    if entry is not None:
-                        dur = self._fused_base + 2 * n * self._l1_lat
-                        data = (entry, plan.idx0, deltas, plan.label,
-                                plan.value)
-                        return [runner, core, dur, K_FUSED, op, data, None]
-            # Not fusible (no lowering, or the target line is not a
-            # private hit yet): run the transaction *interpreted inside
-            # the epoch*. The begin itself is local — it charges
-            # tx_begin_cycles and draws its timestamp in heap-pop order,
-            # which is exactly the strict scheduler's draw order.
-            dur = self._tx_begin_cycles
-            if dur < 1:
-                self._decline = "zero_begin"
-                return None
-            return [runner, core, dur, K_BEGIN, op, None, None]
-
-        labeled = (self._commtm
-                   and not (tx is not None and tx.labels_disabled))
-        if cls is Load:
-            kind = K_LOAD
-        elif cls is Store:
-            kind = K_STORE
-        elif cls is LabeledLoad:
-            kind = K_LLOAD if labeled else K_LOAD
-        elif cls is LabeledStore:
-            kind = K_LSTORE if labeled else K_STORE
-        elif cls is LoadGather:
-            if labeled:
-                # Gathers always take the full protocol path.
-                self._decline = "gather"
-                return None
-            kind = K_LOAD
-        elif cls is Barrier:
-            if tx is not None:
-                # The strict path must raise TransactionError for this.
-                self._decline = "barrier"
-                return None
-            # Arrival blocks (or, for the last arriver, releases the
-            # whole wave) at heap-pop time; the stall is resolved and
-            # charged by _maybe_release_barrier itself.
-            return [runner, core, 0, K_BARRIER, op, None, None]
-        else:
-            self._decline = "unhandled_op"
-            return None  # OrderedAtomic, unknown ops
-
-        addr = op.addr
-        if addr % 8:
-            self._decline = "misaligned"
-            return None  # misaligned: slow path raises
+            return (dur, op, None) if dur >= 1 else None
+        if cls is not Atomic or not self._commtm:
+            return None
+        fn = op.fn
+        if getattr(fn, "__func__", None) is not _COUNTER_ADD:
+            return None
+        counter = fn.__self__
+        addr = counter.addr
+        label = counter.label
+        line = addr // LINE_BYTES
         cache = self._caches[core]
-        entry = cache.peek_line(addr // 64)
-        if _hits(entry, kind, op):
-            if entry.line in cache._l1:
-                dur = self._l1_lat
-            elif tx is not None:
-                # The touch would insert into the L1 and could evict a
-                # speculative line, aborting this core's own transaction —
-                # only the full path may take that step.
-                self._decline = "tx_l1_insert"
-                return None
-            else:
-                dur = self._l12_lat
-            return [runner, core, dur, kind, op, None, tx]
-        # A miss, an S-upgrade, or a non-commutative access to an own U
-        # line: the protocol's work.
-        self._decline = "miss"
-        return None
-
-    def _validate_fused(self, core: int, plan, n: int):
-        """Check a FusedPlan against this core's cache: line present and
-        L1-resident (the fused charge is all L1 hits, and no insertion
-        means no eviction), stable state, no speculative residue, and the
-        word run in bounds. Returns the CacheLine or None."""
-        cache = self._caches[core]
-        entry = cache.peek_line(plan.line)
-        if entry is None or plan.line not in cache._l1:
+        entry = cache.peek_line(line)
+        if entry is None or line not in cache._l1:
             return None
         st = entry.state
-        if not (st is _M or st is _E
-                or (st is _U and entry.label is plan.label)):
+        if not (st is _M or st is _E or (st is _U and entry.label is label)):
             return None
-        if (entry.clean_words is not None or entry.spec_read
-                or entry.spec_written or entry.spec_labeled):
-            return None
-        if plan.idx0 < 0 or plan.idx0 + n > len(entry.words):
-            return None
-        return entry
+        delta = op.args[0] if op.args else 1
+        return (self._fused_dur, op,
+                (entry, addr % LINE_BYTES // WORD_BYTES, delta, label.name))

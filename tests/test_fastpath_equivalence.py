@@ -51,12 +51,12 @@ def _run(name, *, commtm, seed, no_fastpath, monkeypatch, sanitize=False,
     else:
         monkeypatch.delenv(SANITIZE_ENV, raising=False)
     # Pinned to the interpreted engine: this file differentially tests
-    # *its* fast path, and asserts its host counters, which the vector
-    # backend reports as "n/a (vector)". The vector backend has its own
-    # oracle in tests/test_vector_equivalence.py. Obs is pinned off too:
-    # an ambient REPRO_OBS=1 (the CI obs x vector leg exports it
-    # suite-wide) deliberately disables the interpreted fast path, which
-    # would contradict the hit-count assertions below.
+    # *its* fast path, and asserts its host counters, which under the
+    # vector backend count only its strict phases. The vector backend
+    # has its own oracle in tests/test_vector_equivalence.py. Obs is
+    # pinned off too: an ambient REPRO_OBS=1 (the CI obs x vector leg
+    # exports it suite-wide) deliberately disables the interpreted fast
+    # path, which would contradict the hit-count assertions below.
     monkeypatch.delenv(OBS_ENV, raising=False)
     return run_workload(build, 4, num_cores=16, commtm=commtm, seed=seed,
                         base_config=base_config, backend="interp", **params)

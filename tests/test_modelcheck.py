@@ -83,11 +83,10 @@ class TestSnapshotRestore:
 
 class TestCertifyPurity:
     def test_certify_module_does_not_import_numpy(self):
-        # The simulator is pure Python: the kernels and the whole vector
-        # engine import and run with numpy blocked, and a counter run
-        # really fuses transactions inside epochs.
+        # The simulator is pure Python: the whole vector engine imports
+        # and runs with numpy blocked, and a counter run really fuses
+        # transactions inside epochs.
         code = ("import sys; sys.modules['numpy'] = None; "
-                "import repro.sim.vector.kernels; "
                 "import repro.sim.vector.engine; "
                 "from repro.harness.runner import run_workload; "
                 "from repro.workloads.micro import counter; "

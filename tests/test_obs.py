@@ -46,9 +46,9 @@ def _run(build, *, commtm, seed=1, observe=False, monkeypatch):
     else:
         monkeypatch.delenv(OBS_ENV, raising=False)
     # Pinned to the interpreted engine: these tests assert its host-side
-    # instrumentation (fast-path hit rates, run-ahead batching) which the
-    # vector backend reports as "n/a (vector)". The vector x obs
-    # composition — identical payloads across backends — is covered by
+    # instrumentation (fast-path hit rates, run-ahead batching), which
+    # under the vector backend counts only its strict phases. The vector
+    # x obs composition — identical payloads across backends — is covered by
     # tests/test_vector_obs_parity.py.
     return run_workload(build, 4, num_cores=16, commtm=commtm, seed=seed,
                         total_ops=240, backend="interp")

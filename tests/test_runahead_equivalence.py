@@ -48,8 +48,8 @@ def _run(build, *, commtm, seed, runahead, monkeypatch, sanitize=False,
     params.setdefault("total_ops", 240)
     # Pinned to the interpreted engine: this file differentially tests
     # *its* run-ahead scheduler, and asserts its host batching counters,
-    # which the vector backend reports as "n/a (vector)". The vector
-    # backend has its own oracle in tests/test_vector_equivalence.py.
+    # which under the vector backend count only its strict phases. The
+    # vector backend has its own oracle in tests/test_vector_equivalence.py.
     return run_workload(build, 4, num_cores=16, commtm=commtm, seed=seed,
                         backend="interp", **params)
 

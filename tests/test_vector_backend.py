@@ -3,15 +3,14 @@
 Parity of simulated results is proven in tests/test_vector_equivalence.py;
 this file covers the *plumbing*: how a backend is chosen (argument > env >
 default), how the harness carries the backend through point specs and
-cache fingerprints, how the host-side reporting surfaces change under the
-vector backend ("n/a (vector)" rates, host counters kept out of
+cache fingerprints, the host-side reporting surfaces (rates that are
+numbers on both backends, host counters kept out of
 ``Stats.comparable()``), which runs the adaptive gate hands to the
-run-ahead loop, the column flush, and the boundary between the backend
-and the shared modules.
+run-ahead loop, and the boundary between the backend and the shared
+modules.
 """
 
 import ast
-import random
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,6 @@ from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine
 from repro.sim.stats import Stats
 from repro.sim.vector import BACKEND_ENV, BACKENDS
 from repro.sim.vector import engine as vector_engine
-from repro.sim.vector.columns import EpochColumns
 from repro.workloads.apps import boruvka, kmeans, vacation
 from repro.workloads.micro import counter, linked_list, refcount
 
@@ -158,14 +156,18 @@ def test_host_counters_stay_out_of_comparable():
         assert key not in comparable
 
 
-def test_rates_report_na_under_vector_backend():
+def test_rates_numeric_under_vector_backend():
+    # An epoch runs no memory op, so the hit counters count exactly the
+    # probes of the strict phases, whose quanta the run-ahead counters
+    # count: both rates stay plain numbers.
     stats = Stats(num_cores=2)
     stats.host_backend = "vector"
-    stats.host_fastpath_hits = 10
-    stats.host_runahead_batches = 3
-    stats.host_runahead_ops = 30
-    assert stats.fastpath_hit_rate == "n/a (vector)"
-    assert stats.runahead_ops_per_batch == "n/a (vector)"
+    stats.host_fastpath_hits = 3
+    stats.host_fastpath_misses = 1
+    stats.host_runahead_batches = 2
+    stats.host_runahead_ops = 10
+    assert stats.fastpath_hit_rate == 0.75
+    assert stats.runahead_ops_per_batch == 5.0
 
 
 def test_rates_still_numeric_under_interp():
@@ -181,7 +183,6 @@ def test_rates_still_numeric_under_interp():
 def test_report_rate_helper_passes_through_non_numeric():
     assert _rate(None, 4, none="disabled") == "disabled"
     assert _rate(None, 3) is None
-    assert _rate("n/a (vector)", 4) == "n/a (vector)"
     assert _rate(0.123456, 4) == 0.1235
 
 
@@ -190,7 +191,7 @@ def test_backend_names_are_closed():
 
 
 # ---------------------------------------------------------------------------
-# Adaptive gate: epochs stay only while they fuse transactions
+# Adaptive gate: epochs stay only while they fuse counter adds
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -220,9 +221,6 @@ _KMEANS = dict(num_points=512, clusters=8, iterations=3)
         "linked_list-commtm-8", "refcount-baseline-8"])
 def test_gate_rebinds_points_that_fuse_nothing(build, commtm, threads,
                                                params, _hermetic):
-    # kmeans fuses later in the run, but its first epoch attempts each
-    # end at a miss on its input, before any accumulate transaction
-    # fuses, so the first checkpoint fires there too.
     stats = run_workload(build, threads, commtm=commtm, seed=1,
                          backend="vector", **params).stats
     assert stats.host_vector_fused_txs == 0
@@ -249,10 +247,14 @@ def test_gate_keeps_points_that_fuse(build, threads, params, fused,
 
 def _sparse_fusion_run(backend, ops_per_add, adds, threads=8):
     """Every thread interleaves one fusible counter add with
-    ``ops_per_add - 1`` think-time ops, all of them epoch-local."""
+    ``ops_per_add - 1`` think-time ops, all of them epoch-local: the
+    counter starts in U at every running core, as ``counter.build``
+    seeds it, so no add misses."""
     machine = Machine(SystemConfig(num_cores=16, commtm_enabled=True,
                                    seed=1), backend=backend)
     shared = SharedCounter(machine)
+    machine.seed_reducible(shared.addr, shared.label,
+                           {core: 0 for core in range(threads)})
 
     def body(ctx):
         for _ in range(adds):
@@ -279,45 +281,6 @@ def test_gate_weighs_fused_transactions_per_epoch_op(ops_per_add, gated,
     interp = _sparse_fusion_run("interp", ops_per_add, adds)
     assert interp.parallel_cycles == vector.parallel_cycles
     assert interp.comparable() == vector.comparable()
-
-
-# ---------------------------------------------------------------------------
-# Column flush
-# ---------------------------------------------------------------------------
-
-def test_epoch_columns_flush_adds_per_core_sums_and_resets():
-    rng = random.Random(7)
-    n = 16
-    cols = EpochColumns(n)
-    for name in ("instructions", "labeled", "non_tx_cycles", "tx_cycles",
-                 "commits"):
-        column = [rng.randint(0, 1 << 40) for _ in range(n)]
-        column[3] = 0  # idle cores stay untouched in the breakdown
-        setattr(cols, name, column)
-    cols.non_tx_cycles[5] = 0  # only in-transaction cycles on core 5
-    expected = {name: list(getattr(cols, name))
-                for name in ("instructions", "labeled", "non_tx_cycles",
-                             "tx_cycles", "commits")}
-    cols.by_label = {"ADD": 11, "MIN": 4}
-    cols.fence_causes = {"barrier": 3}
-
-    stats = Stats(num_cores=n)
-    cols.flush(stats)
-
-    assert stats.instructions == sum(expected["instructions"])
-    assert stats.labeled_instructions == sum(expected["labeled"])
-    assert stats.commits == sum(expected["commits"])
-    assert [b.non_tx for b in stats.breakdown] == expected["non_tx_cycles"]
-    assert [b.tx_committed for b in stats.breakdown] == expected["tx_cycles"]
-    assert dict(stats.labeled_by_label) == {"ADD": 11, "MIN": 4}
-    assert dict(stats.host_vector_fence_causes) == {"barrier": 3}
-
-    for name in expected:
-        assert getattr(cols, name) == [0] * n
-    assert cols.by_label == {} and cols.fence_causes == {}
-    before = stats.comparable()
-    cols.flush(stats)  # a second flush adds nothing
-    assert stats.comparable() == before
 
 
 # ---------------------------------------------------------------------------

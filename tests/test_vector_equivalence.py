@@ -1,18 +1,17 @@
 """Differential-oracle parity tests for the vector engine backend.
 
 The vector backend (``repro.sim.vector``) advances the simulation in
-fence-bounded epochs — bulk-executing provably local operations (private
-hits, think time, fused commutative transactions, interpreted tx
-begin/commit under eager detection) off a min-start heap, interleaved
-with strict per-op phases for everything else. It is a host-side
+fence-bounded epochs of think time and fused ``SharedCounter.add``
+transactions off a min-key heap, interleaved with strict per-op phases
+(the interpreted run-ahead loop) for everything else. It is a host-side
 optimization only: every simulated quantity must be *bit-identical* to
 the interpreted engine. These tests run all ten workloads — the five
 micros and the five ported applications (kmeans, vacation, ssca2,
 genome, boruvka) — under both systems (CommTM and the baseline HTM),
-plus a randomized op mix, and compare per-thread cycles,
-``parallel_cycles``, and the full ``Stats.comparable()`` dict — the
-same differential oracle the run-ahead scheduler is held to in
-tests/test_runahead_equivalence.py.
+plus a randomized op mix and another core's access inside a fused add's
+window, and compare per-thread cycles, ``parallel_cycles``, and the full
+``Stats.comparable()`` dict — the same differential oracle the run-ahead
+scheduler is held to in tests/test_runahead_equivalence.py.
 
 Composition is covered too. The coherence sanitizer and the observer
 are per-op layers: ``REPRO_SANITIZE=1`` or ``REPRO_OBS=1`` plus
@@ -89,25 +88,29 @@ def test_vector_is_bit_identical(name, commtm, seed, monkeypatch):
                   monkeypatch=monkeypatch)
     _assert_parity(interp, vector)
 
-    # The backends really ran where they claim: epochs engaged on the
-    # vector side (every micro has at least one epoch-local window) and
-    # never on the interpreted side.
+    # The backends really ran where they claim: never an epoch on the
+    # interpreted side, and on the vector side epochs that fuse adds
+    # where every op is a counter add on a line seeded in U. The other
+    # micros run transactions that do not fuse, or baseline counter
+    # adds, which epochs fence.
     assert interp.stats.host_backend == "interp"
     assert interp.stats.host_vector_epochs == 0
     assert vector.stats.host_backend == "vector"
-    assert vector.stats.host_vector_epochs > 0
-    assert vector.stats.host_vector_epoch_ops > 0
+    if name == "counter" and commtm:
+        assert vector.stats.host_vector_epochs > 0
+        assert vector.stats.host_vector_fused_txs > 0
 
 
 @pytest.mark.parametrize("commtm", [True, False],
                          ids=["commtm", "baseline"])
 @pytest.mark.parametrize("name", sorted(APPS))
 def test_vector_is_bit_identical_on_apps(name, commtm, monkeypatch):
-    """The full application matrix under both systems. kmeans mixes fused
+    """The full application matrix under both systems. kmeans mixes
     commutative transactions with reduction resets, barriers, and
     first-touch misses — the densest fence profile in the repo; genome and
     vacation bring hash-table gathers and resizes, ssca2 and boruvka bring
-    irregular graph footprints with MIN-labeled reductions."""
+    irregular graph footprints with MIN-labeled reductions. None of them
+    fuses, but each starts in an epoch of think time."""
     build, params = APPS[name]
     interp = _run(build, backend="interp", commtm=commtm, seed=1,
                   monkeypatch=monkeypatch, total_ops=None, **params)
@@ -115,10 +118,6 @@ def test_vector_is_bit_identical_on_apps(name, commtm, monkeypatch):
                   monkeypatch=monkeypatch, total_ops=None, **params)
     _assert_parity(interp, vector)
     assert vector.stats.host_vector_epochs > 0
-    if name == "kmeans" and commtm:
-        # The accumulate transaction lowers through the fused-plan
-        # registry, so the closed form must actually fire.
-        assert vector.stats.host_vector_fused_txs > 0
 
 
 def test_kmeans_seed8_parity(monkeypatch):
@@ -169,18 +168,31 @@ def _adds_between_own_evictions(backend, monkeypatch):
 
 def test_fused_add_after_its_line_left_the_l1(monkeypatch):
     """A fused transaction charges L1 hits only: once the core's own
-    load evicted the line from the L1 in the same epoch, the next add
-    must not fuse on an earlier validation of it."""
+    load evicted the line from the L1, the next add must not fuse, and
+    the hoisted add it yields again must not reuse the validation of
+    the add before that load."""
     interp = _adds_between_own_evictions("interp", monkeypatch)
     vector = _adds_between_own_evictions("vector", monkeypatch)
     _assert_parity(interp, vector)
 
 
-def _read_during_fused_adds(backend, monkeypatch):
+#: Another core's access to the counter's word: it serializes with a
+#: live add transaction (a plain load or store reduces the U line, a
+#: gather splits it), so it must meet the interpreted transaction.
+ACCESSES = {
+    "load": lambda ctx, counter: ctx.load(counter.addr),
+    "store": lambda ctx, counter: ctx.store(counter.addr, 7),
+    "gather": lambda ctx, counter: ctx.load_gather(counter.addr,
+                                                   counter.label),
+}
+
+
+def _access_during_fused_adds(backend, access, at, monkeypatch):
     """Core 0 adds 1 to a shared counter 40 times, each add a fusible
-    transaction of 22 cycles; core 1 thinks for 8 cycles, reads the
-    counter with a plain load and thinks for 5 more. Both cores start
-    with the counter's line in U. Returns the result."""
+    transaction of 22 cycles whose commit step is 20 cycles after its
+    start; core 1 thinks for ``at`` cycles, accesses the counter with
+    ``access`` and thinks for 5 more. Both cores start with the
+    counter's line in U. Returns the result."""
     machine = _machine(small_config(num_cores=4, seed=1), backend,
                        monkeypatch)
     counter = SharedCounter(machine)
@@ -191,32 +203,39 @@ def _read_during_fused_adds(backend, monkeypatch):
         for _ in range(40):
             yield add
 
-    def reader(ctx):
-        yield ctx.work(8)
-        yield ctx.load(counter.addr)
+    def accessor(ctx):
+        yield ctx.work(at)
+        yield ACCESSES[access](ctx, counter)
         yield ctx.work(5)
 
-    return machine.run([adder, reader])
+    return machine.run([adder, accessor])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known vector-backend bug: an epoch runs a fused transaction whole at "
-    "its begin, though its window [t, t + 22) reaches past the fence of "
-    "core 1's read at cycle 8, which the interpreter serves in the middle "
-    "of that transaction (interp 969 cycles, vector 947; 0 aborts each). "
-    "The same body unregistered for lowering does not diverge. A fix "
-    "flips this test."))
-def test_fused_transaction_window_is_not_crossed(monkeypatch):
-    interp = _read_during_fused_adds("interp", monkeypatch)
-    vector = _read_during_fused_adds("vector", monkeypatch)
+@pytest.mark.parametrize("at", [8, 34])
+@pytest.mark.parametrize("access", sorted(ACCESSES))
+def test_fused_transaction_window_is_not_crossed(access, at, monkeypatch):
+    """Core 1's access at cycle 8 falls inside core 0's first add, and at
+    cycle 34 inside its second, which the interpreter serves in the
+    middle of that transaction. An add applied whole at its start would
+    run past that fence (for the load at cycle 8: 947 cycles against
+    the interpreter's 969); keyed at its commit step, the add is held,
+    and the strict phase runs it interpreted. At cycle 34 the first add,
+    whose commit step is at most cycle 27 (20 plus the start jitter),
+    still fuses."""
+    interp = _access_during_fused_adds("interp", access, at, monkeypatch)
+    vector = _access_during_fused_adds("vector", access, at, monkeypatch)
     _assert_parity(interp, vector)
+    if at > 27:
+        assert vector.stats.host_vector_fused_txs > 0
 
 
 def _random_mix(machine, num_threads: int, iters: int = 60) -> BuiltWorkload:
-    """Deterministic per-thread random mixes of conventional loads,
-    private stores, variable think time, commutative transactions, and
-    barriers — irregular core clocks stress epoch classification, fence
-    placement, and strict-phase hand-off edges."""
+    """Deterministic per-thread random mixes of conventional loads (of
+    four shared lines and of the counter's word), gathers of the
+    counter, private stores, variable think time, commutative
+    transactions, and barriers — irregular core clocks stress epoch
+    classification, fence placement, fused-add windows and strict-phase
+    hand-off edges."""
     shared_counter = SharedCounter(machine)
     lines = [machine.alloc.alloc_line() for _ in range(4)]
     for addr in lines:
@@ -229,8 +248,13 @@ def _random_mix(machine, num_threads: int, iters: int = 60) -> BuiltWorkload:
             add_one = Atomic(shared_counter.add, 1)
             for i in range(iters):
                 r = rng.random()
-                if r < 0.4:
+                if r < 0.3:
                     yield ctx.load(lines[rng.randrange(len(lines))])
+                elif r < 0.35:
+                    yield ctx.load(shared_counter.addr)
+                elif r < 0.4:
+                    yield ctx.load_gather(shared_counter.addr,
+                                          shared_counter.label)
                 elif r < 0.6:
                     yield ctx.store(scratch, i)
                 elif r < 0.85:

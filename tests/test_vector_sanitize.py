@@ -8,8 +8,9 @@ backend actually drove. Three compositions matter:
 * sanitizer *installed* + ``backend="vector"``: per-op layers force the
   whole run through the interpreted path (zero epochs), bit-identical,
   with the sanitizer genuinely checking along the way;
-* a genuine vector run (epochs engaged, fenced replay exercised): the
-  final coherence state must pass the shared invariant suite;
+* a genuine vector run (epochs of fused counter adds engaged, fenced
+  replay exercised): the final coherence state must pass the shared
+  invariant suite;
 * the adaptive gate (its rebind to the run-ahead loop): same
   obligation on the gated path, plus parity with the interpreted engine.
 
@@ -32,10 +33,18 @@ def _config(seed=1):
     return SystemConfig(num_cores=16, commtm_enabled=True, seed=seed)
 
 
-def _counter_run(backend, sanitize=False, adds=12, threads=8):
+def _counter_run(backend, sanitize=False, adds=12, threads=8,
+                 seeded=False):
+    """``threads`` threads each add ``adds`` times to one counter, with
+    think time between adds. ``seeded`` starts the counter's line in U
+    at every running core, as ``counter.build`` does, so that no add
+    misses and the epochs fuse them."""
     machine = Machine(_config(), backend=backend, sanitize=sanitize,
                       observe=False)
     counter = SharedCounter(machine)
+    if seeded:
+        machine.seed_reducible(counter.addr, counter.label,
+                               {core: 0 for core in range(threads)})
 
     def body(ctx):
         for _ in range(adds):
@@ -105,8 +114,8 @@ class TestSanitizerInstalled:
 class TestPostRunSweep:
     def test_genuine_vector_run_passes_invariants(self, monkeypatch):
         _allow_epochs(monkeypatch)
-        machine, counter, result = _counter_run("vector")
-        assert result.stats.host_vector_epochs > 0  # epochs really ran
+        machine, counter, result = _counter_run("vector", seeded=True)
+        assert result.stats.host_vector_fused_txs > 0  # epochs really fused
         assert machine.read_word(counter.addr) == 96
         _sweep(machine)
 
