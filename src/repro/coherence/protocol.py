@@ -7,7 +7,7 @@ HTM layer.
 
 Every public operation is logically atomic (the engine interleaves cores at
 operation granularity) and returns an :class:`AccessResult` whose ``cycles``
-field carges the issuing core with Table I latencies:
+field charges the issuing core with Table I latencies:
 
 * L1 hit: L1 latency.
 * Private (L2) hit: L1 + L2.
@@ -195,6 +195,9 @@ class MemorySystem:
         #: every miss). The engine's handlers read them for their hits.
         self.l1_latency = config.l1.latency
         self.l12_latency = config.l1.latency + config.l2.latency
+        #: The shadow thread's cost of merging or splitting one line.
+        self._handler_cycles = (config.reduction_cycles_per_word
+                                * WORDS_PER_LINE)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -291,10 +294,6 @@ class MemorySystem:
             self.stats.shadow_thread_cycles += inner.cycles
 
         return HandlerContext(read, write)
-
-    def _handler_cost(self, label: Label) -> int:
-        """Fixed shadow-thread cost of merging/splitting one line."""
-        return self.config.reduction_cycles_per_word * WORDS_PER_LINE
 
     # ------------------------------------------------------------------
     # Conflict helpers
@@ -1003,8 +1002,8 @@ class MemorySystem:
                     merged = data
                 else:
                     merged = label.reduce(hctx, merged, data)
-                    res.cycles += self._handler_cost(label)
-                    self.stats.shadow_thread_cycles += self._handler_cost(label)
+                    res.cycles += self._handler_cycles
+                    self.stats.shadow_thread_cycles += self._handler_cycles
                 self.caches[sharer].drop(line_no)
                 self.directory.drop_sharer(ent, sharer)
                 self.stats.invalidations += 1
@@ -1153,7 +1152,7 @@ class MemorySystem:
                 sharer_ctx = self.handler_context(sharer, res)
                 kept, donated = label.split(sharer_ctx, list(ventry.words),
                                             num_sharers)
-                cost = self._handler_cost(label)
+                cost = self._handler_cycles
                 self.stats.shadow_thread_cycles += cost
                 self.stats.splits += 1
                 # The split is non-speculative: it rewrites the sharer's
@@ -1206,8 +1205,8 @@ class MemorySystem:
             return
         self._in_handler = True
         try:
+            cost = self._handler_cycles
             for donated in donations:
-                cost = self._handler_cost(label)
                 res.cycles += cost
                 self.stats.shadow_thread_cycles += cost
                 entry.words = label.reduce(hctx, list(entry.words), donated)

@@ -12,8 +12,8 @@ labeled-accessed. The manager applies the configured resolution policy:
   classic friendly-fire pathologies the paper's baseline avoids).
 
 Aborting a victim rolls its private cache back synchronously, so the
-triggering request observes only non-speculative data. Wasted cycles are
-attributed to a Fig. 18 category at abort time.
+triggering request observes only non-speculative data. The abort fixes
+the attempt's Fig. 18 category; the engine's restart settles its cycles.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class ConflictManager(ConflictManagerBase):
     # --- abort machinery ------------------------------------------------------
 
     def abort(self, core: int, cause: WastedCause) -> None:
-        """Roll back ``core``'s transaction and account the wasted work.
+        """Roll back ``core``'s transaction and record the abort's cause.
         Idempotent within one attempt."""
         tx = self.active[core]
         if tx is None:
@@ -126,7 +126,6 @@ class ConflictManager(ConflictManagerBase):
             # Speculative set sizes must be read before rollback clears them.
             self.obs.tx_rollback(core, tx, cause)
         self.caches[core].rollback_all()
-        self.stats.reclassify_aborted(core, tx.cycles_this_attempt, cause)
         self.stats.aborts += 1
         tx.aborted = True
         tx.abort_cause = cause

@@ -17,6 +17,9 @@ from ..sim.stats import WastedCause
 
 @dataclass(slots=True)
 class Transaction:
+    """A core's transaction across its retries. It holds no cycle counts:
+    the engine settles each attempt from ``start`` at commit or restart."""
+
     core: int
     ts: int
     attempts: int = 1
@@ -30,14 +33,12 @@ class Transaction:
     #: modified U-state data: on restart, labeled accesses execute as
     #: conventional ones (Sec. III-B4).
     labels_disabled: bool = False
-    #: Cycles charged to the core during the current attempt; reclassified
-    #: as wasted on abort (Fig. 17/18 accounting).
-    cycles_this_attempt: int = 0
+    #: The core's clock when the current attempt began.
+    start: int = 0
 
     def reset_for_retry(self) -> None:
         self.attempts += 1
         self.aborted = False
         self.abort_cause = None
-        self.cycles_this_attempt = 0
         if self.lazy_written:
             self.lazy_written.clear()

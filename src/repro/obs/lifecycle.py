@@ -26,7 +26,7 @@ class AbortRecord:
     attacker: Optional[int] = None  # core whose request aborted us
     line: Optional[int] = None      # conflicting line number
     label: Optional[str] = None     # label of the conflicting line
-    wasted_cycles: int = 0          # cycles charged to the dead attempt
+    wasted_cycles: int = 0          # begin to restart, dooming op included
     backoff_cycles: int = 0         # randomized stall before the retry
     read_set: int = 0               # speculative set sizes at abort (lines)
     write_set: int = 0

@@ -19,6 +19,10 @@ Abort attribution is assembled from three call sites, in order:
 3. :meth:`tx_abort` (engine restart path) — finalize the
    :class:`~repro.obs.lifecycle.AbortRecord` with wasted and backoff
    cycles and close the transaction's trace span.
+
+An attempt's wasted cycles are ``cycle - tx.start``, the span the engine
+adds with the backoff to ``Stats.wasted_by_cause``, so the attribution
+sums to Fig. 18's total.
 """
 
 from __future__ import annotations
@@ -106,7 +110,7 @@ class Observer:
         # this reads.
         reads, writes, labeled = self._spec_sizes(core)
         self.lifecycle.commit(core, cycle,
-                              committed_cycles=tx.cycles_this_attempt,
+                              committed_cycles=cycle - tx.start,
                               read_set=reads, write_set=writes,
                               labeled_set=labeled)
         self.commits += 1
@@ -117,8 +121,8 @@ class Observer:
         self._sample_counters(cycle)
 
     def tx_abort(self, core: int, cycle: int, tx, stall: int) -> None:
-        # Runs on the engine's restart path, after the attempt's wasted
-        # cycles are final and the backoff stall is known.
+        # Runs on the engine's restart path, once the backoff stall is
+        # known; the attempt wasted every cycle since it began.
         info = self._pending.pop(core, {})
         cause = info.get("cause")
         if cause is None:
@@ -127,7 +131,7 @@ class Observer:
             cycle=cycle, attempt=tx.attempts, cause=cause,
             attacker=info.get("attacker"), line=info.get("line"),
             label=info.get("label"),
-            wasted_cycles=tx.cycles_this_attempt, backoff_cycles=stall,
+            wasted_cycles=cycle - tx.start, backoff_cycles=stall,
             read_set=info.get("read_set", 0),
             write_set=info.get("write_set", 0),
             labeled_set=info.get("labeled_set", 0),

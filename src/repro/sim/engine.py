@@ -2,13 +2,20 @@
 
 Drives one workload coroutine per core at memory-operation granularity.
 The scheduler always advances the core with the smallest local clock, which
-approximates cycle-level interleaving; every operation charges Table I
-latencies computed by the memory system.
+approximates cycle-level interleaving; every operation advances its
+core's clock by Table I latencies computed by the memory system.
 
 Transactions (``Atomic`` ops) are replayed on abort: the transaction's
 generator is discarded, the core stalls for randomized backoff, and a fresh
 generator is created — mirroring hardware restart exactly, because all
 shared-state effects go through speculative stores that rollback undoes.
+
+The cycle breakdown of Figs. 17 and 18 is settled at transaction
+boundaries, not per op: an attempt records its core's clock when it begins
+(``Transaction.start``); a commit adds the attempt, commit latency
+included, to ``tx_committed``; a restart adds it and its backoff to
+``tx_aborted`` and to the abort's cause; and :meth:`Engine._close_run`
+makes ``non_tx`` the rest of each core's clock advance.
 
 Dispatch is a type-keyed table (``op.__class__`` -> handler function,
 called as ``handler(engine, runner, op)``) rather than an isinstance
@@ -17,9 +24,9 @@ engine's class functions, not methods bound to the engine, so the engine
 holds no reference to itself and is freed as soon as its run returns.
 Subclasses (e.g. ``OrderedAtomic``) resolve through the MRO once and are
 memoized into the table. Hot per-core state (the clock array, the
-active-transaction list, the cycle breakdown) is bound to locals on the
-engine at construction so the per-op path does plain list indexing instead
-of chained attribute loads.
+active-transaction list) is bound to locals on the engine at
+construction so the per-op path does plain list indexing instead of
+chained attribute loads.
 All of this is pure host-side speed: simulated cycle counts are identical
 to the straightforward implementation.
 
@@ -139,6 +146,8 @@ class Engine:
             )
         self.clocks = CoreClocks(self.config.num_cores,
                                  jitter=machine.rng.jitter())
+        #: Each core's jittered clock at the start of the run.
+        self._start = list(self.clocks.cycles)
         self.runners: List[Optional[ThreadRunner]] = []
         for core in range(self.config.num_cores):
             if core < len(bodies):
@@ -180,7 +189,7 @@ class Engine:
         self._hits = machine.options.fastpath and obs is None
         msys = self.msys
         self._caches = msys.caches
-        # A hit charges one of these two latencies. They are fixed for the
+        # A hit takes one of these two latencies. They are fixed for the
         # run, so the negative-charge check runs once, here.
         self._l1_lat = msys.l1_latency
         self._l12_lat = msys.l12_latency
@@ -231,8 +240,17 @@ class Engine:
             self._run_runahead()
         else:
             self._run_stepped()
+        self._close_run()
+
+    def _close_run(self) -> None:
+        """Settle the run: each core's clock advance that no transaction
+        attempt took is non-transactional time (think time, barrier waits,
+        accesses outside a transaction)."""
         if not self.clocks.all_finished():
             raise SimulationError("no runnable core but simulation not finished")
+        for row, end, start in zip(self._breakdown, self._cycles,
+                                   self._start):
+            row.non_tx = end - start - row.tx_committed - row.tx_aborted
         self.stats.parallel_cycles = self.clocks.max_cycle
 
     def _run_runahead(self, limit: int = sys.maxsize) -> bool:
@@ -398,13 +416,11 @@ class Engine:
         core = runner.core
         if self._tx_active[core] is None:
             tx = self.htm.begin(core, op.ts)  # OrderedAtomic: order == priority
+            cycles = self._cycles
+            tx.start = cycles[core]
             if self._obs is not None:
-                self._obs.tx_begin(core, self._cycles[core], tx)
-            # Inline _charge: a freshly begun transaction cannot be aborted.
-            cycles = self._tx_begin_cycles
-            self._breakdown[core].tx_committed += cycles
-            tx.cycles_this_attempt += cycles
-            self._cycles[core] += cycles
+                self._obs.tx_begin(core, cycles[core], tx)
+            cycles[core] += self._tx_begin_cycles
             # Inline op.make_generator (hot: once per transaction).
             gen = op.fn(runner.ctx, *op.args)
             runner.frames.append(Frame(gen, op, True))
@@ -418,21 +434,8 @@ class Engine:
         cycles = op.cycles
         if cycles < 0:
             raise SimulationError(f"negative Work: {cycles}")
-        # Inline _charge: Work is one of the hottest ops (every think step).
-        stats = self.stats
-        stats.instructions += cycles
-        core = runner.core
-        tx = self._tx_active[core]
-        entry = self._breakdown[core]
-        if tx is None:
-            entry.non_tx += cycles
-        elif tx.aborted:
-            entry.tx_aborted += cycles
-            stats.wasted_by_cause[tx.abort_cause] += cycles
-        else:
-            entry.tx_committed += cycles
-            tx.cycles_this_attempt += cycles
-        self._cycles[core] += cycles
+        self.stats.instructions += cycles
+        self._cycles[runner.core] += cycles
 
     def _op_barrier(self, runner: ThreadRunner, op) -> None:
         core = runner.core
@@ -454,11 +457,7 @@ class Engine:
         release_at = max(self._cycles[c] for c in self._barrier_waiting)
         waiting, self._barrier_waiting = self._barrier_waiting, []
         for core in waiting:
-            stall = release_at - self._cycles[core]
-            if stall > 0:
-                # Barrier wait is non-transactional stall time.
-                self.stats.charge(core, stall, in_tx=False)
-                self.clocks.advance(core, stall)
+            self._cycles[core] = release_at
             self.runners[core].blocked = False
             self.runners[core].pending_value = None
             if core != skip_reschedule:
@@ -471,7 +470,7 @@ class Engine:
     # on U with the same label object, at a word-aligned address. Its
     # effects are the protocol's hit's, in the same order: LRU touch,
     # speculative mark, copy-on-write word write with the silent E->M
-    # upgrade, hit counter, charge. The mark follows the touch because
+    # upgrade, hit counter, clock advance. The mark follows the touch because
     # inserting a line into the L1 (PrivateCache.touch) may evict a
     # speculative line and abort this core's transaction, and the mark
     # must land in the set that follows; an aborted hit delivers no value
@@ -508,15 +507,6 @@ class Engine:
                 if tx is not None and not entry.spec_read:
                     cache.mark_read(entry)
                 stats.host_fastpath_hits += 1
-                row = self._breakdown[core]
-                if tx is None:
-                    row.non_tx += cycles
-                elif tx.aborted:
-                    row.tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    row.tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
                 self._cycles[core] += cycles
                 if tx is None or not tx.aborted:
                     runner.pending_value = entry.words[
@@ -571,15 +561,6 @@ class Engine:
                 if st is _E:
                     entry.state = _M
                 stats.host_fastpath_hits += 1
-                row = self._breakdown[core]
-                if tx is None:
-                    row.non_tx += cycles
-                elif tx.aborted:
-                    row.tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    row.tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
                 self._cycles[core] += cycles
                 return
             stats.host_fastpath_misses += 1
@@ -619,15 +600,6 @@ class Engine:
                 if tx is not None and not entry.spec_labeled:
                     cache.mark_labeled(entry)
                 stats.host_fastpath_hits += 1
-                row = self._breakdown[core]
-                if tx is None:
-                    row.non_tx += cycles
-                elif tx.aborted:
-                    row.tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    row.tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
                 self._cycles[core] += cycles
                 if tx is None or not tx.aborted:
                     runner.pending_value = entry.words[
@@ -675,15 +647,6 @@ class Engine:
                 if st is _E:
                     entry.state = _M
                 stats.host_fastpath_hits += 1
-                row = self._breakdown[core]
-                if tx is None:
-                    row.non_tx += cycles
-                elif tx.aborted:
-                    row.tx_aborted += cycles
-                    stats.wasted_by_cause[tx.abort_cause] += cycles
-                else:
-                    row.tx_committed += cycles
-                    tx.cycles_this_attempt += cycles
                 self._cycles[core] += cycles
                 return
             stats.host_fastpath_misses += 1
@@ -711,23 +674,12 @@ class Engine:
         self._after_memory_op(runner, core, res)
 
     def _after_memory_op(self, runner: ThreadRunner, core: int, res) -> None:
-        # Inline _charge: every op that leaves the private caches ends here.
+        # Every op that leaves the private caches ends here.
         cycles = res.cycles
         if cycles < 0:
             raise SimulationError(f"negative cycle charge: {cycles}")
-        tx = self._tx_active[core]
-        entry = self._breakdown[core]
-        if tx is None:
-            entry.non_tx += cycles
-        elif tx.aborted:
-            # The op that doomed the tx: its cycles are wasted directly.
-            entry.tx_aborted += cycles
-            self.stats.wasted_by_cause[tx.abort_cause] += cycles
-        else:
-            entry.tx_committed += cycles
-            tx.cycles_this_attempt += cycles
         self._cycles[core] += cycles
-
+        tx = self._tx_active[core]
         if res.abort_requester:
             if tx is None:
                 raise SimulationError(
@@ -764,24 +716,23 @@ class Engine:
                 requester = Requester(core, tx.ts, self._cycles[core])
                 for line_no in sorted(tx.lazy_written):
                     pres = self.msys.publish_line(core, line_no, requester)
-                    self._charge(core, pres.cycles)
+                    self.clocks.advance(core, pres.cycles)
                 if tx.aborted:
                     # A publication cannot abort the committer; guard.
                     raise TransactionError("committer aborted mid-publish")
             # Commit clears the speculative sets instantly at the protocol
-            # level; the commit latency is charged afterwards so it does not
+            # level; the commit latency is added afterwards so it does not
             # extend the conflict window (mirrors hardware, where the
             # post-commit pipeline drain is not speculative).
             # The obs hook must precede commit: it reads the speculative
             # set sizes that commit_all() is about to clear.
+            cycles = self._cycles
             if self._obs is not None:
-                self._obs.tx_commit(core, self._cycles[core], tx)
+                self._obs.tx_commit(core, cycles[core], tx)
             self.htm.commit(core)
-            # Inline stats.charge(in_tx=True) + clocks.advance: the commit
-            # latency lands in the committed bucket after the tx detaches.
-            cycles = self._tx_commit_cycles
-            self._breakdown[core].tx_committed += cycles
-            self._cycles[core] += cycles
+            # The attempt, commit latency included, is committed work.
+            cycles[core] += self._tx_commit_cycles
+            self._breakdown[core].tx_committed += cycles[core] - tx.start
         if not runner.frames:
             self.clocks.finish(core)
             self._live_threads -= 1
@@ -815,43 +766,21 @@ class Engine:
         cycles = self._cycles
         if obs is not None:
             obs.tx_abort(core, cycles[core], tx, stall)
-        # Backoff stall is abort-induced: account it as wasted. (Inline
+        # The dead attempt and its backoff are wasted work. (Inline
         # clocks.advance: a backoff is never negative.)
-        entry = self._breakdown[core]
-        entry.tx_aborted += stall
-        self.stats.wasted_by_cause[tx.abort_cause] += stall
+        wasted = cycles[core] - tx.start + stall
+        self._breakdown[core].tx_aborted += wasted
+        self.stats.wasted_by_cause[tx.abort_cause] += wasted
         cycles[core] += stall
 
         self.htm.begin_retry(core, tx)
+        tx.start = cycles[core]
         if obs is not None:
             obs.tx_retry(core, cycles[core], tx)
-        # Inline _charge, as _op_atomic does: a retry that has just begun
-        # cannot be aborted.
-        begin = self._tx_begin_cycles
-        entry.tx_committed += begin
-        tx.cycles_this_attempt += begin
-        cycles[core] += begin
+        cycles[core] += self._tx_begin_cycles
         # Inline Atomic.make_generator, as _op_atomic does.
         atomic = tx_frame.atomic
         gen = atomic.fn(runner.ctx, *atomic.args)
         tx_frame.gen = gen
         runner.send = gen.send
         runner.pending_value = None
-
-    # ------------------------------------------------------------------
-
-    def _charge(self, core: int, cycles: int) -> None:
-        if cycles < 0:
-            raise SimulationError(f"negative cycle charge: {cycles}")
-        tx = self._tx_active[core]
-        entry = self._breakdown[core]
-        if tx is None:
-            entry.non_tx += cycles
-        elif tx.aborted:
-            # The op that doomed the tx: its cycles are wasted directly.
-            entry.tx_aborted += cycles
-            self.stats.wasted_by_cause[tx.abort_cause] += cycles
-        else:
-            entry.tx_committed += cycles
-            tx.cycles_this_attempt += cycles
-        self._cycles[core] += cycles

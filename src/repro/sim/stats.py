@@ -50,7 +50,12 @@ class CoreCycleBreakdown:
 
 @dataclass
 class Stats:
-    """Aggregated run statistics. One instance per simulation run."""
+    """Aggregated run statistics. One instance per simulation run.
+
+    The engine settles ``breakdown`` and ``wasted_by_cause`` at transaction
+    boundaries and at the run's close (see :mod:`repro.sim.engine`), so a
+    core's buckets sum to its clock advance and the causes to the aborted
+    cycles."""
 
     num_cores: int = 0
 
@@ -151,26 +156,6 @@ class Stats:
     def __post_init__(self) -> None:
         if self.num_cores and not self.breakdown:
             self.breakdown = [CoreCycleBreakdown() for _ in range(self.num_cores)]
-
-    # --- recording helpers --------------------------------------------------
-
-    def charge(self, core: int, cycles: int, in_tx: bool) -> None:
-        """Charge cycles to a core. Transactional cycles start as committed;
-        :meth:`reclassify_aborted` moves them to aborted on rollback."""
-        entry = self.breakdown[core]
-        if in_tx:
-            entry.tx_committed += cycles
-        else:
-            entry.non_tx += cycles
-
-    def reclassify_aborted(self, core: int, cycles: int, cause: WastedCause) -> None:
-        """Move ``cycles`` of this core's transactional time to the aborted
-        bucket, attributing them to ``cause``."""
-        entry = self.breakdown[core]
-        moved = min(cycles, entry.tx_committed)
-        entry.tx_committed -= moved
-        entry.tx_aborted += moved
-        self.wasted_by_cause[cause] += moved
 
     # --- derived summaries ---------------------------------------------------
 

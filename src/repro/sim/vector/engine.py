@@ -17,8 +17,8 @@ start time. The epoch then pops the heap and executes every record keyed
 strictly before the earliest fence; after each execution the core pulls
 and classifies its next operation, re-entering the heap (so one core
 chains through a whole local region) or lowering the fence. Each record
-adds its counts to ``Stats`` and to its core's cycle-breakdown row
-directly.
+advances its core's clock and adds its counts to ``Stats``; a fused add,
+a whole transaction, also adds its duration to the committed cycles.
 
 *Why the interleaving is bit-identical to strict min-clock order.* Local
 operations change only their own core's private cache (plus additive
@@ -75,7 +75,6 @@ from typing import List, Optional
 
 from ...coherence.states import State
 from ...datatypes.counter import SharedCounter
-from ...errors import SimulationError
 from ...params import LINE_BYTES, WORD_BYTES
 from ...runtime.ops import Atomic, Work
 from ..engine import _FINISHED, NO_FASTPATH_ENV, NO_RUNAHEAD_ENV, Engine
@@ -175,9 +174,7 @@ class VectorEngine(Engine):
             super().run()
             return
         self._run_vector()
-        if not self.clocks.all_finished():
-            raise SimulationError("no runnable core but simulation not finished")
-        self.stats.parallel_cycles = self.clocks.max_cycle
+        self._close_run()
 
     def _gate_test(self, attempts: int) -> Optional[str]:
         """The adaptive gate's verdict after ``attempts`` epoch attempts
@@ -340,7 +337,6 @@ class VectorEngine(Engine):
             dur, op, add = rec
             if add is None:
                 think += dur
-                breakdown[core].non_tx += dur
             else:
                 # The add's begin, labeled load, labeled store and
                 # commit in closed form: one LRU touch, the word's

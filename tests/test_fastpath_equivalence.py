@@ -244,20 +244,22 @@ def test_labels_disabled_retry_is_bit_identical(monkeypatch):
 LINE_A, LINE_B, LINE_C = (0x8000 + i * LINE_BYTES for i in range(3))
 
 
-def _two_line_l1_machine(no_fastpath, monkeypatch):
+def _two_line_l1_machine(no_fastpath, monkeypatch, observe=False):
     """A 16-core machine whose L1 holds two lines and L2 sixteen, on the
-    handler path or, with ``no_fastpath``, the reference path."""
+    handler path or, with ``no_fastpath``, the reference path (which an
+    installed Observer also takes)."""
     _set_fastpath(no_fastpath, monkeypatch)
     config = SystemConfig(
         num_cores=16, seed=1,
         l1=CacheGeometry(size_bytes=2 * LINE_BYTES, ways=1, latency=1),
         l2=CacheGeometry(size_bytes=16 * LINE_BYTES, ways=1, latency=6))
-    return Machine(config, backend="interp", sanitize=False, observe=False)
+    return Machine(config, backend="interp", sanitize=False, observe=observe)
 
 
-def _l1_eviction_abort(no_fastpath, monkeypatch):
-    """One core with a two-line L1. Outside a transaction it loads lines
-    C, A and B, so the L1 holds A and B and the private L2 holds C too.
+def _l1_eviction_abort(machine):
+    """On ``machine`` (a _two_line_l1_machine), one core with a two-line
+    L1. Outside a transaction it loads lines C, A and B, so the L1
+    holds A and B and the private L2 holds C too.
     Its transaction loads A and B (L1 hits, marked read), then C: a
     private hit the L1 does not hold, whose LRU touch evicts A, a
     speculative line, and so aborts its own transaction (Sec. III-B1).
@@ -268,7 +270,6 @@ def _l1_eviction_abort(no_fastpath, monkeypatch):
     each attempt began with marked (the aborting hit marks its line after
     the abort, as the protocol's own hit does), then the run's hit and
     miss counts."""
-    machine = _two_line_l1_machine(no_fastpath, monkeypatch)
     for value, addr in enumerate((LINE_A, LINE_B, LINE_C), start=1):
         machine.seed_word(addr, value)
     seen, marked = [], []
@@ -303,8 +304,10 @@ def _l1_eviction_abort(no_fastpath, monkeypatch):
 
 def test_hit_that_evicts_a_speculative_line_aborts_its_transaction(
         monkeypatch):
-    fast, fast_counts = _l1_eviction_abort(False, monkeypatch)
-    slow, slow_counts = _l1_eviction_abort(True, monkeypatch)
+    fast, fast_counts = _l1_eviction_abort(
+        _two_line_l1_machine(False, monkeypatch))
+    slow, slow_counts = _l1_eviction_abort(
+        _two_line_l1_machine(True, monkeypatch))
     _cycles, comparable, causes, seen, _marked = fast
     # One abort, by the L1 capacity eviction, before C's value reached
     # the first attempt; the retry committed.

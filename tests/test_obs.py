@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.machine import Machine, resolve_options
+from repro.datatypes import SharedCounter
 from repro.harness.runner import run_workload
 from repro.obs import (
     OBS_ENV,
@@ -34,9 +35,11 @@ from repro.obs import (
     per_label_table,
     point_report,
 )
-from repro.params import small_config
+from repro.params import SystemConfig, small_config
+from repro.runtime.ops import Atomic
 from repro.sim.engine import NO_FASTPATH_ENV, NO_RUNAHEAD_ENV
 
+from .test_fastpath_equivalence import _l1_eviction_abort, _two_line_l1_machine
 from .test_golden_stats import MICROS
 
 
@@ -199,6 +202,55 @@ def test_lifecycle_records_and_attribution():
                ) == summary["aborted_attempts"]
 
 
+def _l1_eviction_self_abort(monkeypatch):
+    # A transactional load hit whose L1 insert evicts the transaction's
+    # own speculative line (Sec. III-B1).
+    machine = _two_line_l1_machine(False, monkeypatch, observe=True)
+    _l1_eviction_abort(machine)
+    return machine
+
+
+def _own_u_line_self_abort(monkeypatch):
+    # A transaction labeled-updates a counter line held in U by cores 0
+    # and 1, then loads it unlabeled: a non-commutative access to its own
+    # speculatively modified U line, which aborts the transaction and
+    # reduces the line (Sec. III-B4).
+    machine = Machine(SystemConfig(num_cores=16, seed=1), backend="interp",
+                      sanitize=False, observe=True)
+    shared = SharedCounter(machine)
+    machine.seed_reducible(shared.addr, shared.label, {0: 5, 1: 7})
+
+    def add_then_read(ctx):
+        yield from shared.add(ctx, 1)
+        yield from shared.read(ctx)
+
+    def body(ctx):
+        yield Atomic(add_then_read)
+
+    machine.run([body])
+    assert machine.read_word(shared.addr) == 13
+    return machine
+
+
+@pytest.mark.parametrize("self_abort", [_l1_eviction_self_abort,
+                                        _own_u_line_self_abort],
+                         ids=["l1_eviction", "own_u_line"])
+def test_abort_attribution_sums_to_fig18(self_abort, monkeypatch):
+    # The op that dooms these attempts finishes after the abort, and its
+    # cycles are wasted too: the attribution must count them as the
+    # Fig. 18 breakdown does.
+    machine = self_abort(monkeypatch)
+    stats = machine.stats
+    assert stats.aborts == stats.commits == 1
+    lifecycle = machine.obs.payload()["lifecycle"]
+    attributed = sum(row["wasted_cycles"]
+                     for row in lifecycle["abort_attribution"])
+    assert attributed == sum(stats.wasted_by_cause.values())
+    summary = lifecycle["summary"]
+    assert (summary["wasted_cycles"] + summary["backoff_cycles"]
+            == stats.tx_aborted_cycles)
+
+
 def test_committed_lifecycle_has_labeled_sets():
     machine = _observed_machine(commtm=True)
     payload = machine.obs.payload()
@@ -315,12 +367,25 @@ def test_cli_writes_versioned_artifacts(tmp_path, monkeypatch):
         assert point["trace_event_counts"]["tx"] > 0
         assert set(point["hostprof"]["phases"]) >= {"simulate", "verify"}
         assert "schema" not in point["hostprof"]
-    # The CI job summary renders the same document.
-    tool = Path(__file__).resolve().parents[1] / "tools" / "obs_summary.py"
-    summary = "\n".join(runpy.run_path(str(tool))["render"](report))
+    # The CI job summary renders the same document, and checks that each
+    # point's abort attribution sums to its Fig. 18 wasted cycles.
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                              / "tools" / "obs_summary.py"))
+    summary = "\n".join(tool["render"](report))
     assert "### Harness" in summary
     assert "### counter t=1 commtm" in summary
     assert "| simulate |" in summary
+    for point in points:
+        fig18 = sum(point["wasted_by_cause"].values())
+        assert (f"Fig. 18 wasted cycles: abort attribution {fig18} == "
+                f"wasted_by_cause {fig18}") in summary
+    # main() appends to the job summary when this variable is set.
+    monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
+    assert tool["main"]([str(report_out)]) == 0
+    forged = tmp_path / "forged.json"
+    report["points"][0]["wasted_by_cause"]["Others"] += 1
+    forged.write_text(json.dumps(report))
+    assert tool["main"]([str(forged)]) == 1
 
 
 # ---------------------------------------------------------------------------

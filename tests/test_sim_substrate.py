@@ -89,31 +89,6 @@ class TestCoreClocks:
 
 
 class TestStats:
-    def test_charge_buckets(self):
-        s = Stats(num_cores=2)
-        s.charge(0, 10, in_tx=False)
-        s.charge(0, 5, in_tx=True)
-        s.charge(1, 7, in_tx=True)
-        assert s.non_tx_cycles == 10
-        assert s.tx_committed_cycles == 12
-        assert s.tx_aborted_cycles == 0
-        assert s.total_cycles == 22
-
-    def test_reclassify_moves_cycles(self):
-        s = Stats(num_cores=1)
-        s.charge(0, 100, in_tx=True)
-        s.reclassify_aborted(0, 40, WastedCause.READ_AFTER_WRITE)
-        assert s.tx_committed_cycles == 60
-        assert s.tx_aborted_cycles == 40
-        assert s.wasted_by_cause[WastedCause.READ_AFTER_WRITE] == 40
-
-    def test_reclassify_clamps(self):
-        s = Stats(num_cores=1)
-        s.charge(0, 10, in_tx=True)
-        s.reclassify_aborted(0, 50, WastedCause.OTHER)
-        assert s.tx_committed_cycles == 0
-        assert s.tx_aborted_cycles == 10
-
     def test_get_breakdown(self):
         s = Stats(num_cores=1)
         s.gets, s.getx, s.getu = 3, 2, 1

@@ -8,9 +8,16 @@ phase-accounting tables to stdout, and appends the same tables to
 obs-artifacts job surfaces where host time goes (simulate vs verify vs
 build, cache and dispatch) without anyone downloading the artifact.
 
+Each observed point also gets a line comparing its abort attribution's
+wasted cycles (backoff included) with its ``wasted_by_cause`` total,
+Fig. 18's. The two count the same cycles, so the tool exits 1 when they
+differ on any point: the run document no longer explains Fig. 18.
+
 Usage::
 
     python tools/obs_summary.py obs-report.json
+
+Exit status: 0, 1 when a point's totals differ, 2 on an unreadable file.
 """
 
 from __future__ import annotations
@@ -39,6 +46,19 @@ def _table(heading: str, section: dict) -> list:
     return lines + [""]
 
 
+def _wasted_totals(point: dict) -> tuple:
+    """An observed point's abort-attribution wasted cycles and its
+    Fig. 18 total, ``sum(wasted_by_cause)``."""
+    attributed = sum(row["wasted_cycles"]
+                     for row in point.get("abort_attribution", ()))
+    return attributed, sum(point.get("wasted_by_cause", {}).values())
+
+
+def _observed(doc: dict) -> list:
+    # A point that ran unobserved has no host phases or attribution.
+    return [point for point in doc.get("points", []) if "hostprof" in point]
+
+
 def render(doc: dict) -> list:
     lines = [
         "## Observability: host phase accounting",
@@ -50,12 +70,14 @@ def render(doc: dict) -> list:
     harness = doc.get("harness", {})
     if harness.get("phases"):
         lines += _table("Harness", harness)
-    for point in doc.get("points", []):
-        if "hostprof" not in point:  # the point ran unobserved
-            continue
+    for point in _observed(doc):
         system = "commtm" if point.get("commtm") else "baseline"
         name = f"{point.get('name', '?')} t={point.get('num_threads')} {system}"
         lines += _table(name, point["hostprof"])
+        attributed, fig18 = _wasted_totals(point)
+        relation = "==" if attributed == fig18 else "!="
+        lines += [f"Fig. 18 wasted cycles: abort attribution {attributed} "
+                  f"{relation} wasted_by_cause {fig18}", ""]
     return lines
 
 
@@ -80,6 +102,12 @@ def main(argv=None) -> int:
     if summary_path:
         with open(summary_path, "a") as fh:
             fh.write("\n".join(lines) + "\n")
+    differ = sum(attributed != fig18 for attributed, fig18
+                 in map(_wasted_totals, _observed(doc)))
+    if differ:
+        print(f"obs_summary: {differ} point(s) whose abort attribution "
+              f"does not sum to wasted_by_cause", file=sys.stderr)
+        return 1
     return 0
 
 
